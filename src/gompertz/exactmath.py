@@ -2,8 +2,9 @@
 factorials, Stirling numbers of both kinds, Bernoulli numbers, alternating
 factorial sums, and elements of the rational span of {1, delta}.
 
-Everything here is exact (Python int / Fraction); memo tables grow on demand
-behind a lock so concurrent readers always see a consistent prefix.
+Everything here is exact (Python int / Fraction). Memo tables only ever
+grow, by appending behind a lock, so lookups take no lock and concurrent
+readers always see a consistent prefix.
 """
 
 from __future__ import annotations
@@ -95,9 +96,43 @@ def stirling1_unsigned(w: int, j: int) -> int:
     return _stirling1_rows[w][j]
 
 
-# Bernoulli numbers under the B1 = -1/2 convention; the recurrence
-# sum_{i=0}^{m} C(m+1, i) B_i = 0 (m >= 1) determines them all.
-_bernoulli_minus: list[Fraction] = [Fraction(1)]
+def _next_tangent_column(column: list[int]) -> list[int]:
+    """Column j of Brent and Harvey's in-place tangent-number table (Fast
+    computation of Bernoulli, tangent and secant numbers, 2011), from column
+    j - 1. Entry k - 1 of column j is t[j] after pass k (pass 1 sets
+    t[j] = (j-1)!); the last entry is the tangent number T_j, the
+    coefficient in tan x = sum T_j x**(2j-1) / (2j-1)!. Extending column by
+    column does the same integer work as the whole table at once, and needs
+    no final size."""
+    j = len(column) + 1
+    u = (j - 1) * column[0]
+    out = [u]
+    for k in range(2, j):
+        u = (j - k) * column[k - 1] + (j - k + 2) * u
+        out.append(u)
+    out.append(2 * u)
+    return out
+
+
+# Entry k is B_2k; _tangent_column is the table column of the last entry.
+_bernoulli_even: list[Fraction] = [Fraction(1), Fraction(1, 6)]
+_tangent_column: list[int] = [1]
+_ZERO = Fraction(0)
+_B1 = {B1_MINUS_HALF: Fraction(-1, 2), B1_PLUS_HALF: Fraction(1, 2)}
+
+
+def _grow_bernoulli(k: int) -> None:
+    global _tangent_column
+    with _table_lock:
+        table = _bernoulli_even
+        while len(table) <= k:
+            assert len(_tangent_column) == len(table) - 1
+            _tangent_column = column = _next_tangent_column(_tangent_column)
+            i = len(column)
+            # B_2i = (-1)**(i-1) 2i T_i / (4**i (4**i - 1))
+            four = 4 ** i
+            num = 2 * i * column[-1]
+            table.append(Fraction(num if i % 2 else -num, four * (four - 1)))
 
 
 def bernoulli(j: int, convention: str = B1_MINUS_HALF) -> Fraction:
@@ -106,16 +141,12 @@ def bernoulli(j: int, convention: str = B1_MINUS_HALF) -> Fraction:
         raise ValueError("j must be nonnegative")
     if convention not in BERNOULLI_CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    with _table_lock:
-        while len(_bernoulli_minus) <= j:
-            m = len(_bernoulli_minus)
-            s = sum(Fraction(math.comb(m + 1, i)) * _bernoulli_minus[i]
-                    for i in range(m))
-            _bernoulli_minus.append(-s / (m + 1))
-        value = _bernoulli_minus[j]
-    if j == 1 and convention == B1_PLUS_HALF:
-        return -value
-    return value
+    if j & 1:
+        return _B1[convention] if j == 1 else _ZERO
+    k = j >> 1
+    if k >= len(_bernoulli_even):
+        _grow_bernoulli(k)
+    return _bernoulli_even[k]
 
 
 def alt_factorial_sum(k: int) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from .errors import CrossCheckFailure, DomainError
 from .exactmath import (DeltaLinear, alt_factorial_sum, delta_linear_eval,
@@ -99,11 +99,10 @@ def log_moment(k: int, u: Fraction | int, ctx: PrecisionContext,
                               delta_reference(ctx), ctx)
     if path == "checked":
         numeric = _log_moment_quad(k, u, ctx)
-        with mp.workprec(ctx.working_bits):
-            if abs(exact - numeric) >= ctx.target_tolerance():
-                raise CrossCheckFailure(
-                    f"log_moment(k={k}, u=1) exact/quadrature mismatch: "
-                    f"{exact} vs {numeric}")
+        if not ctx.agrees(exact, numeric):
+            raise CrossCheckFailure(
+                f"log_moment(k={k}, u=1) exact/quadrature mismatch: "
+                f"{exact} vs {numeric}")
     return exact
 
 
@@ -134,8 +133,7 @@ def cross_checked_value(family: str, n: int, ctx: PrecisionContext) -> IntegralV
     else:
         raise ValueError(f"unknown family {family!r}")
     evaluated = delta_linear_eval(exact, delta_reference(ctx), ctx)
-    with mp.workprec(ctx.working_bits):
-        if abs(evaluated - numeric) >= ctx.target_tolerance():
-            raise CrossCheckFailure(
-                f"{family} integral n={n}: exact {evaluated} vs quadrature {numeric}")
+    if not ctx.agrees(evaluated, numeric):
+        raise CrossCheckFailure(
+            f"{family} integral n={n}: exact {evaluated} vs quadrature {numeric}")
     return IntegralValue(kind="exact", provenance="closed_form", exact=exact)

@@ -66,6 +66,15 @@ class PrecisionContext:
         with mp.workprec(self.working_bits):
             return mpf(10) ** (-(self.decimal_digits - slack_digits))
 
+    def agrees(self, a: BigFloat, b: BigFloat) -> bool:
+        """|a - b| < 10**-decimal_digits * max(1, |a|): agreement to the
+        target digits, relative once |a| exceeds 1. The one tolerance of the
+        package's cross-checks; an absolute 10**-D would false-fail on large
+        values that agree to the last working bit."""
+        with mp.workprec(self.working_bits):
+            a = mpf(a)
+            return abs(a - b) < self.target_tolerance() * max(1, abs(a))
+
     def round(self, x: BigFloat) -> BigFloat:
         """Round x to nearest at working_bits."""
         with mp.workprec(self.working_bits):

@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from mpmath import mp, mpf
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from gompertz import (B1_MINUS_HALF, B1_PLUS_HALF, DeltaLinear,
                       alt_factorial_sum, bernoulli, binom_gen, binom_int,
                       delta_linear_eval, delta_reference, factorial,
                       stirling1_unsigned, stirling2, to_bigfloat)
+from gompertz import exactmath
 
 
 def pascal_triangle(n_max):
@@ -180,6 +182,24 @@ class TestBernoulli:
             total = sum(Fraction(binom_int(m + 1, i)) * bernoulli(i)
                         for i in range(m + 1))
             assert total == 0
+
+    def test_matches_mpmath_bernfrac(self):
+        for j in range(601):
+            p, q = mpmath.bernfrac(j)  # B_1 = -1/2 convention
+            assert bernoulli(j, B1_MINUS_HALF) == Fraction(p, q)
+            plus = Fraction(-p, q) if j == 1 else Fraction(p, q)
+            assert bernoulli(j, B1_PLUS_HALF) == plus
+
+    def test_request_order_does_not_matter(self, monkeypatch):
+        indices = [0, 1, 2, 3, 4, 10, 37, 64, 130, 255, 256, 400]
+        answers = []
+        for order in (sorted(indices, reverse=True), sorted(indices)):
+            monkeypatch.setattr(exactmath, "_bernoulli_even",
+                                [Fraction(1), Fraction(1, 6)])
+            monkeypatch.setattr(exactmath, "_tangent_column", [1])
+            got = {j: bernoulli(j) for j in order}
+            answers.append([got[j] for j in indices])
+        assert answers[0] == answers[1]
 
 
 class TestAltFactorialSum:

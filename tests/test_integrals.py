@@ -8,7 +8,8 @@ from gompertz import (CrossCheckFailure, DeltaLinear, DomainError, Integrand,
                       IntegralValue, cross_checked_value, delta_linear_eval,
                       delta_reference, frac_integral_closed,
                       frac_integral_recurrence, log_integral_closed,
-                      log_moment, quad_semi_infinite, shifted_log_moment)
+                      PrecisionContext, log_moment, quad_semi_infinite,
+                      shifted_log_moment)
 from gompertz.exactmath import alt_factorial_sum, factorial
 
 
@@ -112,6 +113,12 @@ class TestLogMoment:
             checked = log_moment(k, 1, ctx30, path="checked")
             assert absdiff(exact, numeric) < ctx30.target_tolerance()
             assert checked == exact
+
+    def test_large_value_check_is_relative(self):
+        # the two routes give about 1e30 and agree to about one ulp; an
+        # absolute 1e-90 tolerance used to reject them
+        got = log_moment(29, 1, PrecisionContext(90))
+        assert abs(got - 1032054592522922079679931413611) < 1
 
     def test_k0_uses_quadrature(self, ctx30):
         v = log_moment(0, 1, ctx30)

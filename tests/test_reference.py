@@ -3,6 +3,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 from mpmath import mp, mpf
+from mpmath.calculus.quadrature import GaussLegendre
 
 from conftest import DELTA_60, absdiff
 from gompertz import (CrossCheckFailure, DomainError, Integrand,
@@ -29,6 +30,16 @@ class TestPrecisionContext:
             quad_semi_infinite(Integrand(Fraction(0)), big)
         with pytest.raises(PrecisionUnreachable):
             gamma_real(Fraction(1, 2), big)
+
+
+    def test_agrees_is_relative_above_one(self, ctx30):
+        with mp.workprec(600):
+            big = mpf(10) ** 30 + mpf(1) / 3
+            assert ctx30.agrees(big, big + mpf(10) ** -5)
+            assert not ctx30.agrees(big, big + mpf(10) ** 2)
+            small = mpf(1) / 3
+            assert ctx30.agrees(small, small + mpf(10) ** -31)
+            assert not ctx30.agrees(small, small + mpf(10) ** -29)
 
 
 class TestIntegrandValidation:
@@ -110,6 +121,41 @@ class TestQuadrature:
                                          spec.gl_panel_width)
             doubled = base + extra
         assert absdiff(base, doubled) < ctx30.target_tolerance()
+
+
+class TestLegendreNodes:
+    def test_full_precision_at_default_prec(self, monkeypatch):
+        # both halves must carry the requested precision even when the
+        # caller's ambient precision is mpmath's 53-bit default
+        monkeypatch.setattr(reference, "_legendre_cache", {})
+        n, prec = 48, 200
+        with mp.workprec(53):
+            nodes = reference._legendre_nodes(n, prec)
+        assert len(nodes) == n
+        with mp.workprec(2 * prec):
+            for x, _ in nodes:
+                assert abs(mpmath.legendre(n, x)) < mpf(2) ** -prec
+            assert abs(sum(w for _, w in nodes) - 2) < mpf(2) ** -prec
+
+    @pytest.mark.parametrize("n, degree", [(48, 5), (96, 6)])
+    def test_matches_mpmath_calc_nodes(self, n, degree):
+        prec = 200
+        ours = sorted(reference._legendre_nodes(n, prec))
+        theirs = sorted(GaussLegendre(mp).calc_nodes(degree, prec))
+        assert len(ours) == len(theirs) == n
+        with mp.workprec(2 * prec):
+            for (x, w), (y, v) in zip(ours, theirs):
+                assert abs(x - y) < mpf(2) ** -prec
+                assert abs(w - v) < mpf(2) ** -prec
+
+    @pytest.mark.parametrize("n", [48, 96])
+    def test_exact_for_top_degree_monomial(self, n):
+        # an n-point rule is exact up to degree 2n - 1
+        prec = 200
+        nodes = reference._legendre_nodes(n, prec)
+        with mp.workprec(2 * prec):
+            got = sum(w * x ** (2 * n - 2) for x, w in nodes)
+            assert abs(got - mpf(2) / (2 * n - 1)) < mpf(2) ** -prec
 
 
 class TestGamma:
