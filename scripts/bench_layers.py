@@ -88,13 +88,13 @@ def bench_nodes() -> list:
     for digits in NODE_DIGITS:
         ctx = PrecisionContext(digits)
         n, prec = plan_quadrature(delta_integrand, ctx).gl_nodes, node_prec(ctx)
-        ours = timed(reference._legendre_cache.clear,
+        ours = timed(reference._legendre_nodes.cache_clear,
                      lambda: reference._legendre_nodes(n, prec))
         rows.append({"case": f"n={n} prec={prec} (delta --digits {digits})",
                      "fixed_point_newton": ours})
     prec = node_prec(PrecisionContext(COMPARE_DIGITS))
     for degree, n in MPMATH_DEGREES:
-        ours = timed(reference._legendre_cache.clear,
+        ours = timed(reference._legendre_nodes.cache_clear,
                      lambda: reference._legendre_nodes(n, prec))
         theirs = timed(lambda: None,
                        lambda: GaussLegendre(mp).calc_nodes(degree, prec))

@@ -9,7 +9,6 @@ carries an explicit target_sign so the discrepancy stays visible downstream.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -99,8 +98,8 @@ def _pair(corollary: int, m: int, r: int) -> tuple[int, int]:
     raise ValueError(f"corollary must be 1 or 2, got {corollary}")
 
 
-def approx_table(corollary: int, r: int, m_max: int, ctx: PrecisionContext,
-                 threads: int = 1) -> list[ApproximantRow]:
+def approx_table(corollary: int, r: int, m_max: int,
+                 ctx: PrecisionContext) -> list[ApproximantRow]:
     """Rows for m = max(r,1)..m_max with exact (a, b); the single division
     a/b happens at output precision (the sums cancel massively, so floating
     summation would be wrong by many orders)."""
@@ -110,11 +109,7 @@ def approx_table(corollary: int, r: int, m_max: int, ctx: PrecisionContext,
         raise DomainError(f"m_max capped at {DEFAULT_M_MAX_CAP}")
     sign = TARGET_SIGNS[1] if corollary == 1 else TARGET_SIGNS[2]
     ms = list(range(max(r, 1), m_max + 1))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pairs = list(pool.map(lambda m: _pair(corollary, m, r), ms))
-    else:
-        pairs = [_pair(corollary, m, r) for m in ms]
+    pairs = [_pair(corollary, m, r) for m in ms]
     delta = delta_reference(ctx)
     rows = []
     with mp.workprec(ctx.working_bits):

@@ -1,7 +1,7 @@
 """Command-line surface: reference constants, approximant tables, partial-sum
 trends, the exact identity suite, and the digamma-series harness, with text,
-CSV, and JSON output. Output is canonical and byte-identical across runs and
-thread counts (no timestamps; emission order sorted by m / parameters).
+CSV, and JSON output. Output is canonical and byte-identical across runs
+(no timestamps; emission order sorted by m / parameters).
 
 Exit codes: 0 success / all-pass, 1 verification failure or cross-check trip,
 2 usage error.
@@ -58,7 +58,6 @@ class CommandConfig:
     digits: int = 30
     format: str = "text"
     out_path: str | None = None
-    threads: int = 1
     corollary: int | None = None
     r: int | None = None
     m_max: int | None = None
@@ -105,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="text")
         p.add_argument("--out", dest="out_path", default=None,
                        help="write report atomically to FILE")
-        p.add_argument("--threads", type=_positive_int, default=1)
 
     p = sub.add_parser("delta", help="evaluate the constant")
     p.add_argument("--method", choices=sorted(_METHODS), default="cross")
@@ -186,8 +184,7 @@ def _run_delta(cfg: CommandConfig) -> tuple[str, int]:
 
 def _run_approx(cfg: CommandConfig) -> tuple[str, int]:
     ctx = PrecisionContext(cfg.digits)
-    rows = approx_table(cfg.corollary, cfg.r, cfg.m_max, ctx,
-                        threads=cfg.threads)
+    rows = approx_table(cfg.corollary, cfg.r, cfg.m_max, ctx)
     sign = rows[0].target_sign
 
     def fmt(x):
@@ -237,9 +234,9 @@ def _run_theorem(cfg: CommandConfig) -> tuple[str, int]:
 def _identity_rows(cfg: CommandConfig):
     caps = ((cfg.m_max,) * 3 if cfg.m_max is not None else (12, 20, 15))
     reports = []
-    reports += gen_binomial_grid(m_max=caps[0], threads=cfg.threads)
-    reports += int_binomial_grid(m_max=caps[1], threads=cfg.threads)
-    reports += gauss_grid(m_max=caps[2], threads=cfg.threads)
+    reports += gen_binomial_grid(m_max=caps[0])
+    reports += int_binomial_grid(m_max=caps[1])
+    reports += gauss_grid(m_max=caps[2])
     if cfg.inject_fault:
         # negative control: a deliberately wrong closed form must Fail
         p = HyperGeomParams(Fraction(1), Fraction(-1), Fraction(2), Fraction(1))
@@ -361,7 +358,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     cfg = CommandConfig(
         command=args.command, digits=args.digits, format=args.format,
-        out_path=args.out_path, threads=args.threads,
+        out_path=args.out_path,
         corollary=getattr(args, "corollary", None),
         r=getattr(args, "r", None),
         m_max=getattr(args, "m_max", None),

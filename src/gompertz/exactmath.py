@@ -191,10 +191,6 @@ class DeltaLinear:
         return self.scaled(q)
 
 
-DELTA_ZERO = DeltaLinear(Fraction(0), Fraction(0))
-DELTA_UNIT = DeltaLinear(Fraction(0), Fraction(1))
-
-
 def delta_linear_eval(v: DeltaLinear, delta_value: BigFloat,
                       ctx: PrecisionContext) -> BigFloat:
     """const_part + delta_part * delta_value, rounded at ctx precision."""

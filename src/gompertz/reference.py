@@ -1,6 +1,8 @@
 """Arbitrary-precision reference evaluation: semi-infinite quadrature for the
 exp(-x)-weighted integrand family, the Gamma and digamma functions, Euler's
 constant, and two independent evaluators of the Euler-Gompertz constant delta.
+Gamma and Euler's constant come from mpmath (mpmath.gamma, mpmath.euler);
+digamma is summed here from the package's exact Bernoulli numbers.
 
 Quadrature splits at x = 1: a tanh-sinh (double-exponential) rule absorbs the
 algebraic endpoint singularity on (0, 1], and composite Gauss-Legendre panels
@@ -11,9 +13,9 @@ explicit, audited tail bound.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpf
@@ -22,8 +24,6 @@ from .errors import (CrossCheckFailure, DomainError, NonIntegrable, PoleError,
                      PrecisionUnreachable)
 from .exactmath import bernoulli
 from .precision import BigFloat, PrecisionContext, log1p, to_bigfloat
-
-_cache_lock = threading.Lock()
 
 # extra bits carried inside evaluators before the final ctx rounding
 _SLACK_BITS = 16
@@ -176,10 +176,8 @@ def _tanh_sinh_unit(f, tol: BigFloat, max_level: int) -> BigFloat:
         f"tanh-sinh did not converge within {max_level} refinement levels")
 
 
-_legendre_cache: dict[tuple[int, int], list] = {}
-
-
-def _legendre_nodes(n: int, prec: int) -> list:
+@lru_cache(maxsize=None)
+def _legendre_nodes(n: int, prec: int) -> tuple:
     """Gauss-Legendre nodes/weights on [-1,1] (n even), accurate to about
     2**-(prec+20) and rounded to prec + 40 bits whatever the caller's
     precision. Each root is polished by float Newton steps from its cos
@@ -188,11 +186,6 @@ def _legendre_nodes(n: int, prec: int) -> list:
     Legendre recurrence and the division by 1 - x**2 near the ends stay
     far below the target."""
     assert n % 2 == 0
-    key = (n, prec)
-    with _cache_lock:
-        cached = _legendre_cache.get(key)
-    if cached is not None:
-        return cached
     frac_bits = prec + 40 + 2 * n.bit_length() + 16
     one = 1 << frac_bits
     stop_bits = frac_bits - (prec + 20)  # |dx| < 2**-(prec+20)
@@ -231,10 +224,7 @@ def _legendre_nodes(n: int, prec: int) -> list:
         # ambient precision
         half = [(mpf((fx, -frac_bits)), mpf((fw, -frac_bits)))
                 for fx, fw in half]
-        nodes = half + [(-x, w) for x, w in half]
-    with _cache_lock:
-        _legendre_cache[key] = nodes
-    return nodes
+        return tuple(half + [(-x, w) for x, w in half])
 
 
 def _gl_panels(f, lo: int, hi: int, n: int, width: int) -> BigFloat:
@@ -254,9 +244,7 @@ def _gl_panels(f, lo: int, hi: int, n: int, width: int) -> BigFloat:
     return total
 
 
-_quad_cache: dict[tuple[Integrand, int], BigFloat] = {}
-
-
+@lru_cache(maxsize=None)
 def quad_semi_infinite(integrand: Integrand, ctx: PrecisionContext) -> BigFloat:
     """integral(0, inf) of the described integrand, aiming at an error
     below 10**-(decimal_digits + guard_digits) relative to max(1, |value|):
@@ -264,14 +252,9 @@ def quad_semi_infinite(integrand: Integrand, ctx: PrecisionContext) -> BigFloat:
     by it in absolute terms, and the Gauss-Legendre node count grows with
     the total digits. The guard digits leave room for the cross-check
     tolerance of PrecisionContext.agrees. Results are cached by (integrand,
-    working bits)."""
+    ctx)."""
     if integrand.log_scale == 0:
         return ctx.round(mpf(0))  # ln(1) annihilates the integrand
-    key = (integrand, ctx.working_bits)
-    with _cache_lock:
-        hit = _quad_cache.get(key)
-    if hit is not None:
-        return hit
     spec = plan_quadrature(integrand, ctx)
     with mp.workprec(ctx.working_bits + _SLACK_BITS):
         tol = ctx.internal_tolerance()
@@ -280,38 +263,12 @@ def quad_semi_infinite(integrand: Integrand, ctx: PrecisionContext) -> BigFloat:
         upper = _gl_panels(f, 1, spec.truncation_x, spec.gl_nodes,
                            spec.gl_panel_width)
         value = lower + upper
-    value = ctx.round(value)
-    with _cache_lock:
-        _quad_cache[key] = value
-    return value
-
-
-# --- Gamma via Spouge's approximation ----------------------------------------
-
-_spouge_cache: dict[tuple[int, int], list] = {}
-
-
-def _spouge_coeffs(a: int, prec: int) -> list:
-    key = (a, prec)
-    with _cache_lock:
-        cached = _spouge_cache.get(key)
-    if cached is not None:
-        return cached
-    with mp.workprec(prec + 30):
-        coeffs = [mpmath.sqrt(2 * mpmath.pi)]
-        fact = mpf(1)
-        for k in range(1, a):
-            term = (a - k) ** (k - mpf(1) / 2) * mpmath.exp(a - k) / fact
-            coeffs.append(term if k % 2 == 1 else -term)
-            fact *= k
-    with _cache_lock:
-        _spouge_cache[key] = coeffs
-    return coeffs
+    return ctx.round(value)
 
 
 def gamma_real(x: BigFloat | Fraction | int, ctx: PrecisionContext) -> BigFloat:
-    """Gamma(x) for real non-pole x. Spouge's series with the parameter set
-    from its published error bound, lifted by the recurrence to x >= 1."""
+    """Gamma(x) for real non-pole x: mpmath.gamma 30 bits beyond the working
+    precision, then rounded to it."""
     ctx.check_cap()
     if isinstance(x, (Fraction, int)):
         if x == int(x) and x <= 0:
@@ -321,20 +278,7 @@ def gamma_real(x: BigFloat | Fraction | int, ctx: PrecisionContext) -> BigFloat:
         x = mpf(x)
         if x <= 0 and x == mpmath.floor(x):
             raise PoleError(f"Gamma pole at {x}")
-        lift = mpf(1)
-        while x < 1:
-            lift *= x
-            x += 1
-        z = x - 1
-        # |relative error| <= a**-1/2 (2 pi)**-(a+1/2) < 10**-(D+g) needs
-        # a > (D+g) ln10 / ln(2 pi)
-        a = math.ceil(1.26 * ctx.total_digits) + 2
-        coeffs = _spouge_coeffs(a, ctx.working_bits)
-        s = coeffs[0]
-        for k in range(1, a):
-            s += coeffs[k] / (z + k)
-        g = (z + a) ** (z + mpf(1) / 2) * mpmath.exp(-(z + a)) * s
-        out = g / lift
+        out = mpmath.gamma(x)
     return ctx.round(out)
 
 
@@ -379,31 +323,19 @@ def digamma(u: BigFloat | Fraction | int, ctx: PrecisionContext) -> BigFloat:
     return ctx.round(out)
 
 
-_gamma_const_cache: dict[int, BigFloat] = {}
-
-
 def euler_gamma(ctx: PrecisionContext) -> BigFloat:
-    """Euler's constant, computed (not stored) as -psi(1)."""
-    key = ctx.working_bits
-    with _cache_lock:
-        hit = _gamma_const_cache.get(key)
-    if hit is not None:
-        return hit
+    """Euler's constant, mpmath.euler at working precision. mpmath keeps the
+    constant at the highest precision computed so far, so repeated calls
+    cost a rounding."""
+    ctx.check_cap()
     with mp.workprec(ctx.working_bits):
-        # negation inside the block: mpmath rounds even unary minus at the
-        # ambient precision
-        value = -digamma(1, ctx)
-    value = ctx.round(value)
-    with _cache_lock:
-        _gamma_const_cache[key] = value
-    return value
+        value = +mpmath.euler
+    return ctx.round(value)
 
 
 # --- Euler-Gompertz constant ---------------------------------------------------
 
 DELTA_METHODS = ("quadrature", "e_times_E1", "cross_validated")
-
-_delta_cache: dict[tuple[str, int], BigFloat] = {}
 
 
 def _delta_quadrature(ctx: PrecisionContext) -> BigFloat:
@@ -435,24 +367,21 @@ def delta_reference(ctx: PrecisionContext,
     quadrature, by e*E1(1), or by both with a mandatory agreement check."""
     if method not in DELTA_METHODS:
         raise ValueError(f"unknown method {method!r}")
-    key = (method, ctx.working_bits)
-    with _cache_lock:
-        hit = _delta_cache.get(key)
-    if hit is not None:
-        return hit
+    return _delta_by_method(method, ctx)
+
+
+@lru_cache(maxsize=None)
+def _delta_by_method(method: str, ctx: PrecisionContext) -> BigFloat:
+    # one cache entry per (method, ctx), however delta_reference was called
     if method == "quadrature":
-        value = _delta_quadrature(ctx)
-    elif method == "e_times_E1":
-        value = _delta_series(ctx)
-    else:
-        q = _delta_quadrature(ctx)
-        s = _delta_series(ctx)
-        if not ctx.agrees(q, s):
-            raise CrossCheckFailure(
-                f"delta evaluators disagree: quadrature={q} series={s}")
-        with mp.workprec(ctx.working_bits + _SLACK_BITS):
-            value = (q + s) / 2
-        value = ctx.round(value)
-    with _cache_lock:
-        _delta_cache[key] = value
-    return value
+        return _delta_quadrature(ctx)
+    if method == "e_times_E1":
+        return _delta_series(ctx)
+    q = _delta_quadrature(ctx)
+    s = _delta_series(ctx)
+    if not ctx.agrees(q, s):
+        raise CrossCheckFailure(
+            f"delta evaluators disagree: quadrature={q} series={s}")
+    with mp.workprec(ctx.working_bits + _SLACK_BITS):
+        value = (q + s) / 2
+    return ctx.round(value)

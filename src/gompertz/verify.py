@@ -7,7 +7,6 @@ digamma-series harness with its convention calibration.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -158,49 +157,29 @@ def check_int_binomial_sum(m: int, j: int, r: int) -> IdentityReport:
     return IdentityReport("int_binomial_sum", params, lhs, rhs, FAIL, lhs - rhs)
 
 
-def _run_grid(points, check, threads: int = 1) -> list[IdentityReport]:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(check, points))
-    return [check(pt) for pt in points]
-
-
-def gauss_grid(m_max: int = 15, threads: int = 1) -> list[IdentityReport]:
+def gauss_grid(m_max: int = 15) -> list[IdentityReport]:
     """All terminating Gauss instances F(1, j-m, 1+j-r; 1) = (j-r)/(m-r)
     over 1 <= r < j <= m <= m_max."""
-    points = [(m, j, r)
-              for m in range(1, m_max + 1)
-              for j in range(1, m + 1)
-              for r in range(1, j)]
-
-    def check(point):
-        m, j, r = point
-        p = HyperGeomParams(Fraction(1), Fraction(j - m), Fraction(1 + j - r),
-                            Fraction(1))
-        return check_gauss_terminating(p, Fraction(j - r, m - r))
-
-    return _run_grid(points, check, threads)
+    return [check_gauss_terminating(
+                HyperGeomParams(Fraction(1), Fraction(j - m),
+                                Fraction(1 + j - r), Fraction(1)),
+                Fraction(j - r, m - r))
+            for m in range(1, m_max + 1)
+            for j in range(1, m + 1)
+            for r in range(1, j)]
 
 
 def gen_binomial_grid(m_max: int = 12, r_max: int = 3,
-                      eps_list=EPS_WINDOW_SAMPLES,
-                      threads: int = 1) -> list[IdentityReport]:
-    points = [(m, i, r, eps)
-              for m in range(m_max + 1)
-              for i in range(m + 1)
-              for r in range(r_max + 1)
-              for eps in eps_list]
-    return _run_grid(points, lambda pt: check_gen_binomial_sum(*pt), threads)
+                      eps_list=EPS_WINDOW_SAMPLES) -> list[IdentityReport]:
+    return [check_gen_binomial_sum(m, i, r, eps)
+            for m in range(m_max + 1)
+            for i in range(m + 1)
+            for r in range(r_max + 1)
+            for eps in eps_list]
 
 
-def int_binomial_grid(m_max: int = 20, threads: int = 1) -> list[IdentityReport]:
-    points = [(m, j, r)
-              for m in range(m_max + 1)
-              for j in range(m + 1)
-              for r in range(j + 1)]
-
-    def check(point):
-        m, j, r = point
+def int_binomial_grid(m_max: int = 20) -> list[IdentityReport]:
+    def check(m, j, r):
         try:
             return check_int_binomial_sum(m, j, r)
         except DegenerateCase as exc:
@@ -208,7 +187,10 @@ def int_binomial_grid(m_max: int = 20, threads: int = 1) -> list[IdentityReport]
                                   {"m": str(m), "j": str(j), "r": str(r)},
                                   None, None, SKIPPED, str(exc))
 
-    return _run_grid(points, check, threads)
+    return [check(m, j, r)
+            for m in range(m_max + 1)
+            for j in range(m + 1)
+            for r in range(j + 1)]
 
 
 # --- normalized log-moments and their shift identities -------------------------

@@ -173,13 +173,11 @@ def test_10_cli_determinism(capsys):
     ok = True
     for argv in commands:
         outputs = []
-        for threads in ("1", "4"):
-            for _ in range(2):
-                code = cli_main(argv + ["--threads", threads])
-                captured = capsys.readouterr()
-                ok &= code == 0
-                outputs.append(captured.out)
+        for _ in range(2):
+            code = cli_main(argv)
+            captured = capsys.readouterr()
+            ok &= code == 0
+            outputs.append(captured.out)
         ok &= len(set(outputs)) == 1
     with capsys.disabled():
-        report("CLI determinism", ok,
-               f"{len(commands)} commands x 2 runs x 2 thread settings")
+        report("CLI determinism", ok, f"{len(commands)} commands x 2 runs")

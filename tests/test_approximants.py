@@ -132,11 +132,6 @@ class TestTable:
         # the ratio really approaches +delta, not -delta
         assert absdiff(rows[-1].ratio, d) < mpf("0.01")
 
-    def test_thread_count_invariance(self, ctx30):
-        seq = approx_table(2, 1, 10, ctx30, threads=1)
-        par = approx_table(2, 1, 10, ctx30, threads=4)
-        assert seq == par
-
     def test_domain(self, ctx30):
         with pytest.raises(DomainError):
             approx_table(1, 3, 2, ctx30)

@@ -196,6 +196,11 @@ class TestUsageErrors:
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 2
 
+    def test_threads_option_rejected(self, capsys):
+        code, _, _ = run_cli(capsys, "approx", "--corollary", "1", "--r", "0",
+                             "--max-m", "3", "--threads", "2")
+        assert code == 2
+
 
 class TestOutputFile:
     def test_atomic_write_matches_stdout(self, capsys, tmp_path):
@@ -220,13 +225,12 @@ class TestDeterminism:
                 for _ in range(2)]
         assert runs[0] == runs[1]
 
-    def test_thread_count_invariance(self, capsys):
+    def test_repeat_identities_and_approx_byte_identical(self, capsys):
         outputs = [run_cli(capsys, "identities", "--max-m", "5",
-                           "--format", "csv", "--threads", t)[1]
-                   for t in ("1", "4")]
+                           "--format", "csv")[1]
+                   for _ in range(2)]
         assert outputs[0] == outputs[1]
         outputs = [run_cli(capsys, "approx", "--corollary", "1", "--r", "1",
-                           "--max-m", "8", "--digits", "12", "--format", "csv",
-                           "--threads", t)[1]
-                   for t in ("1", "3")]
+                           "--max-m", "8", "--digits", "12", "--format", "csv")[1]
+                   for _ in range(2)]
         assert outputs[0] == outputs[1]

@@ -124,10 +124,10 @@ class TestQuadrature:
 
 
 class TestLegendreNodes:
-    def test_full_precision_at_default_prec(self, monkeypatch):
+    def test_full_precision_at_default_prec(self):
         # both halves must carry the requested precision even when the
         # caller's ambient precision is mpmath's 53-bit default
-        monkeypatch.setattr(reference, "_legendre_cache", {})
+        reference._legendre_nodes.cache_clear()
         n, prec = 48, 200
         with mp.workprec(53):
             nodes = reference._legendre_nodes(n, prec)
@@ -255,6 +255,25 @@ class TestDeltaReference:
     def test_cross_check_trips_on_corruption(self, ctx10, monkeypatch):
         wrong = to_bigfloat(Fraction(1, 2), ctx10)
         monkeypatch.setattr(reference, "_delta_series", lambda ctx: wrong)
-        monkeypatch.setattr(reference, "_delta_cache", {})
+        # an earlier test may already have cached the ctx10 value
+        reference._delta_by_method.cache_clear()
         with pytest.raises(CrossCheckFailure):
             delta_reference(ctx10, "cross_validated")
+
+    def test_method_spellings_share_one_cache_entry(self, ctx10, monkeypatch):
+        # default, positional and keyword method: one entry, so the
+        # quadrature side of the cross-check runs once
+        calls = []
+        quadrature = reference._delta_quadrature
+
+        def counted(ctx):
+            calls.append(ctx)
+            return quadrature(ctx)
+
+        monkeypatch.setattr(reference, "_delta_quadrature", counted)
+        reference._delta_by_method.cache_clear()
+        values = {delta_reference(ctx10),
+                  delta_reference(ctx10, "cross_validated"),
+                  delta_reference(ctx10, method="cross_validated")}
+        assert calls == [ctx10]
+        assert len(values) == 1
