@@ -1,13 +1,20 @@
 #!/usr/bin/env python3
-"""Time the two integer kernels of the precision layer against their mpmath
-equivalents, at the sizes the `delta` command uses, and write the medians as
-JSON. A hand-written kernel is worth keeping only while it is the faster one.
+"""Time the integer kernels of the precision layer against their mpmath
+equivalents, and the assembly layer's exact routes against the code they
+replaced, and write the medians as JSON. A hand-written kernel is worth
+keeping only while it is the faster one.
 
 - Bernoulli numbers: `bernoulli(j)` for every j <= N, from an empty table,
   against `mpmath.bernfrac(j)` with mpmath's Bernoulli cache emptied.
 - Gauss-Legendre nodes: `_legendre_nodes(n, prec)` for the node sets that
   `delta` plans at 30, 100 and 150 digits, and both it and mpmath's
   `GaussLegendre.calc_nodes` at mpmath's own sizes n = 96 and 192.
+- Log-moments: `log_moment(k, u)` for k = 1..20 at 30 digits, u in
+  {2, 2/3, 3/2} (the `series` workload's u), on the exact route (one
+  cross-checked G(1/u)) and on the quadrature route (one quadrature each).
+- Digamma-series coefficients: every `digamma_series_coeff(k, m)` that
+  `conjecture --max-m 20` uses, in both conventions, against the triple sum
+  that recomputes the inner Bernoulli-Stirling sum for every (t, w).
 
 Every case is cold (caches emptied first), as in a fresh CLI process, and is
 timed RUNS times; the median and the extremes are reported.
@@ -29,7 +36,9 @@ from mpmath import mp
 from mpmath.calculus.quadrature import GaussLegendre
 
 from gompertz import Integrand, PrecisionContext, exactmath, plan_quadrature
-from gompertz import reference
+from gompertz import integrals, reference, verify
+from gompertz.exactmath import (BERNOULLI_CONVENTIONS, bernoulli,
+                                stirling1_unsigned, stirling2)
 
 RUNS = 5
 BERNOULLI_MAX = (794, 1600)
@@ -37,6 +46,11 @@ NODE_DIGITS = (30, 100, 150)
 MPMATH_DEGREES = ((6, 96), (7, 192))
 #: the working precision of the mpmath comparison: delta at 100 digits
 COMPARE_DIGITS = 100
+LOG_MOMENT_U = (Fraction(2), Fraction(2, 3), Fraction(3, 2))
+LOG_MOMENT_K = 20
+LOG_MOMENT_DIGITS = 30
+#: `conjecture --max-m M` uses the coefficients (k, m + 1) for k <= m <= M
+CONJECTURE_MAX_M = 20
 
 
 def timed(setup, work) -> dict:
@@ -104,6 +118,70 @@ def bench_nodes() -> list:
     return rows
 
 
+def reset_log_moments() -> None:
+    reference.quad_semi_infinite.cache_clear()
+    reference._g_by_method.cache_clear()
+    integrals._span_row.cache_clear()
+
+
+def bench_log_moments() -> list:
+    ctx = PrecisionContext(LOG_MOMENT_DIGITS)
+    rows = []
+    for u in LOG_MOMENT_U:
+        def moments(path, u=u):
+            return lambda: [integrals.log_moment(k, u, ctx, path=path)
+                            for k in range(1, LOG_MOMENT_K + 1)]
+        exact = timed(reset_log_moments, moments("exact"))
+        quadrature = timed(reset_log_moments, moments("quadrature"))
+        rows.append({"case": f"u={u} k=1..{LOG_MOMENT_K} "
+                             f"digits={LOG_MOMENT_DIGITS}",
+                     "exact": exact, "quadrature": quadrature,
+                     "quadrature_over_exact": ratio(quadrature, exact)})
+    return rows
+
+
+def triple_sum_coeff(k: int, m: int, convention: str) -> Fraction:
+    total = Fraction(0)
+    for t in range(2, m + 1):
+        for w in range(1, t):
+            inner = Fraction(0)
+            for j in range(1, w + 1):
+                term = bernoulli(j, convention) * stirling1_unsigned(w, j)
+                inner += -term if j % 2 else term
+            total += stirling2(m, t) * Fraction(-k) ** (t - w) * inner
+    return total
+
+
+def reset_digamma_coeffs() -> None:
+    verify.digamma_series_coeff.cache_clear()
+    verify._bernoulli_stirling_sum.cache_clear()
+
+
+def bench_digamma_coeffs() -> list:
+    points = [(k, m + 1, conv) for conv in BERNOULLI_CONVENTIONS
+              for m in range(1, CONJECTURE_MAX_M + 1)
+              for k in range(1, m + 1)]
+    horner = timed(reset_digamma_coeffs,
+                   lambda: [verify.digamma_series_coeff(*p) for p in points])
+    triple = timed(lambda: None,
+                   lambda: [triple_sum_coeff(*p) for p in points])
+    return [{"case": f"{len(points)} coefficients "
+                     f"(conjecture --max-m {CONJECTURE_MAX_M})",
+             "horner": horner, "triple_sum": triple,
+             "triple_sum_over_horner": ratio(triple, horner)}]
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=None, help="also write the JSON here")
@@ -113,9 +191,12 @@ def main() -> None:
                         "mpmath": mpmath.__version__,
                         "mpmath_backend": mpmath.libmp.BACKEND,
                         "nproc": len(os.sched_getaffinity(0)),
-                        "machine": platform.machine()},
+                        "machine": platform.machine(),
+                        "cpu": cpu_model()},
         "bernoulli": bench_bernoulli(),
         "legendre_nodes": bench_nodes(),
+        "log_moments": bench_log_moments(),
+        "digamma_series_coeff": bench_digamma_coeffs(),
     }
     text = json.dumps(result, indent=2)
     print(text)

@@ -14,11 +14,12 @@ from .exactmath import (B1_MINUS_HALF, B1_PLUS_HALF, BigRat, DeltaLinear,
                         stirling2)
 from .integrals import (IntegralValue, cross_checked_value,
                         frac_integral_closed, frac_integral_recurrence,
-                        log_integral_closed, log_moment, shifted_log_moment)
+                        g_span_eval, log_integral_closed, log_integral_coeffs,
+                        log_moment, shifted_log_moment)
 from .precision import (BigFloat, MAX_DECIMAL_DIGITS, PrecisionContext,
                         bigfloat_str, to_bigfloat)
 from .reference import (Integrand, QuadratureSpec, delta_reference, digamma,
-                        euler_gamma, gamma_real, plan_quadrature,
+                        euler_gamma, exp_e1, gamma_real, plan_quadrature,
                         quad_semi_infinite)
 from .verify import (DigammaSeriesPoint, HyperGeomParams, IdentityReport,
                      calibrate_bernoulli_convention, check_gauss_terminating,

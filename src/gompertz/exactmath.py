@@ -163,7 +163,9 @@ def alt_factorial_sum(k: int) -> int:
 
 @dataclass(frozen=True)
 class DeltaLinear:
-    """Element p + q*delta of the rational span of {1, delta}."""
+    """Element p + q*delta of the rational span of {1, delta}. The
+    log-moment layer uses the same pairs for p + q*G(c) with
+    G(c) = e**c E1(c), the c being fixed by the caller; G(1) = delta."""
 
     const_part: Fraction
     delta_part: Fraction
@@ -193,7 +195,8 @@ class DeltaLinear:
 
 def delta_linear_eval(v: DeltaLinear, delta_value: BigFloat,
                       ctx: PrecisionContext) -> BigFloat:
-    """const_part + delta_part * delta_value, rounded at ctx precision."""
+    """const_part + delta_part * delta_value, rounded at ctx precision;
+    delta_value may be any G(c) the pair is expressed in."""
     with mp.workprec(ctx.working_bits + 16):
         c = mpf(v.const_part.numerator) / v.const_part.denominator
         d = mpf(v.delta_part.numerator) / v.delta_part.denominator

@@ -4,25 +4,36 @@ rational span of {1, delta}:
     frac family : integral(0,inf) x**n e**-x / (x+1) dx
     log family  : integral(0,inf) x**n ln(x+1) e**-x dx
 
-Each family has a closed form and an independent recurrence/cross-check, and
-the general log-moment integral(0,inf) x**(k-1) e**-x ln(x*u+1) dx is served
-exactly at u=1 (k >= 1) and by quadrature otherwise.
+Each family has a closed form and an independent recurrence/cross-check. The
+general log-moment integral(0,inf) x**(k-1) e**-x ln(x*u+1) dx lies, for
+k >= 1, in the rational span of {1, G(c)}, where G(c) = e**c E1(c) and
+c = 1/u; it is served exactly from that span for every rational u with
+1/64 <= u, and by quadrature otherwise (k = 0, smaller u, or on request).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from mpmath import mpf
+import mpmath
+from mpmath import mp, mpf
 
-from .errors import CrossCheckFailure, DomainError
+from .errors import CrossCheckFailure, DomainError, PrecisionUnreachable
 from .exactmath import (DeltaLinear, alt_factorial_sum, delta_linear_eval,
                         factorial)
-from .precision import BigFloat, PrecisionContext
-from .reference import Integrand, delta_reference, quad_semi_infinite
+from .precision import MAX_DECIMAL_DIGITS, BigFloat, PrecisionContext
+from .reference import Integrand, delta_reference, exp_e1, quad_semi_infinite
 
-LOG_MOMENT_PATHS = ("checked", "exact", "quadrature")
+LOG_MOMENT_PATHS = ("exact", "quadrature")
+
+#: Smallest u served from the span of {1, G(1/u)}. Beyond c = 1/u = 64 the
+#: series half of G(c) carries more than 90 extra bits and the recurrence
+#: below cancels more than a digit per moment, while quadrature stays
+#: well conditioned.
+EXACT_MIN_U = Fraction(1, 64)
 
 
 @dataclass(frozen=True)
@@ -71,18 +82,79 @@ def log_integral_closed(n: int) -> DeltaLinear:
     return DeltaLinear(const, delta)
 
 
-def _log_moment_quad(k: int, u: Fraction, ctx: PrecisionContext) -> BigFloat:
-    return quad_semi_infinite(Integrand(Fraction(k - 1), log_scale=u), ctx)
+@lru_cache(maxsize=None)
+def _span_row(n: int, c: Fraction) -> tuple[DeltaLinear, DeltaLinear]:
+    # (I_n, L_n) in the span of {1, G(c)}
+    if n == 0:
+        g = DeltaLinear(Fraction(0), Fraction(1))
+        return g, g
+    i_prev, l_prev = _span_row(n - 1, c)
+    i_n = DeltaLinear(Fraction(factorial(n - 1)), Fraction(0)) - c * i_prev
+    return i_n, n * l_prev + i_n
+
+
+def log_integral_coeffs(n: int, c: Fraction | int) -> DeltaLinear:
+    """Exact (A_n, B_n) with integral(0,inf) x**n ln(x/c + 1) e**-x dx
+    = A_n + B_n G(c), for rational c > 0. With
+    I_n = integral(0,inf) x**n e**-x / (x + c) dx, x**n / (x + c)
+    = x**(n-1) - c x**(n-1) / (x + c) gives I_n = (n-1)! - c I_{n-1}, and
+    parts give L_n = n L_{n-1} + I_n, from I_0 = L_0 = G(c). At c = 1 this
+    is log_integral_closed(n). Rows are cached per (n, c)."""
+    if n < 0:
+        raise DomainError("n must be nonnegative")
+    c = Fraction(c)
+    if c <= 0:
+        raise DomainError("c must be positive")
+    for j in range(n + 1):  # bottom up, so _span_row recurses one level
+        row = _span_row(j, c)
+    return row[1]
+
+
+def _lost_digits(v: DeltaLinear, g: BigFloat, value: BigFloat) -> float:
+    """Decimal digits the sum v.const_part + v.delta_part * g cancels away,
+    plus those G < 1 has already lost to the quadrature's absolute error."""
+    with mp.workprec(53):
+        a, b = (mpf(q.numerator) / q.denominator
+                for q in (v.const_part, v.delta_part))
+        size = max(abs(a), abs(b * g))
+        if size == 0:
+            return 0.0
+        if value == 0:
+            return math.inf
+        return float(mpmath.log10(size / abs(value))
+                     + max(0, -mpmath.log10(g)))
+
+
+def g_span_eval(v: DeltaLinear, c: Fraction, ctx: PrecisionContext) -> BigFloat:
+    """v.const_part + v.delta_part * G(c), rounded to ctx, with the guard
+    digits grown to the cancellation. The sum may use a third of
+    ctx.guard_digits; when it cancels more, G(c) and the sum are redone with
+    the guard grown by whole multiples of ctx.guard_digits covering the
+    measured loss, so that one G(c) serves a range of moments."""
+    gctx = ctx
+    while True:
+        g = exp_e1(c, gctx)
+        value = delta_linear_eval(v, g, gctx)
+        lost = _lost_digits(v, g, value)
+        spare = gctx.guard_digits - ctx.guard_digits + ctx.guard_digits // 3
+        if lost <= spare:
+            return ctx.round(value)
+        blocks = 1 + math.ceil(min(lost, gctx.total_digits) / ctx.guard_digits)
+        gctx = PrecisionContext(ctx.decimal_digits, ctx.guard_digits * blocks)
+        if gctx.guard_digits > MAX_DECIMAL_DIGITS:
+            raise PrecisionUnreachable(
+                f"A + B G({c}) cancels more than {MAX_DECIMAL_DIGITS} digits")
 
 
 def log_moment(k: int, u: Fraction | int, ctx: PrecisionContext,
-               path: str = "checked") -> BigFloat:
+               path: str = "exact") -> BigFloat:
     """integral(0,inf) x**(k-1) e**-x ln(x*u+1) dx for k >= 0, u >= 0.
 
-    At u = 1 and k >= 1 the exact Q[delta] value is used; path selects the
-    route: "checked" (exact plus a quadrature agreement assertion), "exact"
-    (exact where available), "quadrature" (numeric only). k = 0 is served by
-    quadrature only (the integrand x**-1 ln(x*u+1) is integrable).
+    path "exact" (the default) evaluates A + B G(1/u) from the exact
+    coefficients of log_integral_coeffs(k-1, 1/u) for k >= 1 and
+    u >= EXACT_MIN_U; G(1/u) is cross-checked between quadrature and series
+    once per (u, precision). Path "quadrature" integrates numerically, as do
+    k = 0 (the integrand x**-1 ln(x*u+1) is integrable) and u < EXACT_MIN_U.
     """
     if path not in LOG_MOMENT_PATHS:
         raise ValueError(f"unknown path {path!r}")
@@ -93,21 +165,14 @@ def log_moment(k: int, u: Fraction | int, ctx: PrecisionContext,
         raise DomainError("u must be nonnegative")
     if u == 0:
         return ctx.round(mpf(0))
-    if u != 1 or k == 0 or path == "quadrature":
-        return _log_moment_quad(k, u, ctx)
-    exact = delta_linear_eval(log_integral_closed(k - 1),
-                              delta_reference(ctx), ctx)
-    if path == "checked":
-        numeric = _log_moment_quad(k, u, ctx)
-        if not ctx.agrees(exact, numeric):
-            raise CrossCheckFailure(
-                f"log_moment(k={k}, u=1) exact/quadrature mismatch: "
-                f"{exact} vs {numeric}")
-    return exact
+    if k == 0 or u < EXACT_MIN_U or path == "quadrature":
+        return quad_semi_infinite(Integrand(Fraction(k - 1), log_scale=u), ctx)
+    c = 1 / u
+    return g_span_eval(log_integral_coeffs(k - 1, c), c, ctx)
 
 
 def shifted_log_moment(k: int, u: Fraction | int, ctx: PrecisionContext,
-                       path: str = "checked") -> BigFloat:
+                       path: str = "exact") -> BigFloat:
     """integral(0,inf) x**(k-1) e**-x ln((x+u)/u) dx for u > 0; identical to
     log_moment(k, 1/u) because ln((x+u)/u) = ln(x/u + 1)."""
     u = Fraction(u)

@@ -1,6 +1,7 @@
 """Arbitrary-precision reference evaluation: semi-infinite quadrature for the
 exp(-x)-weighted integrand family, the Gamma and digamma functions, Euler's
-constant, and two independent evaluators of the Euler-Gompertz constant delta.
+constant, and two independent evaluators of G(c) = e**c E1(c), whose value
+at c = 1 is the Euler-Gompertz constant delta.
 Gamma and Euler's constant come from mpmath (mpmath.gamma, mpmath.euler);
 digamma is summed here from the package's exact Bernoulli numbers.
 
@@ -284,10 +285,12 @@ def gamma_real(x: BigFloat | Fraction | int, ctx: PrecisionContext) -> BigFloat:
 
 # --- digamma via shift + Bernoulli asymptotic series --------------------------
 
+@lru_cache(maxsize=None)
 def digamma(u: BigFloat | Fraction | int, ctx: PrecisionContext) -> BigFloat:
     """psi(u) for u > 0: raise the argument by unit steps until the first
     omitted asymptotic term is below tolerance, then sum the even-Bernoulli
-    series psi(v) ~ ln v - 1/(2v) - sum B_2n / (2n v**2n)."""
+    series psi(v) ~ ln v - 1/(2v) - sum B_2n / (2n v**2n). Cached by
+    (u, ctx): the digamma-series harness asks for one psi(u) per point."""
     ctx.check_cap()
     if isinstance(u, (Fraction, int)):
         if u <= 0:
@@ -333,55 +336,90 @@ def euler_gamma(ctx: PrecisionContext) -> BigFloat:
     return ctx.round(value)
 
 
-# --- Euler-Gompertz constant ---------------------------------------------------
+# --- G(c) = e**c E1(c), and the Euler-Gompertz constant delta = G(1) --------
 
+#: Evaluators of G(c) and of delta: quadrature, the e**c E1(c) series, or both
+#: with a mandatory agreement check.
 DELTA_METHODS = ("quadrature", "e_times_E1", "cross_validated")
 
-
-def _delta_quadrature(ctx: PrecisionContext) -> BigFloat:
-    return quad_semi_infinite(Integrand(Fraction(0), log_scale=Fraction(1)), ctx)
+_EULER_GAMMA = 0.5772156649015329
 
 
-def _delta_series(ctx: PrecisionContext) -> BigFloat:
-    # E1(1) = -gamma + sum_{k>=1} (-1)**(k+1) / (k * k!), summed exactly
-    limit = Fraction(1, 10 ** (ctx.total_digits + 5))
+def _g_quadrature(c: Fraction, ctx: PrecisionContext) -> BigFloat:
+    # G(c) = integral(0,inf) ln(x/c + 1) e**-x dx, by parts
+    return quad_semi_infinite(Integrand(Fraction(0), log_scale=1 / c), ctx)
+
+
+def _series_extra_bits(c: Fraction) -> int:
+    """Bits that -gamma - ln c + S cancels away in _g_series: the parts are
+    below gamma + |ln c| + ln(1 + 1/c) and E1(c) > e**-c / (c + 1)
+    (Abramowitz and Stegun 5.1.19), so the loss is about c log2(e) bits for
+    large c and 3 bits at c = 1."""
+    log_c = math.log(c.numerator) - math.log(c.denominator)
+    parts = _EULER_GAMMA + abs(log_c) + math.log1p(1 / float(c))
+    return max(0, math.ceil(math.log2(parts * (float(c) + 1))
+                            + float(c) * math.log2(math.e)))
+
+
+def _g_series(c: Fraction, ctx: PrecisionContext) -> BigFloat:
+    # E1(c) = -gamma - ln c + sum_{k>=1} (-1)**(k+1) c**k / (k * k!): the sum
+    # is exact and alternating, so it stops at its first term below the
+    # limit; the cancellation bits are carried by the limit and the rounding
+    extra = _series_extra_bits(c)
+    limit = Fraction(1, 10 ** (ctx.total_digits + 5) << extra)
     total = Fraction(0)
-    k = 1
-    kfact = 1
+    num = den = 1  # c**k / k! = num / den
+    k = 0
     while True:
-        term = Fraction((-1) ** (k + 1), k * kfact)
+        k += 1
+        num *= c.numerator
+        den *= k * c.denominator
+        term = Fraction(num if k % 2 else -num, k * den)
         total += term
         if abs(term) < limit:
             break
-        k += 1
-        kfact *= k
-    with mp.workprec(ctx.working_bits + _SLACK_BITS):
-        e1 = -euler_gamma(ctx) + to_bigfloat(total, ctx)
-        value = mpmath.exp(1) * e1
+    with mp.workprec(ctx.working_bits + _SLACK_BITS + extra):
+        x = mpf(c.numerator) / c.denominator
+        e1 = (mpf(total.numerator) / total.denominator - mpmath.euler
+              - mpmath.log(x))
+        value = mpmath.exp(x) * e1
     return ctx.round(value)
+
+
+def exp_e1(c: Fraction | int, ctx: PrecisionContext,
+           method: str = "cross_validated") -> BigFloat:
+    """G(c) = e**c E1(c) = integral(0,inf) e**-x / (x + c) dx for rational
+    c > 0, by quadrature of integral(0,inf) ln(x/c + 1) e**-x dx, by the
+    series of E1, or by both with a mandatory agreement check (their mean is
+    returned). Cached by (method, c, ctx); G(1) is delta."""
+    if method not in DELTA_METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    c = Fraction(c)
+    if c <= 0:
+        raise DomainError(f"exp_e1 requires c > 0, got {c}")
+    return _g_by_method(method, c, ctx)
 
 
 def delta_reference(ctx: PrecisionContext,
                     method: str = "cross_validated") -> BigFloat:
-    """The Euler-Gompertz constant integral(0,inf) ln(x+1) e**-x dx, by direct
-    quadrature, by e*E1(1), or by both with a mandatory agreement check."""
-    if method not in DELTA_METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    return _delta_by_method(method, ctx)
+    """The Euler-Gompertz constant integral(0,inf) ln(x+1) e**-x dx = G(1),
+    by direct quadrature, by e*E1(1), or by both with a mandatory agreement
+    check."""
+    return exp_e1(1, ctx, method)
 
 
 @lru_cache(maxsize=None)
-def _delta_by_method(method: str, ctx: PrecisionContext) -> BigFloat:
-    # one cache entry per (method, ctx), however delta_reference was called
+def _g_by_method(method: str, c: Fraction, ctx: PrecisionContext) -> BigFloat:
+    # one cache entry per (method, c, ctx), however the caller spelled them
     if method == "quadrature":
-        return _delta_quadrature(ctx)
+        return _g_quadrature(c, ctx)
     if method == "e_times_E1":
-        return _delta_series(ctx)
-    q = _delta_quadrature(ctx)
-    s = _delta_series(ctx)
+        return _g_series(c, ctx)
+    q = _g_quadrature(c, ctx)
+    s = _g_series(c, ctx)
     if not ctx.agrees(q, s):
         raise CrossCheckFailure(
-            f"delta evaluators disagree: quadrature={q} series={s}")
+            f"G({c}) evaluators disagree: quadrature={q} series={s}")
     with mp.workprec(ctx.working_bits + _SLACK_BITS):
         value = (q + s) / 2
     return ctx.round(value)

@@ -18,12 +18,11 @@ from .errors import (DegenerateCase, DegenerateDenominator, DomainError,
                      ZeroDenominator)
 from .exactmath import (B1_MINUS_HALF, B1_PLUS_HALF, BERNOULLI_CONVENTIONS,
                         DeltaLinear, bernoulli, binom_gen, binom_int,
-                        delta_linear_eval, factorial, stirling1_unsigned,
-                        stirling2)
-from .integrals import log_integral_closed, log_moment, shifted_log_moment
+                        factorial, stirling1_unsigned, stirling2)
+from .integrals import (EXACT_MIN_U, LOG_MOMENT_PATHS, g_span_eval,
+                        log_integral_coeffs, log_moment, shifted_log_moment)
 from .precision import BigFloat, PrecisionContext, to_bigfloat
-from .reference import (Integrand, delta_reference, digamma, gamma_real,
-                        quad_semi_infinite)
+from .reference import Integrand, digamma, gamma_real, quad_semi_infinite
 
 EXACT_PASS = "ExactPass"
 NUMERIC_PASS = "NumericPass"
@@ -297,23 +296,25 @@ def check_shift_expansion(j: int, eps: Fraction, r: int, u: Fraction,
 
 # --- partial sums of the double series whose limit is u -------------------------
 
-SERIES_PATHS = ("exact", "quadrature")
-
-
 def _series_blocks(u: Fraction, r: int, m_max: int, ctx: PrecisionContext,
                    path: str):
     """Yield (m, block value); coefficients stay exact inside each block and
-    each block is rounded once. At u = 1 the k >= 1 terms accumulate exactly
-    in Q[delta] (path "exact"); path "quadrature" forces the numeric route."""
-    if path not in SERIES_PATHS:
+    each block is rounded once. On path "exact" the k >= 1 terms accumulate
+    exactly in the span of {1, G(1/u)} (log_integral_coeffs) and each block
+    is one g_span_eval; the k = 0 term, u < EXACT_MIN_U and path
+    "quadrature" take the log-moments by quadrature."""
+    if path not in LOG_MOMENT_PATHS:
         raise ValueError(f"unknown path {path!r}")
     u = Fraction(u)
     if u < 0:
         raise DomainError("u must be nonnegative")
     if r < 0 or m_max < r:
         raise DomainError(f"need 0 <= r <= m_max, got r={r} m_max={m_max}")
-    use_exact = path == "exact" and u == 1
-    delta = delta_reference(ctx) if use_exact else None
+    use_exact = path == "exact" and u >= EXACT_MIN_U
+    c = 1 / u if use_exact else None
+    # the moments taken by quadrature, each integrated once for all blocks
+    moments = {k: log_moment(k, u, ctx, path="quadrature")
+               for k in range(r, 1 if use_exact else m_max + 1)}
     for m in range(r, m_max + 1):
         exact_acc = DeltaLinear(Fraction(0), Fraction(0))
         with mp.workprec(ctx.working_bits + 16):
@@ -323,13 +324,12 @@ def _series_blocks(u: Fraction, r: int, m_max: int, ctx: PrecisionContext,
                 if (k + r) % 2:
                     coeff = -coeff
                 if use_exact and k >= 1:
-                    exact_acc = exact_acc + coeff * log_integral_closed(k - 1)
+                    exact_acc = exact_acc + coeff * log_integral_coeffs(k - 1, c)
                 else:
-                    numeric_acc += (to_bigfloat(coeff, ctx)
-                                    * log_moment(k, u, ctx, path="quadrature"))
+                    numeric_acc += to_bigfloat(coeff, ctx) * moments[k]
             block = numeric_acc
             if use_exact:
-                block += delta_linear_eval(exact_acc, delta, ctx)
+                block += g_span_eval(exact_acc, c, ctx)
         yield m, ctx.round(block)
 
 
@@ -356,20 +356,28 @@ def series_partial_sum(u: Fraction, r: int, m_max: int, ctx: PrecisionContext,
 # --- digamma-series harness ------------------------------------------------------
 
 @lru_cache(maxsize=None)
+def _bernoulli_stirling_sum(w: int, convention: str) -> Fraction:
+    # h(w) = sum_{j=1}^{w} (-1)**j B_j S1u(w, j)
+    total = Fraction(0)
+    for j in range(1, w + 1):
+        term = bernoulli(j, convention) * stirling1_unsigned(w, j)
+        total += -term if j % 2 else term
+    return total
+
+
+@lru_cache(maxsize=None)
 def digamma_series_coeff(k: int, m: int, convention: str = B1_MINUS_HALF) -> Fraction:
     """Exact coefficient sum_{t=2}^{m} S2(m,t) sum_{w=1}^{t-1} (-k)**(t-w)
-    sum_{j=1}^{w} (-1)**j B_j S1u(w,j); empty for m = 1."""
+    sum_{j=1}^{w} (-1)**j B_j S1u(w,j); empty for m = 1. The inner j-sum
+    h(w) is cached per (w, convention), and the w-sum p_t follows by Horner:
+    p_2 = -k h(1), p_{t+1} = -k (p_t + h(t))."""
     if k < 1 or m < 1:
         raise DomainError("k and m must be positive")
     total = Fraction(0)
+    p = Fraction(0)
     for t in range(2, m + 1):
-        s2 = stirling2(m, t)
-        for w in range(1, t):
-            inner = Fraction(0)
-            for j in range(1, w + 1):
-                term = bernoulli(j, convention) * stirling1_unsigned(w, j)
-                inner += -term if j % 2 else term
-            total += s2 * Fraction(-k) ** (t - w) * inner
+        p = -k * (p + _bernoulli_stirling_sum(t - 1, convention))
+        total += stirling2(m, t) * p
     return total
 
 

@@ -1,16 +1,22 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from conftest import absdiff
 from gompertz import (CrossCheckFailure, DeltaLinear, DomainError, Integrand,
-                      IntegralValue, cross_checked_value, delta_linear_eval,
-                      delta_reference, frac_integral_closed,
-                      frac_integral_recurrence, log_integral_closed,
+                      IntegralValue, bigfloat_str, cross_checked_value,
+                      delta_linear_eval, delta_reference, exp_e1,
+                      frac_integral_closed, frac_integral_recurrence,
+                      log_integral_closed, log_integral_coeffs,
                       PrecisionContext, log_moment, quad_semi_infinite,
-                      shifted_log_moment)
+                      reference, shifted_log_moment)
+from gompertz.approximants import DEFAULT_M_MAX_CAP
 from gompertz.exactmath import alt_factorial_sum, factorial
+from gompertz.integrals import EXACT_MIN_U
 
 
 def D(c, d):
@@ -107,12 +113,12 @@ class TestLogMoment:
         assert absdiff(log_moment(2, 1, ctx30), 1) < ctx30.target_tolerance()
 
     def test_paths_agree_at_u1(self, ctx30):
+        # the exact route is the default and the one cross-checked route
         for k in range(1, 6):
             exact = log_moment(k, 1, ctx30, path="exact")
             numeric = log_moment(k, 1, ctx30, path="quadrature")
-            checked = log_moment(k, 1, ctx30, path="checked")
             assert absdiff(exact, numeric) < ctx30.target_tolerance()
-            assert checked == exact
+            assert log_moment(k, 1, ctx30) == exact
 
     def test_large_value_check_is_relative(self):
         # the two routes give about 1e30 and agree to about one ulp; an
@@ -182,3 +188,68 @@ class TestIntegralValue:
                             lambda n: D(999, 1))
         with pytest.raises(CrossCheckFailure):
             cross_checked_value("frac", 4, ctx30)
+
+
+#: u values of the exact-route grid: c = 1/u from 1/3 to 50, so the
+#: recurrence runs from stable (c < 1) to cancelling 17 digits (c = 50, k = 30)
+GRID_U = (Fraction(1, 50), Fraction(1, 10), Fraction(2, 7), Fraction(1, 2),
+          Fraction(2, 3), Fraction(3, 2), Fraction(2), Fraction(3))
+
+
+class TestExactSpan:
+    def test_coeffs_at_c1_are_the_closed_form(self):
+        for n in range(DEFAULT_M_MAX_CAP + 1):
+            assert log_integral_coeffs(n, 1) == log_integral_closed(n)
+
+    def test_coeffs_small_values(self):
+        c = Fraction(3)
+        # L_0 = G, L_1 = L_0 + I_1 = G + 1 - c G, L_2 = 2 L_1 + I_2
+        assert log_integral_coeffs(0, c) == D(0, 1)
+        assert log_integral_coeffs(1, c) == D(1, 1 - c)
+        assert log_integral_coeffs(2, c) == D(2 + 1 - c, 2 * (1 - c) + c * c)
+
+    def test_exp_e1_matches_mpmath(self, ctx60):
+        for c in (Fraction(1, 3), Fraction(1), Fraction(7, 2), Fraction(50)):
+            with mp.workprec(600):
+                x = mpf(c.numerator) / c.denominator
+                want = mpmath.exp(x) * mpmath.e1(x)
+            got = exp_e1(c, ctx60)
+            assert absdiff(got, want) < mpf(10) ** -60 * want
+
+    @pytest.mark.parametrize("digits", (30, 60))
+    def test_exact_agrees_with_quadrature(self, digits):
+        # every k = 1..30 passes too, but its 480 quadratures take 3 minutes;
+        # these k cover the G-dominated start and where the guard digits
+        # grow (c = 10 and c = 50)
+        ctx = PrecisionContext(digits)
+        for u in GRID_U:
+            for k in (1, 2, 3, 5, 8, 13, 21, 30):
+                exact = log_moment(k, u, ctx)
+                numeric = log_moment(k, u, ctx, path="quadrature")
+                assert ctx.agrees(exact, numeric), (u, k)
+
+    def test_corrupted_g_evaluator_trips(self, ctx10, monkeypatch):
+        wrong = PrecisionContext(10).round(mpf(1) / 3)
+        monkeypatch.setattr(reference, "_g_series", lambda c, ctx: wrong)
+        reference._g_by_method.cache_clear()
+        try:
+            with pytest.raises(CrossCheckFailure):
+                log_moment(3, Fraction(2, 3), ctx10)
+        finally:
+            reference._g_by_method.cache_clear()
+
+    def test_below_exact_min_u_is_quadrature(self, ctx30):
+        u = EXACT_MIN_U / 2
+        assert log_moment(3, u, ctx30) == log_moment(3, u, ctx30,
+                                                      path="quadrature")
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 25), st.integers(1, 12), st.integers(1, 12),
+           st.sampled_from((10, 20, 30)), st.booleans())
+    def test_d_digits_agree_with_2d_digits(self, k, p, q, digits, shifted):
+        # the result at D digits, and at 2D digits rounded to D - 1 digits
+        fn = shifted_log_moment if shifted else log_moment
+        u = Fraction(p, q)
+        low = fn(k, u, PrecisionContext(digits))
+        high = fn(k, u, PrecisionContext(2 * digits))
+        assert bigfloat_str(low, digits - 1) == bigfloat_str(high, digits - 1)

@@ -254,9 +254,9 @@ class TestDeltaReference:
 
     def test_cross_check_trips_on_corruption(self, ctx10, monkeypatch):
         wrong = to_bigfloat(Fraction(1, 2), ctx10)
-        monkeypatch.setattr(reference, "_delta_series", lambda ctx: wrong)
+        monkeypatch.setattr(reference, "_g_series", lambda c, ctx: wrong)
         # an earlier test may already have cached the ctx10 value
-        reference._delta_by_method.cache_clear()
+        reference._g_by_method.cache_clear()
         with pytest.raises(CrossCheckFailure):
             delta_reference(ctx10, "cross_validated")
 
@@ -264,16 +264,17 @@ class TestDeltaReference:
         # default, positional and keyword method: one entry, so the
         # quadrature side of the cross-check runs once
         calls = []
-        quadrature = reference._delta_quadrature
+        quadrature = reference._g_quadrature
 
-        def counted(ctx):
-            calls.append(ctx)
-            return quadrature(ctx)
+        def counted(c, ctx):
+            calls.append((c, ctx))
+            return quadrature(c, ctx)
 
-        monkeypatch.setattr(reference, "_delta_quadrature", counted)
-        reference._delta_by_method.cache_clear()
+        monkeypatch.setattr(reference, "_g_quadrature", counted)
+        reference._g_by_method.cache_clear()
         values = {delta_reference(ctx10),
                   delta_reference(ctx10, "cross_validated"),
-                  delta_reference(ctx10, method="cross_validated")}
-        assert calls == [ctx10]
+                  delta_reference(ctx10, method="cross_validated"),
+                  reference.exp_e1(1, ctx10)}
+        assert calls == [(1, ctx10)]
         assert len(values) == 1

@@ -17,6 +17,7 @@ from gompertz import (B1_MINUS_HALF, B1_PLUS_HALF, DegenerateCase,
                       hypergeom_terminating, int_binomial_grid,
                       norm_log_moment, norm_log_moment_deriv,
                       series_partial_sum, series_partial_trend)
+from gompertz.exactmath import bernoulli, stirling1_unsigned, stirling2
 from gompertz.verify import EXACT_PASS, FAIL, NUMERIC_PASS, SKIPPED
 
 
@@ -267,6 +268,21 @@ def oracle_series_coeff(k, m, b1):
     return total
 
 
+def triple_sum_series_coeff(k, m, convention):
+    """The coefficient as first written: the inner j-sum recomputed for every
+    (t, w), with the package's Stirling and Bernoulli tables."""
+    total = Fraction(0)
+    for t in range(2, m + 1):
+        s2 = stirling2(m, t)
+        for w in range(1, t):
+            inner = Fraction(0)
+            for j in range(1, w + 1):
+                term = bernoulli(j, convention) * stirling1_unsigned(w, j)
+                inner += -term if j % 2 else term
+            total += s2 * Fraction(-k) ** (t - w) * inner
+    return total
+
+
 class TestDigammaSeries:
     def test_coeff_empty_at_m1(self):
         assert digamma_series_coeff(3, 1) == 0
@@ -282,6 +298,13 @@ class TestDigammaSeries:
                 for m in range(1, 7):
                     assert digamma_series_coeff(k, m, conv) == \
                         oracle_series_coeff(k, m, conv)
+
+    def test_coeff_horner_matches_triple_sum(self):
+        for conv in (B1_MINUS_HALF, B1_PLUS_HALF):
+            for m in range(1, 26):
+                for k in range(1, m + 1):
+                    assert digamma_series_coeff(k, m, conv) == \
+                        triple_sum_series_coeff(k, m, conv)
 
     def test_rhs_single_term_at_m1(self, ctx30):
         # m=1: rhs = ln(1) + coeff(1,2) * (-1) * delta
