@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
 """Time the integer kernels of the precision layer against their mpmath
-equivalents, and the assembly layer's exact routes against the code they
-replaced, and write the medians as JSON. A hand-written kernel is worth
-keeping only while it is the faster one.
+equivalents, the quadrature, and the assembly layer's exact routes against
+the code they replaced, and write the medians as JSON. A hand-written kernel
+is worth keeping only while it is the faster one.
 
 - Bernoulli numbers: `bernoulli(j)` for every j <= N, from an empty table,
   against `mpmath.bernfrac(j)` with mpmath's Bernoulli cache emptied.
-- Gauss-Legendre nodes: `_legendre_nodes(n, prec)` for the node sets that
-  `delta` plans at 30, 100 and 150 digits, and both it and mpmath's
-  `GaussLegendre.calc_nodes` at mpmath's own sizes n = 96 and 192.
+- Quadrature: `quad_semi_infinite` for delta = integral ln(x+1) e**-x dx
+  at 100, 150 and 300 digits, the quadrature side of `delta`.
 - Log-moments: `log_moment(k, u)` for k = 1..20 at 30 digits, u in
   {2, 2/3, 3/2} (the `series` workload's u), on the exact route (one
   cross-checked G(1/u)) and on the quadrature route (one quadrature each).
@@ -32,20 +31,15 @@ from fractions import Fraction
 
 import mpmath
 import mpmath.libmp.gammazeta as mp_gammazeta
-from mpmath import mp
-from mpmath.calculus.quadrature import GaussLegendre
 
-from gompertz import Integrand, PrecisionContext, exactmath, plan_quadrature
+from gompertz import Integrand, PrecisionContext, exactmath
 from gompertz import integrals, reference, verify
 from gompertz.exactmath import (BERNOULLI_CONVENTIONS, bernoulli,
                                 stirling1_unsigned, stirling2)
 
 RUNS = 5
 BERNOULLI_MAX = (794, 1600)
-NODE_DIGITS = (30, 100, 150)
-MPMATH_DEGREES = ((6, 96), (7, 192))
-#: the working precision of the mpmath comparison: delta at 100 digits
-COMPARE_DIGITS = 100
+QUADRATURE_DIGITS = (100, 150, 300)
 LOG_MOMENT_U = (Fraction(2), Fraction(2, 3), Fraction(3, 2))
 LOG_MOMENT_K = 20
 LOG_MOMENT_DIGITS = 30
@@ -78,11 +72,6 @@ def reset_bernfrac() -> None:
     mp_gammazeta.bernoulli_cache.clear()
 
 
-def node_prec(ctx: PrecisionContext) -> int:
-    # _gl_panels asks for nodes at the quadrature's working precision
-    return ctx.working_bits + reference._SLACK_BITS
-
-
 def bench_bernoulli() -> list:
     rows = []
     for top in BERNOULLI_MAX:
@@ -96,25 +85,16 @@ def bench_bernoulli() -> list:
     return rows
 
 
-def bench_nodes() -> list:
-    rows = []
+def bench_quadrature() -> list:
     delta_integrand = Integrand(Fraction(0), log_scale=Fraction(1))
-    for digits in NODE_DIGITS:
+    rows = []
+    for digits in QUADRATURE_DIGITS:
         ctx = PrecisionContext(digits)
-        n, prec = plan_quadrature(delta_integrand, ctx).gl_nodes, node_prec(ctx)
-        ours = timed(reference._legendre_nodes.cache_clear,
-                     lambda: reference._legendre_nodes(n, prec))
-        rows.append({"case": f"n={n} prec={prec} (delta --digits {digits})",
-                     "fixed_point_newton": ours})
-    prec = node_prec(PrecisionContext(COMPARE_DIGITS))
-    for degree, n in MPMATH_DEGREES:
-        ours = timed(reference._legendre_nodes.cache_clear,
-                     lambda: reference._legendre_nodes(n, prec))
-        theirs = timed(lambda: None,
-                       lambda: GaussLegendre(mp).calc_nodes(degree, prec))
-        rows.append({"case": f"n={n} prec={prec}", "fixed_point_newton": ours,
-                     "mpmath_calc_nodes": theirs,
-                     "mpmath_over_ours": ratio(theirs, ours)})
+        rows.append({"case": f"delta digits={digits}",
+                     "double_exponential": timed(
+                         reference.quad_semi_infinite.cache_clear,
+                         lambda: reference.quad_semi_infinite(
+                             delta_integrand, ctx))})
     return rows
 
 
@@ -194,7 +174,7 @@ def main() -> None:
                         "machine": platform.machine(),
                         "cpu": cpu_model()},
         "bernoulli": bench_bernoulli(),
-        "legendre_nodes": bench_nodes(),
+        "quadrature": bench_quadrature(),
         "log_moments": bench_log_moments(),
         "digamma_series_coeff": bench_digamma_coeffs(),
     }

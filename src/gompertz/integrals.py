@@ -24,7 +24,8 @@ from mpmath import mp, mpf
 from .errors import CrossCheckFailure, DomainError, PrecisionUnreachable
 from .exactmath import (DeltaLinear, alt_factorial_sum, delta_linear_eval,
                         factorial)
-from .precision import MAX_DECIMAL_DIGITS, BigFloat, PrecisionContext
+from .precision import (MAX_DECIMAL_DIGITS, BigFloat, PrecisionContext,
+                        to_bigfloat)
 from .reference import Integrand, delta_reference, exp_e1, quad_semi_infinite
 
 LOG_MOMENT_PATHS = ("exact", "quadrature")
@@ -169,6 +170,36 @@ def log_moment(k: int, u: Fraction | int, ctx: PrecisionContext,
         return quad_semi_infinite(Integrand(Fraction(k - 1), log_scale=u), ctx)
     c = 1 / u
     return g_span_eval(log_integral_coeffs(k - 1, c), c, ctx)
+
+
+def log_moment_sum(terms, u: Fraction | int, ctx: PrecisionContext,
+                   path: str = "exact") -> BigFloat:
+    """sum of coeff * log_moment(k, u) over the (k, coeff) pairs of terms,
+    coeff rational, rounded once. On path "exact" with u >= EXACT_MIN_U the
+    k >= 1 terms accumulate exactly in the span of {1, G(1/u)}
+    (log_integral_coeffs) and the sum is one g_span_eval, so the guard
+    digits grow with the cancellation of the whole sum; the k = 0 term,
+    u < EXACT_MIN_U and path "quadrature" take the log-moments by
+    quadrature."""
+    if path not in LOG_MOMENT_PATHS:
+        raise ValueError(f"unknown path {path!r}")
+    u = Fraction(u)
+    if u < 0:
+        raise DomainError("u must be nonnegative")
+    use_exact = path == "exact" and u >= EXACT_MIN_U
+    c = 1 / u if use_exact else None
+    exact_acc = DeltaLinear(Fraction(0), Fraction(0))
+    with mp.workprec(ctx.working_bits + 16):
+        total = mpf(0)
+        for k, coeff in terms:
+            if use_exact and k >= 1:
+                exact_acc = exact_acc + coeff * log_integral_coeffs(k - 1, c)
+            else:
+                total += (to_bigfloat(coeff, ctx)
+                          * log_moment(k, u, ctx, path="quadrature"))
+        if use_exact:
+            total += g_span_eval(exact_acc, c, ctx)
+    return ctx.round(total)
 
 
 def shifted_log_moment(k: int, u: Fraction | int, ctx: PrecisionContext,

@@ -5,10 +5,10 @@ at c = 1 is the Euler-Gompertz constant delta.
 Gamma and Euler's constant come from mpmath (mpmath.gamma, mpmath.euler);
 digamma is summed here from the package's exact Bernoulli numbers.
 
-Quadrature splits at x = 1: a tanh-sinh (double-exponential) rule absorbs the
-algebraic endpoint singularity on (0, 1], and composite Gauss-Legendre panels
-cover [1, X] where the integrand is analytic and exp(-x)-damped. X carries an
-explicit, audited tail bound.
+Quadrature is one double-exponential rule for the whole half-line: the map
+x = exp(t - e**-t) absorbs the algebraic endpoint singularity at 0 and turns
+the exp(-x) decay at infinity into double-exponential decay in t, so no
+split point and no truncation point are needed.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .precision import BigFloat, PrecisionContext, log1p, to_bigfloat
 # extra bits carried inside evaluators before the final ctx rounding
 _SLACK_BITS = 16
 
-_TANH_SINH_MAX_LEVEL = 12
-_TANH_SINH_T_CAP = 16.0
+_DE_MAX_LEVEL = 12
+_DE_T_CAP = 16.0
 
 
 @dataclass(frozen=True)
@@ -69,43 +69,18 @@ class Integrand:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Resolved plan for one semi-infinite integral."""
+    """Resolved plan for one semi-infinite integral: the refinement budget
+    of the double-exponential rule, whose step halves once per level."""
 
-    tanh_sinh_max_level: int
-    gl_nodes: int
-    gl_panel_width: int
-    truncation_x: int
-    tail_bound: BigFloat
-
-    def __post_init__(self) -> None:
-        assert self.gl_nodes % 2 == 0
+    max_level: int
 
 
 def plan_quadrature(integrand: Integrand, ctx: PrecisionContext) -> QuadratureSpec:
-    """Choose truncation point and rule sizes, with the tail bound audited
-    against the internal tolerance."""
+    """Check the precision cap and the integrability of the integrand, and
+    size the rule."""
     ctx.check_cap()
     integrand.check_integrable()
-    # polynomial majorant degree of the prefactor on [1, inf): the log factor
-    # costs at most one extra power, the denominator factor only helps
-    c = max(0, math.ceil(integrand.power))
-    scale = 1.0
-    if integrand.log_scale is not None and integrand.log_scale > 0:
-        c += 1
-        scale = max(1.0, math.log1p(float(integrand.log_scale)) + 1.0)
-    with mp.workprec(ctx.working_bits + _SLACK_BITS):
-        tol = ctx.internal_tolerance()
-        x = max(math.ceil(ctx.total_digits * math.log(10)), 2 * c + 1)
-        while 2 * scale * mpf(x) ** c * mpmath.exp(-x) >= tol:
-            x += 1
-        tail = 2 * scale * mpf(x) ** c * mpmath.exp(-x)
-    assert x >= 2 * c
-    assert tail <= ctx.internal_tolerance()
-    n = math.ceil(1.25 * ctx.total_digits) + 6
-    n += n % 2  # even count: no root at the panel midpoint to special-case
-    return QuadratureSpec(tanh_sinh_max_level=_TANH_SINH_MAX_LEVEL,
-                          gl_nodes=n, gl_panel_width=4,
-                          truncation_x=x, tail_bound=tail)
+    return QuadratureSpec(max_level=_DE_MAX_LEVEL)
 
 
 def _make_eval(integrand: Integrand):
@@ -128,17 +103,18 @@ def _make_eval(integrand: Integrand):
     return f
 
 
-def _tanh_sinh_unit(f, tol: BigFloat, max_level: int) -> BigFloat:
-    """integral(0,1) of f via the double-exponential transform
-    x = (1 + tanh((pi/2) sinh t)) / 2, computed stably near x = 0."""
-    pi2 = mpmath.pi / 2
+def _double_exponential(f, tol: BigFloat, max_level: int) -> BigFloat:
+    """integral(0, inf) of f via the double-exponential transform
+    x = exp(t - e**-t) (Takahasi and Mori 1974, Mori 1985): as t -> -inf, x
+    falls double exponentially to 0, which absorbs an algebraic endpoint
+    singularity; as t -> +inf, x grows like e**t, so an exp(-x)-damped
+    integrand decays double exponentially. The trapezoidal sum in t halves
+    its step per level."""
 
     def node(t):
-        s = pi2 * mpmath.sinh(t)
-        e2s = mpmath.exp(2 * s)
-        x = e2s / (1 + e2s)
-        w = pi2 * mpmath.cosh(t) * (x / (1 + e2s)) * 2
-        return x, w
+        e = mpmath.exp(-t)
+        x = mpmath.exp(t - e)
+        return x, x * (1 + e)
 
     results: list[BigFloat] = []
     running = mpf(0)
@@ -165,105 +141,34 @@ def _tanh_sinh_unit(f, tol: BigFloat, max_level: int) -> BigFloat:
             else:
                 small_run = 0
             k += step
-            if float(k * h) > _TANH_SINH_T_CAP:
+            if float(k * h) > _DE_T_CAP:
                 raise PrecisionUnreachable(
-                    "tanh-sinh tail window exhausted before terms decayed")
+                    "double-exponential window exhausted before terms decayed")
         running += new
         results.append(running * h)
         if level > 0 and abs(results[-1] - results[-2]) < tol * max(mpf(1), abs(results[-1])):
             return results[-1]
         h = h / 2
     raise PrecisionUnreachable(
-        f"tanh-sinh did not converge within {max_level} refinement levels")
-
-
-@lru_cache(maxsize=None)
-def _legendre_nodes(n: int, prec: int) -> tuple:
-    """Gauss-Legendre nodes/weights on [-1,1] (n even), accurate to about
-    2**-(prec+20) and rounded to prec + 40 bits whatever the caller's
-    precision. Each root is polished by float Newton steps from its cos
-    guess, then by Newton in fixed point: Python ints holding
-    frac_bits = prec + 40 + 2*bitlen(n) + 16 fraction bits, so the n-step
-    Legendre recurrence and the division by 1 - x**2 near the ends stay
-    far below the target."""
-    assert n % 2 == 0
-    frac_bits = prec + 40 + 2 * n.bit_length() + 16
-    one = 1 << frac_bits
-    stop_bits = frac_bits - (prec + 20)  # |dx| < 2**-(prec+20)
-
-    def legendre(x: int) -> tuple[int, int]:
-        # P_n(x) and n (x P_n(x) - P_{n-1}(x)) / (x**2 - 1) = P_n'(x)
-        p0, p1 = one, x
-        for j in range(2, n + 1):
-            p0, p1 = p1, (((2 * j - 1) * x * p1 >> frac_bits)
-                          - (j - 1) * p0) // j
-        dp = (n * ((x * p1 >> frac_bits) - p0) << frac_bits) // (
-            (x * x >> frac_bits) - one)
-        return p1, dp
-
-    half = []
-    for i in range(1, n // 2 + 1):
-        x = math.cos(math.pi * (i - 0.25) / (n + 0.5))
-        for _ in range(3):
-            p0, p1 = 1.0, x
-            for j in range(2, n + 1):
-                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-            x -= p1 * (x * x - 1) / (n * (x * p1 - p0))
-        fx = int(math.ldexp(x, 53)) << (frac_bits - 53)
-        for _ in range(100):
-            p1, dp = legendre(fx)
-            dx = (p1 << frac_bits) // dp
-            fx -= dx
-            if abs(dx) >> stop_bits == 0:
-                break
-        p1, dp = legendre(fx)
-        # w = 2 / ((1 - x**2) P_n'(x)**2), with 2**frac_bits scaling
-        fw = (2 << (4 * frac_bits)) // ((one - (fx * fx >> frac_bits)) * dp * dp)
-        half.append((fx, fw))
-    with mp.workprec(prec + 40):
-        # negation inside the block: mpmath rounds even unary minus at the
-        # ambient precision
-        half = [(mpf((fx, -frac_bits)), mpf((fw, -frac_bits)))
-                for fx, fw in half]
-        return tuple(half + [(-x, w) for x, w in half])
-
-
-def _gl_panels(f, lo: int, hi: int, n: int, width: int) -> BigFloat:
-    nodes = _legendre_nodes(n, mp.prec)
-    total = mpf(0)
-    a = mpf(lo)
-    end = mpf(hi)
-    while a < end:
-        b = min(a + width, end)
-        half = (b - a) / 2
-        mid = (b + a) / 2
-        s = mpf(0)
-        for x, w in nodes:
-            s += w * f(mid + half * x)
-        total += s * half
-        a = b
-    return total
+        f"double-exponential rule did not converge within {max_level} "
+        "refinement levels")
 
 
 @lru_cache(maxsize=None)
 def quad_semi_infinite(integrand: Integrand, ctx: PrecisionContext) -> BigFloat:
-    """integral(0, inf) of the described integrand, aiming at an error
-    below 10**-(decimal_digits + guard_digits) relative to max(1, |value|):
-    tanh-sinh stops on that relative change, the tail beyond X is bounded
-    by it in absolute terms, and the Gauss-Legendre node count grows with
-    the total digits. The guard digits leave room for the cross-check
-    tolerance of PrecisionContext.agrees. Results are cached by (integrand,
-    ctx)."""
+    """integral(0, inf) of the described integrand by one double-exponential
+    rule, aiming at an error below 10**-(decimal_digits + guard_digits)
+    relative to max(1, |value|): the rule halves its step until the sum
+    changes by less than that. The guard digits leave room for the
+    cross-check tolerance of PrecisionContext.agrees. Results are cached by
+    (integrand, ctx)."""
     if integrand.log_scale == 0:
         return ctx.round(mpf(0))  # ln(1) annihilates the integrand
     spec = plan_quadrature(integrand, ctx)
     with mp.workprec(ctx.working_bits + _SLACK_BITS):
         tol = ctx.internal_tolerance()
-        f = _make_eval(integrand)
-        lower = _tanh_sinh_unit(f, tol, spec.tanh_sinh_max_level)
-        upper = _gl_panels(f, 1, spec.truncation_x, spec.gl_nodes,
-                           spec.gl_panel_width)
-        value = lower + upper
+        value = _double_exponential(_make_eval(integrand), tol,
+                                    spec.max_level)
     return ctx.round(value)
 
 

@@ -17,10 +17,9 @@ from mpmath import mp, mpf
 from .errors import (DegenerateCase, DegenerateDenominator, DomainError,
                      ZeroDenominator)
 from .exactmath import (B1_MINUS_HALF, B1_PLUS_HALF, BERNOULLI_CONVENTIONS,
-                        DeltaLinear, bernoulli, binom_gen, binom_int,
-                        factorial, stirling1_unsigned, stirling2)
-from .integrals import (EXACT_MIN_U, LOG_MOMENT_PATHS, g_span_eval,
-                        log_integral_coeffs, log_moment, shifted_log_moment)
+                        bernoulli, binom_gen, binom_int, factorial,
+                        stirling1_unsigned, stirling2)
+from .integrals import log_moment_sum
 from .precision import BigFloat, PrecisionContext, to_bigfloat
 from .reference import Integrand, digamma, gamma_real, quad_semi_infinite
 
@@ -299,38 +298,15 @@ def check_shift_expansion(j: int, eps: Fraction, r: int, u: Fraction,
 def _series_blocks(u: Fraction, r: int, m_max: int, ctx: PrecisionContext,
                    path: str):
     """Yield (m, block value); coefficients stay exact inside each block and
-    each block is rounded once. On path "exact" the k >= 1 terms accumulate
-    exactly in the span of {1, G(1/u)} (log_integral_coeffs) and each block
-    is one g_span_eval; the k = 0 term, u < EXACT_MIN_U and path
-    "quadrature" take the log-moments by quadrature."""
-    if path not in LOG_MOMENT_PATHS:
-        raise ValueError(f"unknown path {path!r}")
-    u = Fraction(u)
-    if u < 0:
-        raise DomainError("u must be nonnegative")
+    each block is one log_moment_sum, rounded once."""
     if r < 0 or m_max < r:
         raise DomainError(f"need 0 <= r <= m_max, got r={r} m_max={m_max}")
-    use_exact = path == "exact" and u >= EXACT_MIN_U
-    c = 1 / u if use_exact else None
-    # the moments taken by quadrature, each integrated once for all blocks
-    moments = {k: log_moment(k, u, ctx, path="quadrature")
-               for k in range(r, 1 if use_exact else m_max + 1)}
     for m in range(r, m_max + 1):
-        exact_acc = DeltaLinear(Fraction(0), Fraction(0))
-        with mp.workprec(ctx.working_bits + 16):
-            numeric_acc = mpf(0)
-            for k in range(r, m + 1):
-                coeff = Fraction(binom_int(m, k) * binom_int(k, r), factorial(k))
-                if (k + r) % 2:
-                    coeff = -coeff
-                if use_exact and k >= 1:
-                    exact_acc = exact_acc + coeff * log_integral_coeffs(k - 1, c)
-                else:
-                    numeric_acc += to_bigfloat(coeff, ctx) * moments[k]
-            block = numeric_acc
-            if use_exact:
-                block += g_span_eval(exact_acc, c, ctx)
-        yield m, ctx.round(block)
+        terms = []
+        for k in range(r, m + 1):
+            coeff = Fraction(binom_int(m, k) * binom_int(k, r), factorial(k))
+            terms.append((k, -coeff if (k + r) % 2 else coeff))
+        yield m, log_moment_sum(terms, u, ctx, path)
 
 
 def series_partial_trend(u: Fraction, r: int, m_max: int,
@@ -394,22 +370,24 @@ class DigammaSeriesPoint:
 def digamma_series_rhs(u: Fraction, m: int, convention: str,
                        ctx: PrecisionContext) -> DigammaSeriesPoint:
     """ln(u) + sum_{k=1}^{m} coeff(k, m+1) C(m,k) (-1)**k/(k! m!) times the
-    k-th shifted log-moment, reported against digamma(u). No convergence is
-    asserted; the point records the residual as observed."""
+    k-th shifted log-moment, reported against digamma(u). The sum is one
+    log_moment_sum, so its guard digits grow with its cancellation. No
+    convergence is asserted; the point records the residual as observed."""
     u = Fraction(u)
     if u <= 0:
         raise DomainError("u must be positive")
     if convention not in BERNOULLI_CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     mfact = factorial(m)
+    terms = []
+    for k in range(1, m + 1):
+        coeff = (digamma_series_coeff(k, m + 1, convention)
+                 * Fraction(binom_int(m, k), factorial(k) * mfact))
+        terms.append((k, -coeff if k % 2 else coeff))
+    # shifted log-moments at u are the log-moments at 1/u
+    series = log_moment_sum(terms, 1 / u, ctx)
     with mp.workprec(ctx.working_bits + 16):
-        rhs = mpmath.log(to_bigfloat(u, ctx))
-        for k in range(1, m + 1):
-            coeff = (digamma_series_coeff(k, m + 1, convention)
-                     * Fraction(binom_int(m, k), factorial(k) * mfact))
-            if k % 2:
-                coeff = -coeff
-            rhs += to_bigfloat(coeff, ctx) * shifted_log_moment(k, u, ctx)
+        rhs = mpmath.log(to_bigfloat(u, ctx)) + series
         psi = digamma(u, ctx)
         residual = abs(rhs - psi)
     return DigammaSeriesPoint(u=u, m=m, convention=convention,

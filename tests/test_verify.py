@@ -9,8 +9,9 @@ from mpmath import mp, mpf
 from conftest import absdiff
 from gompertz import (B1_MINUS_HALF, B1_PLUS_HALF, DegenerateCase,
                       DomainError, HyperGeomParams, ZeroDenominator,
-                      calibrate_bernoulli_convention, check_gauss_terminating,
-                      check_gen_binomial_sum, check_int_binomial_sum,
+                      bigfloat_str, calibrate_bernoulli_convention,
+                      check_gauss_terminating, check_gen_binomial_sum,
+                      check_int_binomial_sum,
                       check_shift_expansion, check_shift_recurrence,
                       delta_reference, digamma, digamma_series_coeff,
                       digamma_series_rhs, digamma_series_scan, gauss_grid,
@@ -323,6 +324,16 @@ class TestDigammaSeries:
         a = digamma_series_rhs(Fraction(2), 5, B1_MINUS_HALF, ctx30)
         b = digamma_series_rhs(Fraction(2), 5, B1_PLUS_HALF, ctx30)
         assert a.residual != b.residual
+
+    @pytest.mark.parametrize("conv", [B1_MINUS_HALF, B1_PLUS_HALF])
+    def test_rhs_holds_its_digits_through_cancellation(self, conv, ctx30,
+                                                       ctx60):
+        # at u = 1, m = 40 the terms reach far above the sum; summed from
+        # rounded moments with fixed guard digits the 30-digit value was
+        # wrong in its last printed digits
+        got = digamma_series_rhs(Fraction(1), 40, conv, ctx30).rhs
+        want = digamma_series_rhs(Fraction(1), 40, conv, ctx60).rhs
+        assert bigfloat_str(got, 29) == bigfloat_str(want, 29)
 
     def test_scan_order_is_canonical(self, ctx30):
         points = digamma_series_scan(Fraction(1), (1, 2),
