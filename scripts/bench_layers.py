@@ -6,6 +6,10 @@ is worth keeping only while it is the faster one.
 
 - Bernoulli numbers: `bernoulli(j)` for every j <= N, from an empty table,
   against `mpmath.bernfrac(j)` with mpmath's Bernoulli cache emptied.
+- Digamma: `reference.digamma(u)` (shift plus Bernoulli series) against
+  `mpmath.digamma` at the same working precision, at 30, 300 and 1000
+  digits for u in {1, 2/3}, with both Bernoulli caches emptied; records
+  whether the printed digits are equal.
 - Quadrature: `quad_semi_infinite` for delta = integral ln(x+1) e**-x dx
   at 100, 150 and 300 digits, the quadrature side of `delta`.
 - Log-moments: `log_moment(k, u)` for k = 1..20 at 30 digits, u in
@@ -32,13 +36,15 @@ from fractions import Fraction
 import mpmath
 import mpmath.libmp.gammazeta as mp_gammazeta
 
-from gompertz import Integrand, PrecisionContext, exactmath
+from gompertz import Integrand, PrecisionContext, bigfloat_str, exactmath
 from gompertz import integrals, reference, verify
 from gompertz.exactmath import (BERNOULLI_CONVENTIONS, bernoulli,
                                 stirling1_unsigned, stirling2)
 
 RUNS = 5
 BERNOULLI_MAX = (794, 1600)
+DIGAMMA_DIGITS = (30, 300, 1000)
+DIGAMMA_U = (Fraction(1), Fraction(2, 3))
 QUADRATURE_DIGITS = (100, 150, 300)
 LOG_MOMENT_U = (Fraction(2), Fraction(2, 3), Fraction(3, 2))
 LOG_MOMENT_K = 20
@@ -82,6 +88,34 @@ def bench_bernoulli() -> list:
         rows.append({"case": f"B_0..B_{top}", "tangent_numbers": ours,
                      "mpmath_bernfrac": theirs,
                      "mpmath_over_ours": ratio(theirs, ours)})
+    return rows
+
+
+def reset_digamma() -> None:
+    reset_bernoulli()
+    reset_bernfrac()
+    reference.digamma.cache_clear()
+
+
+def mpmath_digamma(u: Fraction, ctx: PrecisionContext):
+    with mpmath.mp.workprec(ctx.working_bits + 30):
+        value = mpmath.digamma(mpmath.mpf(u.numerator) / u.denominator)
+    return ctx.round(value)
+
+
+def bench_digamma() -> list:
+    rows = []
+    for digits in DIGAMMA_DIGITS:
+        ctx = PrecisionContext(digits)
+        for u in DIGAMMA_U:
+            ours = timed(reset_digamma, lambda: reference.digamma(u, ctx))
+            theirs = timed(reset_digamma, lambda: mpmath_digamma(u, ctx))
+            same = (bigfloat_str(reference.digamma(u, ctx), digits)
+                    == bigfloat_str(mpmath_digamma(u, ctx), digits))
+            rows.append({"case": f"psi({u}) digits={digits}",
+                         "shift_bernoulli": ours, "mpmath_digamma": theirs,
+                         "mpmath_over_ours": ratio(theirs, ours),
+                         "printed_digits_equal": same})
     return rows
 
 
@@ -174,6 +208,7 @@ def main() -> None:
                         "machine": platform.machine(),
                         "cpu": cpu_model()},
         "bernoulli": bench_bernoulli(),
+        "digamma": bench_digamma(),
         "quadrature": bench_quadrature(),
         "log_moments": bench_log_moments(),
         "digamma_series_coeff": bench_digamma_coeffs(),

@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
@@ -29,9 +28,9 @@ from .precision import (MAX_DECIMAL_DIGITS, PrecisionContext, bigfloat_str,
                         to_bigfloat)
 from .reference import delta_reference
 from .verify import (FAIL, SKIPPED, HyperGeomParams, IdentityReport,
-                     check_gauss_terminating, digamma_series_scan,
-                     gauss_grid, gen_binomial_grid, int_binomial_grid,
-                     series_partial_trend)
+                     calibrate_bernoulli_convention, check_gauss_terminating,
+                     digamma_series_scan, gauss_grid, gen_binomial_grid,
+                     int_binomial_grid, series_partial_trend)
 
 _METHODS = {"quadrature": "quadrature", "e1": "e_times_E1",
             "cross": "cross_validated"}
@@ -50,22 +49,6 @@ SIGN_NOTES = {
     1: "family 1 empirical target sign: + (ratios approach +delta)",
     2: "family 2 empirical target sign: - (ratios approach -delta)",
 }
-
-
-@dataclass(frozen=True)
-class CommandConfig:
-    command: str
-    digits: int = 30
-    format: str = "text"
-    out_path: str | None = None
-    corollary: int | None = None
-    r: int | None = None
-    m_max: int | None = None
-    u: Fraction | None = None
-    method: str | None = None
-    convention: str | None = None
-    path: str | None = None
-    inject_fault: bool = False
 
 
 def _rational(text: str) -> Fraction:
@@ -174,74 +157,77 @@ def _json(payload) -> str:
 
 # --- command implementations ---------------------------------------------------
 
-def _run_delta(cfg: CommandConfig) -> tuple[str, int]:
-    ctx = PrecisionContext(cfg.digits)
-    value = bigfloat_str(delta_reference(ctx, _METHODS[cfg.method]), cfg.digits)
-    if cfg.format == "json":
-        return _json({"command": "delta", "digits": cfg.digits,
-                      "method": _METHODS[cfg.method], "value": value}), 0
-    if cfg.format == "csv":
+def _run_delta(args: argparse.Namespace) -> tuple[str, int]:
+    ctx = PrecisionContext(args.digits)
+    value = bigfloat_str(delta_reference(ctx, _METHODS[args.method]),
+                         args.digits)
+    if args.format == "json":
+        return _json({"command": "delta", "digits": args.digits,
+                      "method": _METHODS[args.method], "value": value}), 0
+    if args.format == "csv":
         return _csv(["method", "digits", "value"],
-                    [[_METHODS[cfg.method], cfg.digits, value]]), 0
+                    [[_METHODS[args.method], args.digits, value]]), 0
     return f"delta = {value}\n", 0
 
 
-def _run_approx(cfg: CommandConfig) -> tuple[str, int]:
-    ctx = PrecisionContext(cfg.digits)
-    rows = approx_table(cfg.corollary, cfg.r, cfg.m_max, ctx)
+def _run_approx(args: argparse.Namespace) -> tuple[str, int]:
+    ctx = PrecisionContext(args.digits)
+    rows = approx_table(args.corollary, args.r, args.m_max, ctx)
     sign = rows[0].target_sign
 
     def fmt(x):
-        return "undefined" if x is None else bigfloat_str(x, cfg.digits)
+        return "undefined" if x is None else bigfloat_str(x, args.digits)
 
     encoded = [{"m": row.m, "a": str(row.a), "b": str(row.b),
                 "ratio": fmt(row.ratio), "abs_error": fmt(row.abs_error)}
                for row in rows]
-    if cfg.format == "json":
-        return _json({"command": "approx", "corollary": cfg.corollary,
-                      "r": cfg.r, "digits": cfg.digits, "target_sign": sign,
+    if args.format == "json":
+        return _json({"command": "approx", "corollary": args.corollary,
+                      "r": args.r, "digits": args.digits, "target_sign": sign,
                       "rows": encoded}), 0
-    if cfg.format == "csv":
+    if args.format == "csv":
         return _csv(["m", "a", "b", "ratio", "abs_error", "target_sign"],
                     [[e["m"], e["a"], e["b"], e["ratio"], e["abs_error"], sign]
                      for e in encoded]), 0
-    lines = [f"# {SIGN_NOTES[cfg.corollary]}",
+    lines = [f"# {SIGN_NOTES[args.corollary]}",
              "m a b ratio abs_error target_sign"]
     lines += [f"{e['m']} {e['a']} {e['b']} {e['ratio']} {e['abs_error']} {sign}"
               for e in encoded]
     return "\n".join(lines) + "\n", 0
 
 
-def _run_theorem(cfg: CommandConfig) -> tuple[str, int]:
-    ctx = PrecisionContext(cfg.digits)
-    if cfg.m_max < cfg.r:
-        raise DomainError(f"--max-m must be >= --r, got {cfg.m_max} < {cfg.r}")
-    trend = series_partial_trend(cfg.u, cfg.r, cfg.m_max, ctx, path=cfg.path)
+def _run_theorem(args: argparse.Namespace) -> tuple[str, int]:
+    ctx = PrecisionContext(args.digits)
+    if args.m_max < args.r:
+        raise DomainError(
+            f"--max-m must be >= --r, got {args.m_max} < {args.r}")
+    trend = series_partial_trend(args.u, args.r, args.m_max, ctx,
+                                 path=args.path)
     with mp.workprec(ctx.working_bits):
-        target = to_bigfloat(cfg.u, ctx)
-        encoded = [{"m": m, "value": bigfloat_str(s, cfg.digits),
-                    "abs_error": bigfloat_str(abs(s - target), cfg.digits)}
+        target = to_bigfloat(args.u, ctx)
+        encoded = [{"m": m, "value": bigfloat_str(s, args.digits),
+                    "abs_error": bigfloat_str(abs(s - target), args.digits)}
                    for m, s in trend]
-    if cfg.format == "json":
-        return _json({"command": "theorem", "u": str(cfg.u), "r": cfg.r,
-                      "digits": cfg.digits, "path": cfg.path,
+    if args.format == "json":
+        return _json({"command": "theorem", "u": str(args.u), "r": args.r,
+                      "digits": args.digits, "path": args.path,
                       "rows": encoded}), 0
-    if cfg.format == "csv":
+    if args.format == "csv":
         return _csv(["m", "value", "abs_error"],
                     [[e["m"], e["value"], e["abs_error"]] for e in encoded]), 0
-    lines = [f"# partial sums at u = {cfg.u}, r = {cfg.r} (limit: u)",
+    lines = [f"# partial sums at u = {args.u}, r = {args.r} (limit: u)",
              "m value abs_error"]
     lines += [f"{e['m']} {e['value']} {e['abs_error']}" for e in encoded]
     return "\n".join(lines) + "\n", 0
 
 
-def _identity_rows(cfg: CommandConfig):
-    caps = ((cfg.m_max,) * 3 if cfg.m_max is not None else (12, 20, 15))
+def _identity_rows(args: argparse.Namespace):
+    caps = ((args.m_max,) * 3 if args.m_max is not None else (12, 20, 15))
     reports = []
     reports += gen_binomial_grid(m_max=caps[0])
     reports += int_binomial_grid(m_max=caps[1])
     reports += gauss_grid(m_max=caps[2])
-    if cfg.inject_fault:
+    if args.inject_fault:
         # negative control: a deliberately wrong closed form must Fail
         p = HyperGeomParams(Fraction(1), Fraction(-1), Fraction(2), Fraction(1))
         bad = check_gauss_terminating(p, Fraction(3, 2))  # true value is 1/2
@@ -252,8 +238,8 @@ def _identity_rows(cfg: CommandConfig):
     return reports
 
 
-def _run_identities(cfg: CommandConfig) -> tuple[str, int]:
-    reports = _identity_rows(cfg)
+def _run_identities(args: argparse.Namespace) -> tuple[str, int]:
+    reports = _identity_rows(args)
     rows = []
     counts: dict[str, dict[str, int]] = {}
     failures = 0
@@ -272,14 +258,14 @@ def _run_identities(cfg: CommandConfig) -> tuple[str, int]:
         else:
             bucket["pass"] += 1
     code = 1 if failures else 0
-    if cfg.format == "json":
+    if args.format == "json":
         return _json({"command": "identities",
                       "summary": counts,
                       "failures": failures,
                       "rows": [{"identity": r[0], "params": r[1],
                                 "verdict": r[2], "residual": r[3]}
                                for r in rows]}), code
-    if cfg.format == "csv":
+    if args.format == "csv":
         return _csv(["identity", "params", "verdict", "residual"], rows), code
     lines = []
     for name in sorted(counts):
@@ -293,42 +279,39 @@ def _run_identities(cfg: CommandConfig) -> tuple[str, int]:
     return "\n".join(lines) + "\n", code
 
 
-def _run_conjecture(cfg: CommandConfig) -> tuple[str, int]:
-    ctx = PrecisionContext(cfg.digits)
-    conventions = ([_CONVENTIONS[cfg.convention]]
-                   if cfg.convention != "both"
+def _run_conjecture(args: argparse.Namespace) -> tuple[str, int]:
+    ctx = PrecisionContext(args.digits)
+    conventions = ([_CONVENTIONS[args.convention]]
+                   if args.convention != "both"
                    else [B1_MINUS_HALF, B1_PLUS_HALF])
-    points = digamma_series_scan(cfg.u, range(1, cfg.m_max + 1), conventions,
+    points = digamma_series_scan(args.u, range(1, args.m_max + 1), conventions,
                                  ctx)
     encoded = [{"convention": pt.convention, "m": pt.m,
-                "rhs": bigfloat_str(pt.rhs, cfg.digits),
-                "digamma": bigfloat_str(pt.psi, cfg.digits),
-                "residual": bigfloat_str(pt.residual, cfg.digits)}
+                "rhs": bigfloat_str(pt.rhs, args.digits),
+                "digamma": bigfloat_str(pt.psi, args.digits),
+                "residual": bigfloat_str(pt.residual, args.digits)}
                for pt in points]
-    calibrated = None
-    if len(conventions) == 2:
-        finals = {pt.convention: pt.residual for pt in points
-                  if pt.m == cfg.m_max}
-        calibrated = min(finals, key=lambda c: finals[c])
-    if cfg.format == "json":
-        return _json({"command": "conjecture", "u": str(cfg.u),
-                      "digits": cfg.digits, "max_m": cfg.m_max,
+    calibrated = (calibrate_bernoulli_convention(ctx, args.u, args.m_max)
+                  if len(conventions) == 2 else None)
+    if args.format == "json":
+        return _json({"command": "conjecture", "u": str(args.u),
+                      "digits": args.digits, "max_m": args.m_max,
                       "notes": list(CONJECTURE_NOTES),
                       "conventions": conventions,
                       "calibrated_convention": calibrated,
                       "rows": encoded}), 0
-    if cfg.format == "csv":
+    if args.format == "csv":
         return _csv(["convention", "m", "rhs", "digamma", "residual"],
                     [[e["convention"], e["m"], e["rhs"], e["digamma"],
                       e["residual"]] for e in encoded]), 0
     lines = [f"# {note}" for note in CONJECTURE_NOTES]
-    lines.append(f"# u = {cfg.u}")
+    lines.append(f"# u = {args.u}")
     lines.append("convention m rhs digamma residual")
     lines += [f"{e['convention']} {e['m']} {e['rhs']} {e['digamma']} "
               f"{e['residual']}" for e in encoded]
     if calibrated is not None:
         lines.append(f"# calibrated convention (smaller residual at "
-                     f"m={cfg.m_max}): {calibrated}")
+                     f"m={args.m_max}): {calibrated}")
     return "\n".join(lines) + "\n", 0
 
 
@@ -337,10 +320,10 @@ _RUNNERS = {"delta": _run_delta, "approx": _run_approx,
             "conjecture": _run_conjecture}
 
 
-def run(cfg: CommandConfig) -> int:
-    """Execute one command; returns the process exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command; returns the process exit code."""
     try:
-        text, code = _RUNNERS[cfg.command](cfg)
+        text, code = _RUNNERS[args.command](args)
     except (DomainError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -350,7 +333,7 @@ def run(cfg: CommandConfig) -> int:
     except GompertzError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    _write_output(text, cfg.out_path)
+    _write_output(text, args.out_path)
     return code
 
 
@@ -360,18 +343,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = CommandConfig(
-        command=args.command, digits=args.digits, format=args.format,
-        out_path=args.out_path,
-        corollary=getattr(args, "corollary", None),
-        r=getattr(args, "r", None),
-        m_max=getattr(args, "m_max", None),
-        u=getattr(args, "u", None),
-        method=getattr(args, "method", None),
-        convention=getattr(args, "convention", None),
-        path=getattr(args, "path", None),
-        inject_fault=getattr(args, "inject_fault", False))
-    return run(cfg)
+    return run(args)
 
 
 if __name__ == "__main__":

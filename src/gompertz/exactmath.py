@@ -1,6 +1,7 @@
 """Exact integer/rational combinatorics: binomials (integer and generalized),
 factorials, Stirling numbers of both kinds, Bernoulli numbers, alternating
-factorial sums, and elements of the rational span of {1, delta}.
+factorial sums, and elements of the rational span of {1, G(c)}, with
+G(c) = e**c E1(c) and G(1) = delta.
 
 Everything here is exact (Python int / Fraction). Memo tables only ever
 grow, by appending behind a lock, so lookups take no lock and concurrent
@@ -163,31 +164,35 @@ def alt_factorial_sum(k: int) -> int:
 
 @dataclass(frozen=True)
 class DeltaLinear:
-    """Element p + q*delta of the rational span of {1, delta}. The
-    log-moment layer uses the same pairs for p + q*G(c) with
-    G(c) = e**c E1(c), the c being fixed by the caller; G(1) = delta."""
+    """Element p + q*G(c) of the rational span of {1, G(c)}, where
+    G(c) = e**c E1(c) and c > 0 is rational; G(1) = delta, so
+    DeltaLinear(p, q) is p + q*delta. Values in different spans do not
+    add."""
 
     const_part: Fraction
     delta_part: Fraction
+    c: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "const_part", Fraction(self.const_part))
-        object.__setattr__(self, "delta_part", Fraction(self.delta_part))
+        for name in ("const_part", "delta_part", "c"):
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
 
     def __add__(self, other: "DeltaLinear") -> "DeltaLinear":
+        if self.c != other.c:
+            raise ValueError(f"cannot add values in the spans of G({self.c}) "
+                             f"and G({other.c})")
         return DeltaLinear(self.const_part + other.const_part,
-                           self.delta_part + other.delta_part)
+                           self.delta_part + other.delta_part, self.c)
 
     def __sub__(self, other: "DeltaLinear") -> "DeltaLinear":
-        return DeltaLinear(self.const_part - other.const_part,
-                           self.delta_part - other.delta_part)
+        return self + -other
 
     def __neg__(self) -> "DeltaLinear":
-        return DeltaLinear(-self.const_part, -self.delta_part)
+        return self.scaled(-1)
 
     def scaled(self, q: Fraction | int) -> "DeltaLinear":
         q = Fraction(q)
-        return DeltaLinear(q * self.const_part, q * self.delta_part)
+        return DeltaLinear(q * self.const_part, q * self.delta_part, self.c)
 
     def __rmul__(self, q: Fraction | int) -> "DeltaLinear":
         return self.scaled(q)
@@ -195,8 +200,9 @@ class DeltaLinear:
 
 def delta_linear_eval(v: DeltaLinear, delta_value: BigFloat,
                       ctx: PrecisionContext) -> BigFloat:
-    """const_part + delta_part * delta_value, rounded at ctx precision;
-    delta_value may be any G(c) the pair is expressed in."""
+    """const_part + delta_part * delta_value, rounded at ctx precision, for
+    a G(v.c) value delta_value the caller already holds; the one fixed-value
+    primitive under integrals.g_span_eval, which supplies G(v.c) itself."""
     with mp.workprec(ctx.working_bits + 16):
         c = mpf(v.const_part.numerator) / v.const_part.denominator
         d = mpf(v.delta_part.numerator) / v.delta_part.denominator

@@ -7,8 +7,10 @@ rational span of {1, delta}:
 Each family has a closed form and an independent recurrence/cross-check. The
 general log-moment integral(0,inf) x**(k-1) e**-x ln(x*u+1) dx lies, for
 k >= 1, in the rational span of {1, G(c)}, where G(c) = e**c E1(c) and
-c = 1/u; it is served exactly from that span for every rational u with
-1/64 <= u, and by quadrature otherwise (k = 0, smaller u, or on request).
+c = 1/u; the DeltaLinear values carry their c, and g_span_eval is the one
+evaluator of the span. log_moment_sum is the one router of log-moments:
+exact from that span for every rational u with 1/64 <= u, and by quadrature
+otherwise (k = 0, smaller u, or on request); log_moment is its one-term case.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .exactmath import (DeltaLinear, alt_factorial_sum, delta_linear_eval,
                         factorial)
 from .precision import (MAX_DECIMAL_DIGITS, BigFloat, PrecisionContext,
                         to_bigfloat)
-from .reference import Integrand, delta_reference, exp_e1, quad_semi_infinite
+from .reference import Integrand, exp_e1, quad_semi_infinite
 
 LOG_MOMENT_PATHS = ("exact", "quadrature")
 
@@ -87,10 +89,10 @@ def log_integral_closed(n: int) -> DeltaLinear:
 def _span_row(n: int, c: Fraction) -> tuple[DeltaLinear, DeltaLinear]:
     # (I_n, L_n) in the span of {1, G(c)}
     if n == 0:
-        g = DeltaLinear(Fraction(0), Fraction(1))
+        g = DeltaLinear(0, 1, c)
         return g, g
     i_prev, l_prev = _span_row(n - 1, c)
-    i_n = DeltaLinear(Fraction(factorial(n - 1)), Fraction(0)) - c * i_prev
+    i_n = DeltaLinear(factorial(n - 1), 0, c) - c * i_prev
     return i_n, n * l_prev + i_n
 
 
@@ -126,15 +128,15 @@ def _lost_digits(v: DeltaLinear, g: BigFloat, value: BigFloat) -> float:
                      + max(0, -mpmath.log10(g)))
 
 
-def g_span_eval(v: DeltaLinear, c: Fraction, ctx: PrecisionContext) -> BigFloat:
-    """v.const_part + v.delta_part * G(c), rounded to ctx, with the guard
+def g_span_eval(v: DeltaLinear, ctx: PrecisionContext) -> BigFloat:
+    """v.const_part + v.delta_part * G(v.c), rounded to ctx, with the guard
     digits grown to the cancellation. The sum may use a third of
     ctx.guard_digits; when it cancels more, G(c) and the sum are redone with
     the guard grown by whole multiples of ctx.guard_digits covering the
     measured loss, so that one G(c) serves a range of moments."""
     gctx = ctx
     while True:
-        g = exp_e1(c, gctx)
+        g = exp_e1(v.c, gctx)
         value = delta_linear_eval(v, g, gctx)
         lost = _lost_digits(v, g, value)
         spare = gctx.guard_digits - ctx.guard_digits + ctx.guard_digits // 3
@@ -144,61 +146,53 @@ def g_span_eval(v: DeltaLinear, c: Fraction, ctx: PrecisionContext) -> BigFloat:
         gctx = PrecisionContext(ctx.decimal_digits, ctx.guard_digits * blocks)
         if gctx.guard_digits > MAX_DECIMAL_DIGITS:
             raise PrecisionUnreachable(
-                f"A + B G({c}) cancels more than {MAX_DECIMAL_DIGITS} digits")
+                f"A + B G({v.c}) cancels more than "
+                f"{MAX_DECIMAL_DIGITS} digits")
 
 
 def log_moment(k: int, u: Fraction | int, ctx: PrecisionContext,
                path: str = "exact") -> BigFloat:
-    """integral(0,inf) x**(k-1) e**-x ln(x*u+1) dx for k >= 0, u >= 0.
+    """integral(0,inf) x**(k-1) e**-x ln(x*u+1) dx for k >= 0, u >= 0; the
+    one-term log_moment_sum, which picks the route."""
+    return log_moment_sum(((k, 1),), u, ctx, path)
 
-    path "exact" (the default) evaluates A + B G(1/u) from the exact
-    coefficients of log_integral_coeffs(k-1, 1/u) for k >= 1 and
-    u >= EXACT_MIN_U; G(1/u) is cross-checked between quadrature and series
-    once per (u, precision). Path "quadrature" integrates numerically, as do
-    k = 0 (the integrand x**-1 ln(x*u+1) is integrable) and u < EXACT_MIN_U.
-    """
+
+def log_moment_sum(terms, u: Fraction | int, ctx: PrecisionContext,
+                   path: str = "exact") -> BigFloat:
+    """sum of coeff * log_moment(k, u) over the (k, coeff) pairs of terms,
+    k >= 0 and coeff rational, for u >= 0, rounded once.
+
+    On path "exact" (the default) the terms with k >= 1 accumulate exactly
+    in the span of {1, G(1/u)} from log_integral_coeffs(k-1, 1/u) for
+    u >= EXACT_MIN_U, and the sum is one g_span_eval, so the guard digits
+    grow with the cancellation of the whole sum; G(1/u) is cross-checked
+    between quadrature and series once per (u, precision). Path
+    "quadrature" integrates each log-moment numerically, as do k = 0 (the
+    integrand x**-1 ln(x*u+1) is integrable) and u < EXACT_MIN_U."""
     if path not in LOG_MOMENT_PATHS:
         raise ValueError(f"unknown path {path!r}")
-    if k < 0:
+    terms = tuple(terms)
+    if any(k < 0 for k, _ in terms):
         raise DomainError("k must be nonnegative")
     u = Fraction(u)
     if u < 0:
         raise DomainError("u must be nonnegative")
     if u == 0:
         return ctx.round(mpf(0))
-    if k == 0 or u < EXACT_MIN_U or path == "quadrature":
-        return quad_semi_infinite(Integrand(Fraction(k - 1), log_scale=u), ctx)
     c = 1 / u
-    return g_span_eval(log_integral_coeffs(k - 1, c), c, ctx)
-
-
-def log_moment_sum(terms, u: Fraction | int, ctx: PrecisionContext,
-                   path: str = "exact") -> BigFloat:
-    """sum of coeff * log_moment(k, u) over the (k, coeff) pairs of terms,
-    coeff rational, rounded once. On path "exact" with u >= EXACT_MIN_U the
-    k >= 1 terms accumulate exactly in the span of {1, G(1/u)}
-    (log_integral_coeffs) and the sum is one g_span_eval, so the guard
-    digits grow with the cancellation of the whole sum; the k = 0 term,
-    u < EXACT_MIN_U and path "quadrature" take the log-moments by
-    quadrature."""
-    if path not in LOG_MOMENT_PATHS:
-        raise ValueError(f"unknown path {path!r}")
-    u = Fraction(u)
-    if u < 0:
-        raise DomainError("u must be nonnegative")
-    use_exact = path == "exact" and u >= EXACT_MIN_U
-    c = 1 / u if use_exact else None
-    exact_acc = DeltaLinear(Fraction(0), Fraction(0))
+    span = None
     with mp.workprec(ctx.working_bits + 16):
         total = mpf(0)
         for k, coeff in terms:
-            if use_exact and k >= 1:
-                exact_acc = exact_acc + coeff * log_integral_coeffs(k - 1, c)
+            if k == 0 or u < EXACT_MIN_U or path == "quadrature":
+                moment = quad_semi_infinite(
+                    Integrand(Fraction(k - 1), log_scale=u), ctx)
+                total += to_bigfloat(coeff, ctx) * moment
             else:
-                total += (to_bigfloat(coeff, ctx)
-                          * log_moment(k, u, ctx, path="quadrature"))
-        if use_exact:
-            total += g_span_eval(exact_acc, c, ctx)
+                term = coeff * log_integral_coeffs(k - 1, c)
+                span = term if span is None else span + term
+        if span is not None:
+            total += g_span_eval(span, ctx)
     return ctx.round(total)
 
 
@@ -228,7 +222,7 @@ def cross_checked_value(family: str, n: int, ctx: PrecisionContext) -> IntegralV
         numeric = quad_semi_infinite(Integrand(Fraction(n), log_scale=Fraction(1)), ctx)
     else:
         raise ValueError(f"unknown family {family!r}")
-    evaluated = delta_linear_eval(exact, delta_reference(ctx), ctx)
+    evaluated = g_span_eval(exact, ctx)
     if not ctx.agrees(evaluated, numeric):
         raise CrossCheckFailure(
             f"{family} integral n={n}: exact {evaluated} vs quadrature {numeric}")

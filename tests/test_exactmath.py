@@ -225,6 +225,31 @@ class TestDeltaLinear:
         assert -a == DeltaLinear(Fraction(-1, 2), Fraction(-3))
         assert Fraction(2, 5) * a == DeltaLinear(Fraction(1, 5), Fraction(6, 5))
 
+    def test_default_span_is_delta(self):
+        assert DeltaLinear(1, 2).c == 1
+        assert DeltaLinear(1, 2) == DeltaLinear(1, 2, 1)
+
+    def test_mixed_spans_refused(self):
+        a = DeltaLinear(1, 0)
+        b = DeltaLinear(0, 1, Fraction(3, 2))
+        with pytest.raises(ValueError):
+            a + b
+        with pytest.raises(ValueError):
+            a - b
+        with pytest.raises(ValueError):
+            b - a
+
+    def test_span_survives_algebra(self):
+        c = Fraction(3, 2)
+        a = DeltaLinear(Fraction(1, 2), 3, c)
+        b = DeltaLinear(1, Fraction(-1, 3), c)
+        assert a + b == DeltaLinear(Fraction(3, 2), Fraction(8, 3), c)
+        assert a - b == DeltaLinear(Fraction(-1, 2), Fraction(10, 3), c)
+        assert -a == DeltaLinear(Fraction(-1, 2), -3, c)
+        assert a.scaled(2) == DeltaLinear(1, 6, c)
+        assert Fraction(2, 5) * a == DeltaLinear(Fraction(1, 5),
+                                                 Fraction(6, 5), c)
+
     def test_eval_identity_coefficient(self, ctx10):
         d = to_bigfloat(Fraction(5963473623, 10 ** 10), ctx10)
         v = DeltaLinear(Fraction(0), Fraction(1))

@@ -16,7 +16,7 @@ from gompertz import (CrossCheckFailure, DeltaLinear, DomainError, Integrand,
                       reference, shifted_log_moment)
 from gompertz.approximants import DEFAULT_M_MAX_CAP
 from gompertz.exactmath import alt_factorial_sum, factorial
-from gompertz.integrals import EXACT_MIN_U
+from gompertz.integrals import EXACT_MIN_U, g_span_eval, log_moment_sum
 
 
 def D(c, d):
@@ -142,6 +142,29 @@ class TestLogMoment:
             log_moment(1, 1, ctx30, path="fast")
 
 
+class TestLogMomentSum:
+    TERMS = ((0, Fraction(1, 3)), (1, Fraction(-2)), (4, Fraction(5, 7)),
+             (0, Fraction(-1, 5)), (9, Fraction(1, 11)))
+
+    @pytest.mark.parametrize("path", ("exact", "quadrature"))
+    def test_matches_the_sum_of_moments(self, ctx30, path):
+        u = Fraction(2, 3)
+        got = log_moment_sum(self.TERMS, u, ctx30, path)
+        with mp.workprec(ctx30.working_bits + 16):
+            want = sum(mpf(coeff.numerator) / coeff.denominator
+                       * log_moment(k, u, ctx30, path)
+                       for k, coeff in self.TERMS)
+        assert ctx30.agrees(got, want)
+
+    def test_zero_u(self, ctx30):
+        assert log_moment_sum(self.TERMS, 0, ctx30) == 0
+
+    def test_negative_k_refused(self, ctx30):
+        with pytest.raises(DomainError):
+            log_moment_sum(self.TERMS + ((-1, Fraction(1)),),
+                           Fraction(2, 3), ctx30)
+
+
 class TestShiftedLogMoment:
     def test_reduction(self, ctx30):
         for k, u in ((1, Fraction(1, 2)), (2, Fraction(3))):
@@ -204,9 +227,22 @@ class TestExactSpan:
     def test_coeffs_small_values(self):
         c = Fraction(3)
         # L_0 = G, L_1 = L_0 + I_1 = G + 1 - c G, L_2 = 2 L_1 + I_2
-        assert log_integral_coeffs(0, c) == D(0, 1)
-        assert log_integral_coeffs(1, c) == D(1, 1 - c)
-        assert log_integral_coeffs(2, c) == D(2 + 1 - c, 2 * (1 - c) + c * c)
+        assert log_integral_coeffs(0, c) == DeltaLinear(0, 1, c)
+        assert log_integral_coeffs(1, c) == DeltaLinear(1, 1 - c, c)
+        assert log_integral_coeffs(2, c) == DeltaLinear(2 + 1 - c,
+                                                        2 * (1 - c) + c * c, c)
+
+    def test_coeffs_carry_their_c(self):
+        for c in (Fraction(1, 3), Fraction(1), Fraction(7, 2)):
+            for n in (0, 1, 5):
+                assert log_integral_coeffs(n, c).c == c
+        # the exact-route values of different u live in different spans
+        with pytest.raises(ValueError):
+            log_integral_coeffs(2, 2) + log_integral_coeffs(2, 3)
+
+    def test_g_span_eval_takes_c_from_the_value(self, ctx30):
+        for c in (Fraction(1, 3), Fraction(2), Fraction(50)):
+            assert g_span_eval(DeltaLinear(0, 1, c), ctx30) == exp_e1(c, ctx30)
 
     def test_exp_e1_matches_mpmath(self, ctx60):
         for c in (Fraction(1, 3), Fraction(1), Fraction(7, 2), Fraction(50)):
