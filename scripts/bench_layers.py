@@ -18,6 +18,11 @@ is worth keeping only while it is the faster one.
 - Digamma-series coefficients: every `digamma_series_coeff(k, m)` that
   `conjecture --max-m 20` uses, in both conventions, against the triple sum
   that recomputes the inner Bernoulli-Stirling sum for every (t, w).
+- Exact layer: the family-2 r = 1 pairs for m <= 100 from the integer
+  recurrences of `corollary2_pair` against the `Fraction` triple sum they
+  replaced, the same pairs to m <= 200 (the `--max-m` cap), and each
+  identity grid (`gauss_grid`, `gen_binomial_grid`, `int_binomial_grid`)
+  at m <= 25 and m <= 40.
 
 Every case is cold (caches emptied first), as in a fresh CLI process, and is
 timed RUNS times; the median and the extremes are reported.
@@ -37,9 +42,9 @@ import mpmath
 import mpmath.libmp.gammazeta as mp_gammazeta
 
 from gompertz import Integrand, PrecisionContext, bigfloat_str, exactmath
-from gompertz import integrals, reference, verify
-from gompertz.exactmath import (BERNOULLI_CONVENTIONS, bernoulli,
-                                stirling1_unsigned, stirling2)
+from gompertz import approximants, integrals, reference, verify
+from gompertz.exactmath import (BERNOULLI_CONVENTIONS, bernoulli, binom_int,
+                                factorial, stirling1_unsigned, stirling2)
 
 RUNS = 5
 BERNOULLI_MAX = (794, 1600)
@@ -51,6 +56,10 @@ LOG_MOMENT_K = 20
 LOG_MOMENT_DIGITS = 30
 #: `conjecture --max-m M` uses the coefficients (k, m + 1) for k <= m <= M
 CONJECTURE_MAX_M = 20
+FAMILY2_R = 1
+#: the triple sum is timed at the first size only
+FAMILY2_MAX_M = (100, approximants.DEFAULT_M_MAX_CAP)
+GRID_MAX_M = (25, 40)
 
 
 def timed(setup, work) -> dict:
@@ -185,6 +194,58 @@ def bench_digamma_coeffs() -> list:
              "triple_sum_over_horner": ratio(triple, horner)}]
 
 
+def triple_sum_pair_2(m: int, r: int) -> tuple[int, int]:
+    """The family-2 pair as `corollary2_pair` computed it before the integer
+    recurrences: m!-scaled Fraction double/triple sums, checked to reduce to
+    integers."""
+    a = Fraction(0)
+    b = Fraction(0)
+    for k in range(r, m + 1):
+        base = Fraction(binom_int(m, k) * binom_int(k, r), k)
+        jfact = 1
+        for j in range(k):
+            sign_kj = -1 if (k + j) % 2 else 1
+            b += base * Fraction(sign_kj, jfact)
+            inner = 0
+            ifact = 1
+            for i in range(j):
+                # (-1)**(k+j+i+1) * i!
+                inner += -sign_kj * ifact if i % 2 == 0 else sign_kj * ifact
+                ifact *= i + 1
+            a += base * Fraction(inner, jfact)
+            jfact *= j + 1
+    fm = factorial(m)
+    a *= fm
+    b *= fm
+    assert a.denominator == 1 and b.denominator == 1
+    return int(a), int(b)
+
+
+def bench_exact_layer() -> list:
+    # no cache sits on these paths, so every run is cold
+    rows = []
+    for m_max in FAMILY2_MAX_M:
+        ms = range(FAMILY2_R, m_max + 1)
+        row = {"case": f"family 2 r={FAMILY2_R} pairs m<={m_max}",
+               "integer_recurrences": timed(lambda: None, lambda: [
+                   approximants.corollary2_pair(m, FAMILY2_R) for m in ms])}
+        if m_max == FAMILY2_MAX_M[0]:
+            row["fraction_triple_sum"] = timed(lambda: None, lambda: [
+                triple_sum_pair_2(m, FAMILY2_R) for m in ms])
+            row["triple_sum_over_recurrences"] = ratio(
+                row["fraction_triple_sum"], row["integer_recurrences"])
+            row["pairs_equal"] = all(
+                approximants.corollary2_pair(m, FAMILY2_R)
+                == triple_sum_pair_2(m, FAMILY2_R) for m in ms)
+        rows.append(row)
+    for grid in (verify.gauss_grid, verify.gen_binomial_grid,
+                 verify.int_binomial_grid):
+        for m_max in GRID_MAX_M:
+            rows.append({"case": f"{grid.__name__}(m_max={m_max})",
+                         "grid": timed(lambda: None, lambda: grid(m_max))})
+    return rows
+
+
 def cpu_model() -> str:
     try:
         with open("/proc/cpuinfo") as f:
@@ -212,6 +273,7 @@ def main() -> None:
         "quadrature": bench_quadrature(),
         "log_moments": bench_log_moments(),
         "digamma_series_coeff": bench_digamma_coeffs(),
+        "exact_layer": bench_exact_layer(),
     }
     text = json.dumps(result, indent=2)
     print(text)

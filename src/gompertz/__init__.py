@@ -5,9 +5,8 @@ from .approximants import (ApproximantRow, DecayReport, approx_table,
                            corollary1_pair, corollary2_pair,
                            error_decay_report)
 from .errors import (CrossCheckFailure, DegenerateCase, DegenerateDenominator,
-                     DomainError, GompertzError, IntegralityViolation,
-                     NonIntegrable, PoleError, PrecisionUnreachable,
-                     ZeroDenominator)
+                     DomainError, GompertzError, NonIntegrable, PoleError,
+                     PrecisionUnreachable, ZeroDenominator)
 from .exactmath import (B1_MINUS_HALF, B1_PLUS_HALF, BigRat, DeltaLinear,
                         alt_factorial_sum, bernoulli, binom_gen, binom_int,
                         delta_linear_eval, factorial, stirling1_unsigned,

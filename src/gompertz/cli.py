@@ -21,8 +21,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from .approximants import approx_table
-from .errors import (CrossCheckFailure, DomainError, GompertzError,
-                     IntegralityViolation)
+from .errors import CrossCheckFailure, DomainError, GompertzError
 from .exactmath import B1_MINUS_HALF, B1_PLUS_HALF
 from .precision import (MAX_DECIMAL_DIGITS, PrecisionContext, bigfloat_str,
                         to_bigfloat)
@@ -327,7 +326,7 @@ def run(args: argparse.Namespace) -> int:
     except (DomainError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (CrossCheckFailure, IntegralityViolation) as exc:
+    except CrossCheckFailure as exc:
         sys.stderr.write(f"verification failure: {exc}\n")
         return 1
     except GompertzError as exc:

@@ -27,11 +27,6 @@ class PoleError(GompertzError):
     """Gamma evaluated at a nonpositive integer."""
 
 
-class IntegralityViolation(GompertzError):
-    """A sum contracted to be an integer reduced to a non-unit
-    denominator; signals a transcription bug."""
-
-
 class ZeroDenominator(GompertzError):
     """A rising factorial in a hypergeometric denominator vanished
     before the series terminated."""

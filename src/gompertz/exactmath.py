@@ -40,14 +40,16 @@ def binom_int(n: int, k: int) -> int:
 
 
 def binom_gen(x: Fraction | int, k: int) -> Fraction:
-    """Generalized binomial x(x-1)...(x-k+1)/k! at rational x, k >= 0."""
+    """Generalized binomial x(x-1)...(x-k+1)/k! at rational x = p/q, k >= 0:
+    the integer product of (p - t*q) over q**k k!."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     x = Fraction(x)
-    num = Fraction(1)
+    p, q = x.numerator, x.denominator
+    num = 1
     for t in range(k):
-        num *= x - t
-    return num / math.factorial(k)
+        num *= p - t * q
+    return Fraction(num, q ** k * math.factorial(k))
 
 
 def factorial(n: int) -> int:

@@ -62,30 +62,33 @@ class IdentityReport:
         return self.verdict in (EXACT_PASS, NUMERIC_PASS)
 
 
+def _sum_by_ratios(first: Fraction, steps) -> Fraction:
+    """t_0 + t_1 + ... with t_{k+1} = t_k * num_k / den_k for the integer
+    pairs (num_k, den_k) in steps; the terms share one running denominator,
+    so the sum is reduced once, at the end."""
+    num, den = first.numerator, first.denominator
+    total = num
+    for step_num, step_den in steps:
+        num *= step_num
+        den *= step_den
+        total = total * step_den + num
+    return Fraction(total, den)
+
+
 def hypergeom_terminating(p: HyperGeomParams) -> Fraction:
-    """Exact finite 2F1 sum for nonpositive-integer b: exactly 1-b terms."""
+    """Exact finite 2F1 sum for nonpositive-integer b: exactly 1-b terms,
+    each from the last by t_{k+1}/t_k = (a+k)(b+k) x/((c+k)(k+1))."""
     if p.b > 0 or p.b.denominator != 1:
         raise DomainError(f"b must be a nonpositive integer, got {p.b}")
     n = -int(p.b)
-    total = Fraction(0)
-    rising_a = Fraction(1)
-    rising_b = Fraction(1)
-    rising_c = Fraction(1)
-    xpow = Fraction(1)
-    kfact = 1
-    for k in range(n + 1):
-        if k > 0:
-            rising_a *= p.a + k - 1
-            rising_b *= p.b + k - 1
-            cf = p.c + k - 1
-            if cf == 0:
-                raise ZeroDenominator(
-                    f"(c)_{k} vanished before termination (c={p.c}, b={p.b})")
-            rising_c *= cf
-            xpow *= p.x
-            kfact *= k
-        total += xpow * rising_a * rising_b / (rising_c * kfact)
-    return total
+    if p.c.denominator == 1 and -n < p.c <= 0:  # c + k = 0 for a k < n
+        raise ZeroDenominator(f"(c)_{1 - int(p.c)} vanished before "
+                              f"termination (c={p.c}, b={p.b})")
+    (an, ad), (cn, cd), (xn, xd) = (v.as_integer_ratio()
+                                    for v in (p.a, p.c, p.x))
+    return _sum_by_ratios(Fraction(1), (
+        ((an + k * ad) * (k - n) * xn * cd, ad * xd * (cn + k * cd) * (k + 1))
+        for k in range(n)))
 
 
 def check_gauss_terminating(p: HyperGeomParams,
@@ -109,24 +112,23 @@ def check_gen_binomial_sum(m: int, i: int, r: int,
 
       sum_{j=i}^{m} C(m,j) C(eps+j-r, j)**-1 C(eps+j-1, j-i) (-1)**j
         = C(m-i-r, m-i) C(m+eps-r, m)**-1 (-1)**i
-    """
+
+    The left side is summed from its j = i term by the summand's own ratio,
+    taken from the definition, not from the right side."""
     eps = Fraction(eps)
     if eps.denominator == 1:
         raise DomainError("eps must be a non-integer rational")
     if not (0 <= i <= m) or r < 0:
         raise DomainError(f"need 0 <= i <= m and r >= 0, got m={m} i={i} r={r}")
-    lhs = Fraction(0)
-    for j in range(i, m + 1):
-        inv = binom_gen(eps + j - r, j)
-        if inv == 0:
-            raise DegenerateDenominator(
-                f"C({eps}+{j}-{r}, {j}) = 0 cannot be inverted")
-        term = Fraction(binom_int(m, j)) / inv * binom_gen(eps + j - 1, j - i)
-        lhs += -term if j % 2 else term
-    outer = binom_gen(m + eps - r, m)
-    if outer == 0:
-        raise DegenerateDenominator(f"C({m}+{eps}-{r}, {m}) = 0 cannot be inverted")
-    rhs = binom_gen(Fraction(m - i - r), m - i) / outer
+    # eps = p/q is not an integer, so no factor eps + n of an inverted
+    # binomial vanishes. t_{j+1}/t_j = -(m-j)(eps+j) / ((eps+j+1-r)(j+1-i))
+    p, q = eps.numerator, eps.denominator
+    first = Fraction(binom_int(m, i)) / binom_gen(eps + i - r, i)
+    lhs = _sum_by_ratios(-first if i % 2 else first,
+                         ((-(m - j) * (p + j * q),
+                           (p + (j + 1 - r) * q) * (j + 1 - i))
+                          for j in range(i, m)))
+    rhs = binom_gen(Fraction(m - i - r), m - i) / binom_gen(m + eps - r, m)
     if i % 2:
         rhs = -rhs
     params = {"m": str(m), "i": str(i), "r": str(r), "eps": str(eps)}

@@ -45,7 +45,7 @@ class TestPairs:
 
     def test_family1_oracle_grid(self):
         for r in range(4):
-            for m in range(r, 16):
+            for m in (*range(r, 16), 60):
                 assert corollary1_pair(m, r) == oracle_pair_1(m, r)
 
     def test_family2_frozen(self):
@@ -63,11 +63,14 @@ class TestPairs:
         assert corollary2_pair(1, 1)[0] == 0
 
     def test_family2_integrality_full_sweep(self):
-        # every reduced denominator must be 1 for r <= 4, m <= 60; the
-        # constructor raises IntegralityViolation otherwise
+        # the integer recurrences against the triple sum (which checks that
+        # its own result reduced to integers) for r <= 4, every m <= 40
+        # and m = 50, 60
         for r in range(1, 5):
-            for m in range(r, 61):
-                corollary2_pair(m, r)
+            for m in (*range(r, 41), 50, 60):
+                a, b = corollary2_pair(m, r)
+                assert type(a) is int and type(b) is int
+                assert (a, b) == oracle_pair_2(m, r)
 
     def test_error_decay_secondary_r_values(self, ctx30):
         for corollary, r in ((1, 1), (2, 2)):

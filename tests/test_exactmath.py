@@ -109,6 +109,14 @@ class TestBinomGen:
             for k in range(25):
                 assert binom_gen(x, k) == binom_int(x, k)
 
+    @given(st.fractions(min_value=-60, max_value=60, max_denominator=50),
+           st.integers(0, 30))
+    def test_matches_fraction_product(self, x, k):
+        product = Fraction(1)
+        for t in range(k):
+            product *= x - t
+        assert binom_gen(x, k) == product / math.factorial(k)
+
 
 class TestFactorial:
     def test_values(self):

@@ -19,7 +19,8 @@ from gompertz import (B1_MINUS_HALF, B1_PLUS_HALF, DegenerateCase,
                       norm_log_moment, norm_log_moment_deriv,
                       series_partial_sum, series_partial_trend)
 from gompertz.exactmath import bernoulli, stirling1_unsigned, stirling2
-from gompertz.verify import EXACT_PASS, FAIL, NUMERIC_PASS, SKIPPED
+from gompertz.verify import (EPS_WINDOW_SAMPLES, EXACT_PASS, FAIL,
+                             NUMERIC_PASS, SKIPPED)
 
 
 def H(a, b, c, x=1):
@@ -48,6 +49,12 @@ class TestHypergeomTerminating:
     def test_zero_denominator(self):
         with pytest.raises(ZeroDenominator):
             hypergeom_terminating(H(1, -3, -1))
+
+    def test_zero_denominator_boundary(self):
+        # (c)_k with c = -2 vanishes from k = 3 on: b = -2 stops at k = 2
+        assert hypergeom_terminating(H(1, -2, -2, 1)) == 3
+        with pytest.raises(ZeroDenominator, match=r"\(c\)_3"):
+            hypergeom_terminating(H(1, -3, -2, 1))
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -97,6 +104,22 @@ class TestGenBinomialSum:
     def test_integer_eps_rejected(self):
         with pytest.raises(DomainError):
             check_gen_binomial_sum(2, 0, 0, Fraction(-1))
+
+    def test_lhs_matches_definition(self):
+        def gen(x, k):
+            out = Fraction(1)
+            for t in range(k):
+                out *= Fraction(x - t, t + 1)
+            return out
+
+        for eps in EPS_WINDOW_SAMPLES:
+            for m in range(13):
+                for i in range(m + 1):
+                    for r in range(4):
+                        lhs = sum(comb(m, j) / gen(eps + j - r, j)
+                                  * gen(eps + j - 1, j - i) * (-1) ** j
+                                  for j in range(i, m + 1))
+                        assert check_gen_binomial_sum(m, i, r, eps).lhs == lhs
 
 
 class TestIntBinomialSum:
