@@ -9,16 +9,15 @@ from .errors import (CrossCheckFailure, DegenerateCase, DegenerateDenominator,
                      PrecisionUnreachable, ZeroDenominator)
 from .exactmath import (B1_MINUS_HALF, B1_PLUS_HALF, BigRat, DeltaLinear,
                         alt_factorial_sum, bernoulli, binom_gen, binom_int,
-                        delta_linear_eval, factorial, stirling1_unsigned,
-                        stirling2)
-from .integrals import (IntegralValue, cross_checked_value,
+                        factorial, stirling1_unsigned, stirling2)
+from .integrals import (cross_checked_value, delta_linear_eval,
                         frac_integral_closed, frac_integral_recurrence,
                         g_span_eval, log_integral_closed, log_integral_coeffs,
                         log_moment, shifted_log_moment)
 from .precision import (BigFloat, MAX_DECIMAL_DIGITS, PrecisionContext,
                         bigfloat_str, to_bigfloat)
-from .reference import (Integrand, QuadratureSpec, delta_reference, digamma,
-                        euler_gamma, exp_e1, gamma_real, plan_quadrature,
+from .reference import (Integrand, delta_reference, digamma, euler_gamma,
+                        exp_e1, gamma_real, plan_quadrature,
                         quad_semi_infinite)
 from .verify import (DigammaSeriesPoint, HyperGeomParams, IdentityReport,
                      calibrate_bernoulli_convention, check_gauss_terminating,

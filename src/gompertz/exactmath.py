@@ -15,10 +15,6 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, mpf
-
-from .precision import BigFloat, PrecisionContext
-
 BigRat = Fraction
 
 #: Bernoulli-number sign conventions for the index-1 value.
@@ -198,15 +194,3 @@ class DeltaLinear:
 
     def __rmul__(self, q: Fraction | int) -> "DeltaLinear":
         return self.scaled(q)
-
-
-def delta_linear_eval(v: DeltaLinear, delta_value: BigFloat,
-                      ctx: PrecisionContext) -> BigFloat:
-    """const_part + delta_part * delta_value, rounded at ctx precision, for
-    a G(v.c) value delta_value the caller already holds; the one fixed-value
-    primitive under integrals.g_span_eval, which supplies G(v.c) itself."""
-    with mp.workprec(ctx.working_bits + 16):
-        c = mpf(v.const_part.numerator) / v.const_part.denominator
-        d = mpf(v.delta_part.numerator) / v.delta_part.denominator
-        out = c + d * mpf(delta_value)
-    return ctx.round(out)

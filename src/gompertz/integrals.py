@@ -8,15 +8,15 @@ Each family has a closed form and an independent recurrence/cross-check. The
 general log-moment integral(0,inf) x**(k-1) e**-x ln(x*u+1) dx lies, for
 k >= 1, in the rational span of {1, G(c)}, where G(c) = e**c E1(c) and
 c = 1/u; the DeltaLinear values carry their c, and g_span_eval is the one
-evaluator of the span. log_moment_sum is the one router of log-moments:
-exact from that span for every rational u with 1/64 <= u, and by quadrature
-otherwise (k = 0, smaller u, or on request); log_moment is its one-term case.
+evaluator of the span, over the fixed-value primitive delta_linear_eval.
+log_moment_sum is the one router of log-moments: exact from that span for
+every rational u with 1/64 <= u, and by quadrature otherwise (k = 0, smaller
+u, or on request); log_moment is its one-term case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,8 +24,7 @@ import mpmath
 from mpmath import mp, mpf
 
 from .errors import CrossCheckFailure, DomainError, PrecisionUnreachable
-from .exactmath import (DeltaLinear, alt_factorial_sum, delta_linear_eval,
-                        factorial)
+from .exactmath import DeltaLinear, alt_factorial_sum, factorial
 from .precision import (MAX_DECIMAL_DIGITS, BigFloat, PrecisionContext,
                         to_bigfloat)
 from .reference import Integrand, exp_e1, quad_semi_infinite
@@ -37,16 +36,6 @@ LOG_MOMENT_PATHS = ("exact", "quadrature")
 #: below cancels more than a digit per moment, while quadrature stays
 #: well conditioned.
 EXACT_MIN_U = Fraction(1, 64)
-
-
-@dataclass(frozen=True)
-class IntegralValue:
-    """One integral with its provenance; exact values live in Q[delta]."""
-
-    kind: str                      # "exact" | "numeric"
-    provenance: str                # "closed_form" | "recurrence" | "quadrature"
-    exact: DeltaLinear | None = None
-    numeric: BigFloat | None = None
 
 
 def frac_integral_closed(n: int) -> DeltaLinear:
@@ -128,6 +117,18 @@ def _lost_digits(v: DeltaLinear, g: BigFloat, value: BigFloat) -> float:
                      + max(0, -mpmath.log10(g)))
 
 
+def delta_linear_eval(v: DeltaLinear, delta_value: BigFloat,
+                      ctx: PrecisionContext) -> BigFloat:
+    """const_part + delta_part * delta_value, rounded at ctx precision, for
+    a G(v.c) value delta_value the caller already holds; the one fixed-value
+    primitive under g_span_eval, which supplies G(v.c) itself."""
+    with mp.workprec(ctx.inner_bits):
+        c = mpf(v.const_part.numerator) / v.const_part.denominator
+        d = mpf(v.delta_part.numerator) / v.delta_part.denominator
+        out = c + d * mpf(delta_value)
+    return ctx.round(out)
+
+
 def g_span_eval(v: DeltaLinear, ctx: PrecisionContext) -> BigFloat:
     """v.const_part + v.delta_part * G(v.c), rounded to ctx, with the guard
     digits grown to the cancellation. The sum may use a third of
@@ -181,7 +182,7 @@ def log_moment_sum(terms, u: Fraction | int, ctx: PrecisionContext,
         return ctx.round(mpf(0))
     c = 1 / u
     span = None
-    with mp.workprec(ctx.working_bits + 16):
+    with mp.workprec(ctx.inner_bits):
         total = mpf(0)
         for k, coeff in terms:
             if k == 0 or u < EXACT_MIN_U or path == "quadrature":
@@ -206,10 +207,11 @@ def shifted_log_moment(k: int, u: Fraction | int, ctx: PrecisionContext,
     return log_moment(k, 1 / u, ctx, path=path)
 
 
-def cross_checked_value(family: str, n: int, ctx: PrecisionContext) -> IntegralValue:
-    """Exact value of one family member with both exact routes compared
-    bit-for-bit (frac family) and the numeric route checked against
-    quadrature (both families)."""
+def cross_checked_value(family: str, n: int,
+                        ctx: PrecisionContext) -> DeltaLinear:
+    """Exact value of one family member, in the span of {1, delta}, with
+    both exact routes compared bit-for-bit (frac family) and the numeric
+    route checked against quadrature (both families)."""
     if family == "frac":
         exact = frac_integral_closed(n)
         other = frac_integral_recurrence(n)
@@ -226,4 +228,4 @@ def cross_checked_value(family: str, n: int, ctx: PrecisionContext) -> IntegralV
     if not ctx.agrees(evaluated, numeric):
         raise CrossCheckFailure(
             f"{family} integral n={n}: exact {evaluated} vs quadrature {numeric}")
-    return IntegralValue(kind="exact", provenance="closed_form", exact=exact)
+    return exact

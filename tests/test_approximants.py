@@ -8,6 +8,7 @@ from conftest import absdiff
 from gompertz import (DomainError, approx_table, corollary1_pair,
                       corollary2_pair, delta_reference,
                       error_decay_report)
+from gompertz.approximants import DEFAULT_M_MAX_CAP
 
 
 def oracle_pair_1(m, r):
@@ -47,6 +48,19 @@ class TestPairs:
         for r in range(4):
             for m in (*range(r, 16), 60):
                 assert corollary1_pair(m, r) == oracle_pair_1(m, r)
+
+    def test_family1_is_laguerre_continued_fraction(self):
+        # corollary1_pair(m, 0) is the m-th convergent p_m / q_m of
+        # delta = G(1) = 1/(2 - 1**2/(4 - 2**2/(6 - ...))), exactly:
+        # x_m = 2m x_{m-1} - (m-1)**2 x_{m-2} from p_0, p_1 = 0, 1 and
+        # q_0, q_1 = 1, 2 (the first partial numerator is 1)
+        p, q = (0, 1), (1, 2)
+        assert corollary1_pair(0, 0) == (p[0], q[0])
+        assert corollary1_pair(1, 0) == (p[1], q[1])
+        for m in range(2, DEFAULT_M_MAX_CAP + 1):
+            p = (p[1], 2 * m * p[1] - (m - 1) ** 2 * p[0])
+            q = (q[1], 2 * m * q[1] - (m - 1) ** 2 * q[0])
+            assert corollary1_pair(m, 0) == (p[1], q[1])
 
     def test_family2_frozen(self):
         assert corollary2_pair(1, 1) == (0, -1)

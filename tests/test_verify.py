@@ -20,7 +20,7 @@ from gompertz import (B1_MINUS_HALF, B1_PLUS_HALF, DegenerateCase,
                       series_partial_sum, series_partial_trend)
 from gompertz.exactmath import bernoulli, stirling1_unsigned, stirling2
 from gompertz.verify import (EPS_WINDOW_SAMPLES, EXACT_PASS, FAIL,
-                             NUMERIC_PASS, SKIPPED)
+                             NUMERIC_PASS, SKIPPED, _bernoulli_stirling_sum)
 
 
 def H(a, b, c, x=1):
@@ -322,6 +322,18 @@ class TestDigammaSeries:
                 for m in range(1, 7):
                     assert digamma_series_coeff(k, m, conv) == \
                         oracle_series_coeff(k, m, conv)
+
+    def test_bernoulli_stirling_closed_form(self):
+        # the closed form of h(w) against its defining sum
+        # sum_{j=1}^{w} (-1)**j B_j S1u(w, j)
+        for conv in (B1_MINUS_HALF, B1_PLUS_HALF):
+            for w in range(1, 61):
+                direct = sum((-1) ** j * bernoulli(j, conv)
+                             * stirling1_unsigned(w, j)
+                             for j in range(1, w + 1))
+                assert _bernoulli_stirling_sum(w, conv) == direct
+        with pytest.raises(ValueError):
+            _bernoulli_stirling_sum(3, "B1_zero")
 
     def test_coeff_horner_matches_triple_sum(self):
         for conv in (B1_MINUS_HALF, B1_PLUS_HALF):
