@@ -11,7 +11,9 @@ is worth keeping only while it is the faster one.
   digits for u in {1, 2/3}, with both Bernoulli caches emptied; records
   whether the printed digits are equal.
 - Quadrature: `quad_semi_infinite` for delta = integral ln(x+1) e**-x dx
-  at 100, 150 and 300 digits, the quadrature side of `delta`.
+  at 30, 100, 150, 300 and 1000 digits, the quadrature side of `delta`,
+  with the integrand evaluations the rule made (a counting wrapper around
+  its pointwise evaluator, in a separate untimed run).
 - Log-moments: `log_moment(k, u)` for k = 1..20 at 30 digits, u in
   {2, 2/3, 3/2} (the `series` workload's u), on the exact route (one
   cross-checked G(1/u)) and on the quadrature route (one quadrature each).
@@ -50,7 +52,7 @@ RUNS = 5
 BERNOULLI_MAX = (794, 1600)
 DIGAMMA_DIGITS = (30, 300, 1000)
 DIGAMMA_U = (Fraction(1), Fraction(2, 3))
-QUADRATURE_DIGITS = (100, 150, 300)
+QUADRATURE_DIGITS = (30, 100, 150, 300, 1000)
 LOG_MOMENT_U = (Fraction(2), Fraction(2, 3), Fraction(3, 2))
 LOG_MOMENT_K = 20
 LOG_MOMENT_DIGITS = 30
@@ -128,6 +130,23 @@ def bench_digamma() -> list:
     return rows
 
 
+def count_evaluations(integrand: Integrand, ctx: PrecisionContext) -> int:
+    """Integrand evaluations of one `quad_semi_infinite(integrand, ctx)`:
+    the rule run as it runs there, on a counting wrapper around its own
+    pointwise evaluator."""
+    f = reference._make_eval(integrand)
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return f(x)
+
+    with mpmath.mp.workprec(ctx.inner_bits):
+        reference._double_exponential(counted, ctx.internal_tolerance())
+    return calls
+
+
 def bench_quadrature() -> list:
     delta_integrand = Integrand(Fraction(0), log_scale=Fraction(1))
     rows = []
@@ -137,7 +156,8 @@ def bench_quadrature() -> list:
                      "double_exponential": timed(
                          reference.quad_semi_infinite.cache_clear,
                          lambda: reference.quad_semi_infinite(
-                             delta_integrand, ctx))})
+                             delta_integrand, ctx)),
+                     "evaluations": count_evaluations(delta_integrand, ctx)})
     return rows
 
 

@@ -28,6 +28,12 @@ from .precision import BigFloat, PrecisionContext, log1p, to_bigfloat
 
 _DE_MAX_LEVEL = 12
 _DE_T_CAP = 16.0
+#: the early stop needs log10 d_n < _DE_QUADRATIC_RATIO * log10 d_(n-1) < 0
+_DE_QUADRATIC_RATIO = 1.5
+#: digits by which the predicted error must undercut the tolerance
+_DE_STOP_MARGIN_DIGITS = 10
+#: nodes between direct exp evaluations of the e**-t progression
+_DE_REFRESH_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -91,35 +97,64 @@ def _make_eval(integrand: Integrand):
     return f
 
 
+def _log10(v: BigFloat) -> float:
+    with mp.workprec(53):
+        return float(mpmath.log10(v))
+
+
 def _double_exponential(f, tol: BigFloat) -> BigFloat:
     """integral(0, inf) of f via the double-exponential transform
     x = exp(t - e**-t) (Takahasi and Mori 1974, Mori 1985): as t -> -inf, x
     falls double exponentially to 0, which absorbs an algebraic endpoint
     singularity; as t -> +inf, x grows like e**t, so an exp(-x)-damped
     integrand decays double exponentially. The trapezoidal sum in t halves
-    its step per level, for at most _DE_MAX_LEVEL levels."""
+    its step per level, for at most _DE_MAX_LEVEL levels.
 
-    def node(t):
-        e = mpmath.exp(-t)
+    Level n stops the rule when its difference d_n = |I_n - I_(n-1)| is
+    below tol * max(1, |I_n|), or earlier, on the error predicted from the
+    last two differences (Bailey, Jeyabalan and Li, Experimental Math. 14,
+    2005): once the levels converge quadratically, log10 d_n < 1.5 *
+    log10 d_(n-1) < 0, the next difference is about 10**(l_n * r) with
+    l_n = log10 d_n and r = min(2, l_n / l_(n-1)), and I_n is returned when
+    that is _DE_STOP_MARGIN_DIGITS digits below the tolerance. The ratio is
+    capped at 2, the quadratic order: the uncapped form D1**2 / D2 (D2 the
+    log10 of |I_n - I_(n-2)|) predicts 1e-125 at level 3 for
+    x**7 ln(x/100 + 1) e**-x at 30 digits, whose true error there is 1e-24.
+
+    Along a level, e**-t is a geometric progression in e**-(step h), and
+    the node at -t takes e**t = 1 / e**-t, so a node pair costs two exp
+    calls; the progression restarts from a direct exp every
+    _DE_REFRESH_STEPS nodes to bound its accumulated rounding."""
+
+    def node(t, e):
+        # x = exp(t - e) and dx/dt = x (1 + e), with e = e**-t
         x = mpmath.exp(t - e)
         return x, x * (1 + e)
 
     results: list[BigFloat] = []
+    l_prev = None  # log10 of the previous level difference
     running = mpf(0)
     h = mpf(1)
     for level in range(_DE_MAX_LEVEL + 1):
         new = mpf(0)
         k = 0 if level == 0 else 1
         step = 1 if level == 0 else 2  # reuse all coarser-level nodes
+        ratio = mpmath.exp(-step * h)
         scale = max(mpf(1), abs(results[-1])) if results else mpf(1)
         cutoff = tol * scale / 100
         small_run = 0
+        count = 0
         while True:
             t = k * h
-            x, w = node(t)
+            if count % _DE_REFRESH_STEPS == 0:
+                e = mpmath.exp(-t)
+            else:
+                e *= ratio
+            count += 1
+            x, w = node(t, e)
             contrib = w * f(x)
             if k > 0:
-                xm, wm = node(-t)
+                xm, wm = node(-t, 1 / e)
                 contrib += wm * f(xm)
             new += contrib
             if float(t) > 3 and abs(contrib) < cutoff:
@@ -133,9 +168,20 @@ def _double_exponential(f, tol: BigFloat) -> BigFloat:
                 raise PrecisionUnreachable(
                     "double-exponential window exhausted before terms decayed")
         running += new
-        results.append(running * h)
-        if level > 0 and abs(results[-1] - results[-2]) < tol * max(mpf(1), abs(results[-1])):
-            return results[-1]
+        value = running * h
+        results.append(value)
+        if level > 0:
+            diff = abs(value - results[-2])
+            bound = tol * max(mpf(1), abs(value))
+            if diff < bound:
+                return value
+            l_now = _log10(diff)
+            if (l_prev is not None
+                    and l_now < _DE_QUADRATIC_RATIO * l_prev < 0
+                    and l_now * min(2.0, l_now / l_prev)
+                    < _log10(bound) - _DE_STOP_MARGIN_DIGITS):
+                return value
+            l_prev = l_now
         h = h / 2
     raise PrecisionUnreachable(
         f"double-exponential rule did not converge within {_DE_MAX_LEVEL} "
@@ -147,7 +193,10 @@ def quad_semi_infinite(integrand: Integrand, ctx: PrecisionContext) -> BigFloat:
     """integral(0, inf) of the described integrand by one double-exponential
     rule, aiming at an error below 10**-(decimal_digits + guard_digits)
     relative to max(1, |value|): the rule halves its step until the sum
-    changes by less than that. The guard digits leave room for the
+    changes by less than that, or until the error predicted from its last
+    two changes, once they shrink quadratically, is ten digits below it
+    (Bailey, Jeyabalan and Li 2005, with the convergence order capped at
+    2; see _double_exponential). The guard digits leave room for the
     cross-check tolerance of PrecisionContext.agrees. Results are cached by
     (integrand, ctx)."""
     if integrand.log_scale == 0:

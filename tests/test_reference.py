@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath
@@ -8,8 +9,9 @@ from conftest import DELTA_60, absdiff
 from gompertz import (CrossCheckFailure, DomainError, Integrand,
                       NonIntegrable, PoleError, PrecisionContext,
                       PrecisionUnreachable, bigfloat_str, delta_reference,
-                      digamma, euler_gamma, gamma_real, log_integral_coeffs,
-                      plan_quadrature, quad_semi_infinite, to_bigfloat)
+                      digamma, euler_gamma, frac_integral_closed, gamma_real,
+                      log_integral_coeffs, plan_quadrature,
+                      quad_semi_infinite, to_bigfloat)
 from gompertz import reference
 
 
@@ -109,19 +111,38 @@ def relerr(got, want, bits=4000):
         return abs(mpf(got) - want) / abs(want)
 
 
+def oracle_bits(ctx):
+    """Precision for a test-side oracle: twice the rule's own, plus a margin."""
+    return 2 * ctx.inner_bits + 64
+
+
+def span_value(v, c, bits):
+    """A + B G(c) for an exact span value, with G(c) = e**c E1(c) from
+    mpmath, so that the oracle does not touch the package's quadrature."""
+    with mp.workprec(bits):
+        a, b = (mpf(q.numerator) / q.denominator
+                for q in (v.const_part, v.delta_part))
+        x = mpf(c.numerator) / c.denominator
+        return a + b * mpmath.exp(x) * mpmath.e1(x)
+
+
 class TestHalfLineEnds:
     """One rule covers (0, inf): an algebraic singularity at 0, mass far
     from the origin and exp(-x) decay must all come out to the rule's own
-    tolerance, not just to the printed digits."""
+    tolerance, not just to the printed digits. Together the cases are an
+    agreement corpus for the rule's early stop: pure powers against
+    mpmath's Gamma, log shapes against the exact span recurrence and
+    denominator shapes against the frac-family closed form."""
 
-    @pytest.mark.parametrize("digits", [30, 150])
+    @pytest.mark.parametrize("digits", [30, 60, 150])
     @pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(1, 2),
                                    Fraction(3, 4)])
     def test_gamma_singular_at_zero(self, digits, q):
-        # integral x**(q-1) e**-x = Gamma(q); x**(q-1) is unbounded at 0
+        # integral x**(q-1) e**-x = Gamma(q); x**(q-1) is unbounded at 0,
+        # most strongly at q = 1/3
         ctx = PrecisionContext(digits)
         got = quad_semi_infinite(Integrand(q - 1), ctx)
-        with mp.workprec(4000):
+        with mp.workprec(oracle_bits(ctx)):
             want = mpmath.gamma(mpf(q.numerator) / q.denominator)
         assert relerr(got, want) < 100 * ctx.internal_tolerance()
 
@@ -130,19 +151,67 @@ class TestHalfLineEnds:
         # A + B G(2) from the span recurrence, with G(2) from mpmath's E1
         got = quad_semi_infinite(Integrand(Fraction(29),
                                            log_scale=Fraction(1, 2)), ctx30)
-        coeffs = log_integral_coeffs(29, 2)
-        with mp.workprec(4000):
-            a, b = (mpf(q.numerator) / q.denominator
-                    for q in (coeffs.const_part, coeffs.delta_part))
-            want = a + b * mpmath.exp(2) * mpmath.e1(2)
+        want = span_value(log_integral_coeffs(29, 2), Fraction(2),
+                          oracle_bits(ctx30))
         assert relerr(got, want) < 100 * ctx30.internal_tolerance()
+
+    @pytest.mark.parametrize("n, c, digits", [
+        (0, Fraction(1), 30), (0, Fraction(1), 60), (0, Fraction(1), 150),
+        # relative level differences 8.6e-2, 1.2e-3, 9.6e-10, 2.6e-24 at 30
+        # digits: the uncapped estimate D1**2 / D2 stops at level 3, whose
+        # true error is about 1e-24
+        (7, Fraction(100), 30), (7, Fraction(100), 60),
+        (0, Fraction(64), 30), (3, Fraction(1, 3), 30), (3, Fraction(1, 3), 60),
+        (12, Fraction(1), 30), (12, Fraction(1), 60)], ids=str)
+    def test_log_shape(self, n, c, digits):
+        # integral x**n ln(x/c + 1) e**-x = A + B G(c), exactly
+        ctx = PrecisionContext(digits)
+        got = quad_semi_infinite(Integrand(Fraction(n), log_scale=1 / c), ctx)
+        want = span_value(log_integral_coeffs(n, c), c, oracle_bits(ctx))
+        assert relerr(got, want) < 100 * ctx.internal_tolerance()
+
+    @pytest.mark.parametrize("digits", [30, 60])
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_denominator_shape(self, n, digits):
+        # integral x**n e**-x / (x + 1) = (-1)**n (delta - alt_factorial_sum(n))
+        ctx = PrecisionContext(digits)
+        got = quad_semi_infinite(Integrand(Fraction(n), denom_power=1), ctx)
+        want = span_value(frac_integral_closed(n), Fraction(1),
+                          oracle_bits(ctx))
+        assert relerr(got, want) < 100 * ctx.internal_tolerance()
 
     def test_delta_at_300_digits(self):
         ctx = PrecisionContext(300)
         got = delta_reference(ctx, "quadrature")
-        with mp.workprec(4000):
+        with mp.workprec(oracle_bits(ctx)):
             want = mpmath.e * mpmath.e1(1)
         assert relerr(got, want) < 100 * ctx.internal_tolerance()
+
+    @pytest.mark.parametrize("digits, early, full", [
+        (30, 171, 327), (100, 385, 749), (150, 793, 1561)])
+    def test_delta_evaluations(self, digits, early, full, monkeypatch):
+        # the predicted-error stop saves the last level, half of all nodes;
+        # an infinite margin turns it off and leaves the difference test
+        ctx = PrecisionContext(digits)
+        f = reference._make_eval(Integrand(Fraction(0), log_scale=Fraction(1)))
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        def run():
+            calls.clear()
+            with mp.workprec(ctx.inner_bits):
+                value = reference._double_exponential(
+                    counted, ctx.internal_tolerance())
+            return value, len(calls)
+
+        value, n_early = run()
+        monkeypatch.setattr(reference, "_DE_STOP_MARGIN_DIGITS", math.inf)
+        full_value, n_full = run()
+        assert (n_early, n_full) == (early, full)
+        assert relerr(value, full_value) < ctx.internal_tolerance()
 
 
 class TestGamma:
