@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""Run a pinned corpus of `gompertz` CLI invocations and write what each
+one printed, so that two checkouts can be compared with `diff -r`.
+
+Each invocation runs in a fresh `python -m gompertz.cli` process, with
+PYTHONPATH set to the given source tree, in a new temporary directory that
+holds only an empty subdirectory `taken`. Invocation NN (counted from 01,
+in corpus order) leaves four files in OUTDIR:
+- NN.cmd: the arguments, space-separated;
+- NN.out and NN.err: its stdout and stderr, as bytes;
+- NN.code: its exit code.
+
+The corpus is every distinct `perfbench.workloads.invocations(w, s)` for
+the three workloads and seeds 1-5, in first-seen order, then EXTRA: cases
+the benchmark does not reach (the 1000-digit cap, the theorem and
+conjecture cases of earlier output checks, one exit-1 and one exit-2 case,
+and two `--out` targets that cannot be written). The list is read from this
+checkout's perfbench/, whichever tree --src names, so two runs compare the
+same invocations.
+
+Usage: python3 scripts/output_corpus.py --src TREE/src OUTDIR
+Compare: diff -r OUTDIR_A OUTDIR_B
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import WORKLOADS, invocations  # noqa: E402
+
+SEEDS = range(1, 6)
+EXTRA = (
+    ["delta", "--digits", "1000"],
+    ["theorem", "--u", "1/100", "--r", "2", "--max-m", "15", "--digits", "40"],
+    ["theorem", "--u", "2/3", "--max-m", "12", "--path", "quadrature"],
+    ["conjecture", "--u", "1", "--max-m", "29", "--digits", "90"],
+    # exit 1: the injected negative control fails
+    ["identities", "--inject-fault", "--max-m", "6", "--format", "json"],
+    # exit 2: an option the parser does not know
+    ["approx", "--corollary", "1", "--r", "0", "--max-m", "5",
+     "--threads", "2"],
+    # exit 2: --out into a missing directory, and onto a directory
+    ["delta", "--digits", "10", "--out", "missing/report.txt"],
+    ["delta", "--digits", "10", "--out", "taken"],
+)
+
+
+def corpus() -> list[list[str]]:
+    seen = []
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            for argv in invocations(workload, seed):
+                if argv not in seen:
+                    seen.append(argv)
+    return seen + list(EXTRA)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", required=True, type=Path,
+                        help="the src/ directory of the checkout to run")
+    parser.add_argument("outdir", type=Path)
+    args = parser.parse_args()
+    env = dict(os.environ, PYTHONPATH=str(args.src.resolve()))
+    args.outdir.mkdir(parents=True, exist_ok=True)
+    for number, argv in enumerate(corpus(), start=1):
+        with tempfile.TemporaryDirectory() as cwd:
+            os.mkdir(os.path.join(cwd, "taken"))
+            done = subprocess.run(
+                [sys.executable, "-m", "gompertz.cli", *argv], cwd=cwd,
+                env=env, capture_output=True)
+        stem = args.outdir / f"{number:02d}"
+        stem.with_suffix(".cmd").write_text(" ".join(argv) + "\n")
+        stem.with_suffix(".out").write_bytes(done.stdout)
+        stem.with_suffix(".err").write_bytes(done.stderr)
+        stem.with_suffix(".code").write_text(f"{done.returncode}\n")
+        print(f"{number:02d} exit {done.returncode}: {' '.join(argv)}",
+              flush=True)
+
+
+if __name__ == "__main__":
+    main()

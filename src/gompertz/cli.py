@@ -126,10 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_output(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-        return
+def _write_output(text: str, out_path: str) -> None:
     directory = os.path.dirname(os.path.abspath(out_path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gompertz-")
     try:
@@ -332,7 +329,15 @@ def run(args: argparse.Namespace) -> int:
     except GompertzError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    _write_output(text, args.out_path)
+    if args.out_path is None:
+        sys.stdout.write(text)
+        return code
+    try:
+        _write_output(text, args.out_path)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write {args.out_path}: "
+                         f"{exc.strerror or exc}\n")
+        return 2
     return code
 
 

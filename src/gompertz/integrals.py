@@ -32,9 +32,8 @@ from .reference import Integrand, exp_e1, quad_semi_infinite
 LOG_MOMENT_PATHS = ("exact", "quadrature")
 
 #: Smallest u served from the span of {1, G(1/u)}. Beyond c = 1/u = 64 the
-#: series half of G(c) carries more than 90 extra bits and the recurrence
-#: below cancels more than a digit per moment, while quadrature stays
-#: well conditioned.
+#: recurrence below cancels more than a digit per moment, while quadrature
+#: stays well conditioned.
 EXACT_MIN_U = Fraction(1, 64)
 
 
@@ -167,7 +166,7 @@ def log_moment_sum(terms, u: Fraction | int, ctx: PrecisionContext,
     in the span of {1, G(1/u)} from log_integral_coeffs(k-1, 1/u) for
     u >= EXACT_MIN_U, and the sum is one g_span_eval, so the guard digits
     grow with the cancellation of the whole sum; G(1/u) is cross-checked
-    between quadrature and series once per (u, precision). Path
+    between quadrature and mpmath.e1 once per (u, precision). Path
     "quadrature" integrates each log-moment numerically, as do k = 0 (the
     integrand x**-1 ln(x*u+1) is integrable) and u < EXACT_MIN_U."""
     if path not in LOG_MOMENT_PATHS:

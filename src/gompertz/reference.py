@@ -1,9 +1,11 @@
 """Arbitrary-precision reference evaluation: semi-infinite quadrature for the
 exp(-x)-weighted integrand family, the Gamma and digamma functions, Euler's
-constant, and two independent evaluators of G(c) = e**c E1(c), whose value
-at c = 1 is the Euler-Gompertz constant delta.
-Gamma and Euler's constant come from mpmath (mpmath.gamma, mpmath.euler);
-digamma is summed here from the package's exact Bernoulli numbers.
+constant, and G(c) = e**c E1(c), whose value at c = 1 is the Euler-Gompertz
+constant delta, by two independent evaluators: the quadrature below and
+mpmath.e1.
+Gamma, Euler's constant and E1 come from mpmath (mpmath.gamma, mpmath.euler,
+mpmath.e1); digamma is summed here from the package's exact Bernoulli
+numbers.
 
 Quadrature is one double-exponential rule for the whole half-line: the map
 x = exp(t - e**-t) absorbs the algebraic endpoint singularity at 0 and turns
@@ -13,7 +15,6 @@ split point and no truncation point are needed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -272,11 +273,9 @@ def euler_gamma(ctx: PrecisionContext) -> BigFloat:
 
 # --- G(c) = e**c E1(c), and the Euler-Gompertz constant delta = G(1) --------
 
-#: Evaluators of G(c) and of delta: quadrature, the e**c E1(c) series, or both
-#: with a mandatory agreement check.
+#: Evaluators of G(c) and of delta: quadrature, e**c times mpmath.e1(c), or
+#: both with a mandatory agreement check.
 DELTA_METHODS = ("quadrature", "e_times_E1", "cross_validated")
-
-_EULER_GAMMA = 0.5772156649015329
 
 
 def _g_quadrature(c: Fraction, ctx: PrecisionContext) -> BigFloat:
@@ -284,48 +283,22 @@ def _g_quadrature(c: Fraction, ctx: PrecisionContext) -> BigFloat:
     return quad_semi_infinite(Integrand(Fraction(0), log_scale=1 / c), ctx)
 
 
-def _series_extra_bits(c: Fraction) -> int:
-    """Bits that -gamma - ln c + S cancels away in _g_series: the parts are
-    below gamma + |ln c| + ln(1 + 1/c) and E1(c) > e**-c / (c + 1)
-    (Abramowitz and Stegun 5.1.19), so the loss is about c log2(e) bits for
-    large c and 3 bits at c = 1."""
-    log_c = math.log(c.numerator) - math.log(c.denominator)
-    parts = _EULER_GAMMA + abs(log_c) + math.log1p(1 / float(c))
-    return max(0, math.ceil(math.log2(parts * (float(c) + 1))
-                            + float(c) * math.log2(math.e)))
-
-
 def _g_series(c: Fraction, ctx: PrecisionContext) -> BigFloat:
-    # E1(c) = -gamma - ln c + sum_{k>=1} (-1)**(k+1) c**k / (k * k!): the sum
-    # is exact and alternating, so it stops at its first term below the
-    # limit; the cancellation bits are carried by the limit and the rounding
-    extra = _series_extra_bits(c)
-    limit = Fraction(1, 10 ** (ctx.total_digits + 5) << extra)
-    total = Fraction(0)
-    num = den = 1  # c**k / k! = num / den
-    k = 0
-    while True:
-        k += 1
-        num *= c.numerator
-        den *= k * c.denominator
-        term = Fraction(num if k % 2 else -num, k * den)
-        total += term
-        if abs(term) < limit:
-            break
-    with mp.workprec(ctx.inner_bits + extra):
+    # mpmath.e1 sums the convergent series of E1 with 2c guard bits for its
+    # cancellation, and takes the asymptotic expansion once c is large
+    # against the precision
+    with mp.workprec(ctx.inner_bits):
         x = mpf(c.numerator) / c.denominator
-        e1 = (mpf(total.numerator) / total.denominator - mpmath.euler
-              - mpmath.log(x))
-        value = mpmath.exp(x) * e1
+        value = mpmath.exp(x) * mpmath.e1(x)
     return ctx.round(value)
 
 
 def exp_e1(c: Fraction | int, ctx: PrecisionContext,
            method: str = "cross_validated") -> BigFloat:
     """G(c) = e**c E1(c) = integral(0,inf) e**-x / (x + c) dx for rational
-    c > 0, by quadrature of integral(0,inf) ln(x/c + 1) e**-x dx, by the
-    series of E1, or by both with a mandatory agreement check (their mean is
-    returned). Cached by (method, c, ctx); G(1) is delta."""
+    c > 0, by quadrature of integral(0,inf) ln(x/c + 1) e**-x dx, by
+    e**c times mpmath.e1(c), or by both with a mandatory agreement check
+    (their mean is returned). Cached by (method, c, ctx); G(1) is delta."""
     if method not in DELTA_METHODS:
         raise ValueError(f"unknown method {method!r}")
     c = Fraction(c)

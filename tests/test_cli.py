@@ -217,6 +217,19 @@ class TestOutputFile:
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".gompertz")]
         assert leftovers == []
 
+    def test_unwritable_path_is_a_usage_error(self, capsys, tmp_path):
+        (tmp_path / "taken").mkdir()
+        for target in (tmp_path / "missing" / "rows.txt", tmp_path / "taken"):
+            code, out, err = run_cli(capsys, "delta", "--digits", "10",
+                                     "--out", str(target))
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:")
+            assert str(target) in err
+        leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".gompertz")]
+        assert leftovers == []
+        assert os.listdir(tmp_path / "taken") == []
+
 
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, capsys):

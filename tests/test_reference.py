@@ -296,10 +296,14 @@ class TestDeltaReference:
         got = delta_reference(ctx10, "cross_validated")
         assert bigfloat_str(got, 10) == "0.5963473623"
 
-    def test_methods_agree(self, ctx10):
-        q = delta_reference(ctx10, "quadrature")
-        s = delta_reference(ctx10, "e_times_E1")
-        assert absdiff(q, s) < mpf(10) ** -10
+    # c = 1000 takes mpmath.e1's asymptotic branch, the others its series
+    @pytest.mark.parametrize("digits", [30, 100])
+    @pytest.mark.parametrize("c", ["1/64", "1/3", "1", "3/2", "64", "1000"])
+    def test_methods_agree(self, c, digits):
+        ctx = PrecisionContext(digits)
+        q = reference.exp_e1(Fraction(c), ctx, "quadrature")
+        s = reference.exp_e1(Fraction(c), ctx, "e_times_E1")
+        assert ctx.agrees(q, s)
 
     def test_sixty_digit_regression(self, ctx60):
         assert bigfloat_str(delta_reference(ctx60), 60) == DELTA_60
