@@ -14,7 +14,7 @@ The corpus is every distinct `perfbench.workloads.invocations(w, s)` for
 the three workloads and seeds 1-5, in first-seen order, then EXTRA: cases
 the benchmark does not reach (the 1000-digit cap, the theorem and
 conjecture cases of earlier output checks, one exit-1 and one exit-2 case,
-and two `--out` targets that cannot be written). The list is read from this
+and three `--out` targets that cannot be written). The list is read from this
 checkout's perfbench/, whichever tree --src names, so two runs compare the
 same invocations.
 
@@ -45,9 +45,11 @@ EXTRA = (
     # exit 2: an option the parser does not know
     ["approx", "--corollary", "1", "--r", "0", "--max-m", "5",
      "--threads", "2"],
-    # exit 2: --out into a missing directory, and onto a directory
+    # exit 2: --out into a missing directory, onto a directory, and onto
+    # the working directory itself
     ["delta", "--digits", "10", "--out", "missing/report.txt"],
     ["delta", "--digits", "10", "--out", "taken"],
+    ["delta", "--digits", "10", "--out", "."],
 )
 
 

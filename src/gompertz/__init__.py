@@ -10,8 +10,7 @@ from .errors import (CrossCheckFailure, DegenerateCase, DegenerateDenominator,
 from .exactmath import (B1_MINUS_HALF, B1_PLUS_HALF, BigRat, DeltaLinear,
                         alt_factorial_sum, bernoulli, binom_gen, binom_int,
                         factorial, stirling1_unsigned, stirling2)
-from .integrals import (cross_checked_value, delta_linear_eval,
-                        frac_integral_closed, frac_integral_recurrence,
+from .integrals import (delta_linear_eval, frac_integral_closed,
                         g_span_eval, log_integral_closed, log_integral_coeffs,
                         log_moment, shifted_log_moment)
 from .precision import (BigFloat, MAX_DECIMAL_DIGITS, PrecisionContext,
@@ -22,11 +21,10 @@ from .reference import (Integrand, delta_reference, digamma, euler_gamma,
 from .verify import (DigammaSeriesPoint, HyperGeomParams, IdentityReport,
                      calibrate_bernoulli_convention, check_gauss_terminating,
                      check_gen_binomial_sum, check_int_binomial_sum,
-                     check_shift_expansion, check_shift_recurrence,
-                     digamma_series_coeff, digamma_series_rhs,
-                     digamma_series_scan, gauss_grid, gen_binomial_grid,
-                     hypergeom_terminating, int_binomial_grid,
-                     norm_log_moment, norm_log_moment_deriv,
-                     series_partial_sum, series_partial_trend)
+                     check_shift_expansion, digamma_series_coeff,
+                     digamma_series_rhs, digamma_series_scan, gauss_grid,
+                     gen_binomial_grid, hypergeom_terminating,
+                     int_binomial_grid, norm_log_moment,
+                     norm_log_moment_deriv, series_partial_trend)
 
 __version__ = "0.1.0"

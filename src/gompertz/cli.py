@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
@@ -127,6 +128,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_output(text: str, out_path: str) -> None:
+    # a directory is refused before mkstemp: for "." the directory below
+    # is the working directory's parent, outside the target
+    if os.path.isdir(out_path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                out_path)
     directory = os.path.dirname(os.path.abspath(out_path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gompertz-")
     try:
@@ -139,57 +145,59 @@ def _write_output(text: str, out_path: str) -> None:
         raise
 
 
-def _csv(header, rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+def _table_lines(header, rows) -> list[str]:
+    return [" ".join(header)] + [" ".join(map(str, row)) for row in rows]
 
 
-def _json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _report(args: argparse.Namespace, payload: dict, header, rows, lines,
+            code: int = 0) -> tuple[str, int]:
+    """One command's output in args.format, with its exit code. JSON is the
+    payload, whose "rows" entry becomes one object per row, without the
+    columns the payload already carries at top level (these come last in
+    header, so zip stops before them); CSV is the header and rows as they
+    are; text is the lines."""
+    if args.format == "json":
+        if "rows" in payload:
+            names = [k for k in header if k not in payload]
+            payload = dict(payload,
+                           rows=[dict(zip(names, row)) for row in rows])
+        return json.dumps(payload, indent=2) + "\n", code
+    if args.format == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buffer.getvalue(), code
+    return "\n".join(lines) + "\n", code
 
 
 # --- command implementations ---------------------------------------------------
 
 def _run_delta(args: argparse.Namespace) -> tuple[str, int]:
-    ctx = PrecisionContext(args.digits)
-    value = bigfloat_str(delta_reference(ctx, _METHODS[args.method]),
+    method = _METHODS[args.method]
+    value = bigfloat_str(delta_reference(PrecisionContext(args.digits), method),
                          args.digits)
-    if args.format == "json":
-        return _json({"command": "delta", "digits": args.digits,
-                      "method": _METHODS[args.method], "value": value}), 0
-    if args.format == "csv":
-        return _csv(["method", "digits", "value"],
-                    [[_METHODS[args.method], args.digits, value]]), 0
-    return f"delta = {value}\n", 0
+    payload = {"command": "delta", "digits": args.digits, "method": method,
+               "value": value}
+    return _report(args, payload, ["method", "digits", "value"],
+                   [[method, args.digits, value]], [f"delta = {value}"])
 
 
 def _run_approx(args: argparse.Namespace) -> tuple[str, int]:
     ctx = PrecisionContext(args.digits)
-    rows = approx_table(args.corollary, args.r, args.m_max, ctx)
-    sign = rows[0].target_sign
+    table = approx_table(args.corollary, args.r, args.m_max, ctx)
+    sign = table[0].target_sign
 
     def fmt(x):
         return "undefined" if x is None else bigfloat_str(x, args.digits)
 
-    encoded = [{"m": row.m, "a": str(row.a), "b": str(row.b),
-                "ratio": fmt(row.ratio), "abs_error": fmt(row.abs_error)}
-               for row in rows]
-    if args.format == "json":
-        return _json({"command": "approx", "corollary": args.corollary,
-                      "r": args.r, "digits": args.digits, "target_sign": sign,
-                      "rows": encoded}), 0
-    if args.format == "csv":
-        return _csv(["m", "a", "b", "ratio", "abs_error", "target_sign"],
-                    [[e["m"], e["a"], e["b"], e["ratio"], e["abs_error"], sign]
-                     for e in encoded]), 0
-    lines = [f"# {SIGN_NOTES[args.corollary]}",
-             "m a b ratio abs_error target_sign"]
-    lines += [f"{e['m']} {e['a']} {e['b']} {e['ratio']} {e['abs_error']} {sign}"
-              for e in encoded]
-    return "\n".join(lines) + "\n", 0
+    header = ["m", "a", "b", "ratio", "abs_error", "target_sign"]
+    rows = [[row.m, str(row.a), str(row.b), fmt(row.ratio),
+             fmt(row.abs_error), sign] for row in table]
+    payload = {"command": "approx", "corollary": args.corollary, "r": args.r,
+               "digits": args.digits, "target_sign": sign, "rows": rows}
+    lines = [f"# {SIGN_NOTES[args.corollary]}"] + _table_lines(header, rows)
+    return _report(args, payload, header, rows, lines)
 
 
 def _run_theorem(args: argparse.Namespace) -> tuple[str, int]:
@@ -201,20 +209,15 @@ def _run_theorem(args: argparse.Namespace) -> tuple[str, int]:
                                  path=args.path)
     with mp.workprec(ctx.working_bits):
         target = to_bigfloat(args.u, ctx)
-        encoded = [{"m": m, "value": bigfloat_str(s, args.digits),
-                    "abs_error": bigfloat_str(abs(s - target), args.digits)}
-                   for m, s in trend]
-    if args.format == "json":
-        return _json({"command": "theorem", "u": str(args.u), "r": args.r,
-                      "digits": args.digits, "path": args.path,
-                      "rows": encoded}), 0
-    if args.format == "csv":
-        return _csv(["m", "value", "abs_error"],
-                    [[e["m"], e["value"], e["abs_error"]] for e in encoded]), 0
-    lines = [f"# partial sums at u = {args.u}, r = {args.r} (limit: u)",
-             "m value abs_error"]
-    lines += [f"{e['m']} {e['value']} {e['abs_error']}" for e in encoded]
-    return "\n".join(lines) + "\n", 0
+        rows = [[m, bigfloat_str(s, args.digits),
+                 bigfloat_str(abs(s - target), args.digits)]
+                for m, s in trend]
+    header = ["m", "value", "abs_error"]
+    payload = {"command": "theorem", "u": str(args.u), "r": args.r,
+               "digits": args.digits, "path": args.path, "rows": rows}
+    lines = ([f"# partial sums at u = {args.u}, r = {args.r} (limit: u)"]
+             + _table_lines(header, rows))
+    return _report(args, payload, header, rows, lines)
 
 
 def _identity_rows(args: argparse.Namespace):
@@ -235,44 +238,27 @@ def _identity_rows(args: argparse.Namespace):
 
 
 def _run_identities(args: argparse.Namespace) -> tuple[str, int]:
-    reports = _identity_rows(args)
     rows = []
     counts: dict[str, dict[str, int]] = {}
-    failures = 0
-    for rep in reports:
+    for rep in _identity_rows(args):
         params = " ".join(f"{k}={v}" for k, v in rep.parameters.items())
         rows.append([rep.identity_name, params, rep.verdict, str(rep.residual)])
         bucket = counts.setdefault(rep.identity_name,
                                    {"points": 0, "pass": 0, "fail": 0,
                                     "skipped": 0})
         bucket["points"] += 1
-        if rep.verdict == FAIL:
-            bucket["fail"] += 1
-            failures += 1
-        elif rep.verdict == SKIPPED:
-            bucket["skipped"] += 1
-        else:
-            bucket["pass"] += 1
-    code = 1 if failures else 0
-    if args.format == "json":
-        return _json({"command": "identities",
-                      "summary": counts,
-                      "failures": failures,
-                      "rows": [{"identity": r[0], "params": r[1],
-                                "verdict": r[2], "residual": r[3]}
-                               for r in rows]}), code
-    if args.format == "csv":
-        return _csv(["identity", "params", "verdict", "residual"], rows), code
-    lines = []
-    for name in sorted(counts):
-        c = counts[name]
-        lines.append(f"{name}: {c['points']} points, {c['pass']} pass, "
-                     f"{c['fail']} fail, {c['skipped']} skipped")
-    for r in rows:
-        if r[2] == FAIL:
-            lines.append(f"FAIL {r[0]} [{r[1]}] residual={r[3]}")
+        bucket[{FAIL: "fail", SKIPPED: "skipped"}.get(rep.verdict, "pass")] += 1
+    failures = sum(c["fail"] for c in counts.values())
+    lines = [f"{name}: {c['points']} points, {c['pass']} pass, "
+             f"{c['fail']} fail, {c['skipped']} skipped"
+             for name, c in sorted(counts.items())]
+    lines += [f"FAIL {r[0]} [{r[1]}] residual={r[3]}"
+              for r in rows if r[2] == FAIL]
     lines.append("all passed" if failures == 0 else f"{failures} failure(s)")
-    return "\n".join(lines) + "\n", code
+    payload = {"command": "identities", "summary": counts,
+               "failures": failures, "rows": rows}
+    return _report(args, payload, ["identity", "params", "verdict", "residual"],
+                   rows, lines, 1 if failures else 0)
 
 
 def _run_conjecture(args: argparse.Namespace) -> tuple[str, int]:
@@ -282,33 +268,22 @@ def _run_conjecture(args: argparse.Namespace) -> tuple[str, int]:
                    else [B1_MINUS_HALF, B1_PLUS_HALF])
     points = digamma_series_scan(args.u, range(1, args.m_max + 1), conventions,
                                  ctx)
-    encoded = [{"convention": pt.convention, "m": pt.m,
-                "rhs": bigfloat_str(pt.rhs, args.digits),
-                "digamma": bigfloat_str(pt.psi, args.digits),
-                "residual": bigfloat_str(pt.residual, args.digits)}
-               for pt in points]
+    header = ["convention", "m", "rhs", "digamma", "residual"]
+    rows = [[pt.convention, pt.m, bigfloat_str(pt.rhs, args.digits),
+             bigfloat_str(pt.psi, args.digits),
+             bigfloat_str(pt.residual, args.digits)] for pt in points]
     calibrated = (calibrate_bernoulli_convention(ctx, args.u, args.m_max)
                   if len(conventions) == 2 else None)
-    if args.format == "json":
-        return _json({"command": "conjecture", "u": str(args.u),
-                      "digits": args.digits, "max_m": args.m_max,
-                      "notes": list(CONJECTURE_NOTES),
-                      "conventions": conventions,
-                      "calibrated_convention": calibrated,
-                      "rows": encoded}), 0
-    if args.format == "csv":
-        return _csv(["convention", "m", "rhs", "digamma", "residual"],
-                    [[e["convention"], e["m"], e["rhs"], e["digamma"],
-                      e["residual"]] for e in encoded]), 0
+    payload = {"command": "conjecture", "u": str(args.u),
+               "digits": args.digits, "max_m": args.m_max,
+               "notes": list(CONJECTURE_NOTES), "conventions": conventions,
+               "calibrated_convention": calibrated, "rows": rows}
     lines = [f"# {note}" for note in CONJECTURE_NOTES]
-    lines.append(f"# u = {args.u}")
-    lines.append("convention m rhs digamma residual")
-    lines += [f"{e['convention']} {e['m']} {e['rhs']} {e['digamma']} "
-              f"{e['residual']}" for e in encoded]
+    lines += [f"# u = {args.u}"] + _table_lines(header, rows)
     if calibrated is not None:
         lines.append(f"# calibrated convention (smaller residual at "
                      f"m={args.m_max}): {calibrated}")
-    return "\n".join(lines) + "\n", 0
+    return _report(args, payload, header, rows, lines)
 
 
 _RUNNERS = {"delta": _run_delta, "approx": _run_approx,

@@ -4,7 +4,8 @@ rational span of {1, delta}:
     frac family : integral(0,inf) x**n e**-x / (x+1) dx
     log family  : integral(0,inf) x**n ln(x+1) e**-x dx
 
-Each family has a closed form and an independent recurrence/cross-check. The
+Each family has a closed form here; the independent recurrence and the
+quadrature cross-check that test them live in tests/integral_oracles.py. The
 general log-moment integral(0,inf) x**(k-1) e**-x ln(x*u+1) dx lies, for
 k >= 1, in the rational span of {1, G(c)}, where G(c) = e**c E1(c) and
 c = 1/u; the DeltaLinear values carry their c, and g_span_eval is the one
@@ -23,7 +24,7 @@ from functools import lru_cache
 import mpmath
 from mpmath import mp, mpf
 
-from .errors import CrossCheckFailure, DomainError, PrecisionUnreachable
+from .errors import DomainError, PrecisionUnreachable
 from .exactmath import DeltaLinear, alt_factorial_sum, factorial
 from .precision import (MAX_DECIMAL_DIGITS, BigFloat, PrecisionContext,
                         to_bigfloat)
@@ -44,17 +45,6 @@ def frac_integral_closed(n: int) -> DeltaLinear:
         raise DomainError("n must be nonnegative")
     sign = -1 if n % 2 else 1
     return DeltaLinear(Fraction(-sign * alt_factorial_sum(n)), Fraction(sign))
-
-
-def frac_integral_recurrence(n: int) -> DeltaLinear:
-    """Independent oracle: x**n/(x+1) = x**(n-1) - x**(n-1)/(x+1) gives
-    value(n) = (n-1)! - value(n-1), from value(0) = delta."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    value = DeltaLinear(Fraction(0), Fraction(1))
-    for j in range(1, n + 1):
-        value = DeltaLinear(Fraction(factorial(j - 1)), Fraction(0)) - value
-    return value
 
 
 def log_integral_closed(n: int) -> DeltaLinear:
@@ -205,26 +195,3 @@ def shifted_log_moment(k: int, u: Fraction | int, ctx: PrecisionContext,
         raise DomainError("u must be positive")
     return log_moment(k, 1 / u, ctx, path=path)
 
-
-def cross_checked_value(family: str, n: int,
-                        ctx: PrecisionContext) -> DeltaLinear:
-    """Exact value of one family member, in the span of {1, delta}, with
-    both exact routes compared bit-for-bit (frac family) and the numeric
-    route checked against quadrature (both families)."""
-    if family == "frac":
-        exact = frac_integral_closed(n)
-        other = frac_integral_recurrence(n)
-        if exact != other:
-            raise CrossCheckFailure(
-                f"frac integral n={n}: closed form {exact} != recurrence {other}")
-        numeric = quad_semi_infinite(Integrand(Fraction(n), denom_power=1), ctx)
-    elif family == "log":
-        exact = log_integral_closed(n)
-        numeric = quad_semi_infinite(Integrand(Fraction(n), log_scale=Fraction(1)), ctx)
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    evaluated = g_span_eval(exact, ctx)
-    if not ctx.agrees(evaluated, numeric):
-        raise CrossCheckFailure(
-            f"{family} integral n={n}: exact {evaluated} vs quadrature {numeric}")
-    return exact

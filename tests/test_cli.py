@@ -2,10 +2,31 @@ import csv
 import io
 import json
 import os
+from pathlib import Path
 
+import pytest
 
 from conftest import DELTA_60
+from gompertz import cli
 from gompertz.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+#: name -> (arguments before --format, exit code); tests/golden/NAME.FORMAT
+#: holds the stdout of `python -m gompertz.cli ARGS --format FORMAT`.
+GOLDEN_CASES = {
+    "delta": (("delta", "--digits", "15"), 0),
+    "approx-1-r0": (("approx", "--corollary", "1", "--r", "0",
+                     "--max-m", "6", "--digits", "12"), 0),
+    # m = 2 has b = 0, so its ratio and error are "undefined"
+    "approx-2-r2": (("approx", "--corollary", "2", "--r", "2",
+                     "--max-m", "6", "--digits", "12"), 0),
+    "theorem-u2_3-r1": (("theorem", "--u", "2/3", "--r", "1",
+                         "--max-m", "6", "--digits", "12"), 0),
+    "identities-fault": (("identities", "--max-m", "5", "--inject-fault"), 1),
+    "conjecture-u2-both": (("conjecture", "--u", "2", "--max-m", "4",
+                            "--digits", "12", "--convention", "both"), 0),
+}
 
 
 def run_cli(capsys, *argv):
@@ -229,6 +250,40 @@ class TestOutputFile:
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".gompertz")]
         assert leftovers == []
         assert os.listdir(tmp_path / "taken") == []
+
+    def test_working_directory_target_is_refused(self, capsys, tmp_path,
+                                                 monkeypatch):
+        # the temporary file of "--out ." must not be made in the parent
+        inner = tmp_path / "inner"
+        inner.mkdir()
+        monkeypatch.chdir(inner)
+        made_in = []
+        mkstemp = cli.tempfile.mkstemp
+
+        def spy(*args, **kwargs):
+            made_in.append(os.path.realpath(kwargs.get("dir") or "."))
+            return mkstemp(*args, **kwargs)
+
+        monkeypatch.setattr(cli.tempfile, "mkstemp", spy)
+        code, out, err = run_cli(capsys, "delta", "--digits", "10",
+                                 "--out", ".")
+        assert code == 2
+        assert out == ""
+        assert err == "error: cannot write .: Is a directory\n"
+        assert [d for d in made_in if d != os.path.realpath(inner)] == []
+        assert os.listdir(tmp_path) == ["inner"]
+
+
+class TestGoldenOutput:
+    """Every command's stdout pinned byte for byte in each format."""
+
+    @pytest.mark.parametrize("fmt", ("text", "csv", "json"))
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_stdout_matches_golden(self, capsys, name, fmt):
+        argv, expected_code = GOLDEN_CASES[name]
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, err) == (expected_code, "")
+        assert out == (GOLDEN / f"{name}.{fmt}").read_bytes().decode()
 
 
 class TestDeterminism:

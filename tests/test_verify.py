@@ -8,16 +8,15 @@ from mpmath import mp, mpf
 
 from conftest import absdiff
 from gompertz import (B1_MINUS_HALF, B1_PLUS_HALF, DegenerateCase,
-                      DomainError, HyperGeomParams, ZeroDenominator,
-                      bigfloat_str, calibrate_bernoulli_convention,
-                      check_gauss_terminating, check_gen_binomial_sum,
-                      check_int_binomial_sum,
-                      check_shift_expansion, check_shift_recurrence,
-                      delta_reference, digamma, digamma_series_coeff,
-                      digamma_series_rhs, digamma_series_scan, gauss_grid,
-                      hypergeom_terminating, int_binomial_grid,
-                      norm_log_moment, norm_log_moment_deriv,
-                      series_partial_sum, series_partial_trend)
+                      DegenerateDenominator, DomainError, HyperGeomParams,
+                      ZeroDenominator, bigfloat_str,
+                      calibrate_bernoulli_convention, check_gauss_terminating,
+                      check_gen_binomial_sum, check_int_binomial_sum,
+                      check_shift_expansion, delta_reference, digamma,
+                      digamma_series_coeff, digamma_series_rhs,
+                      digamma_series_scan, gauss_grid, hypergeom_terminating,
+                      int_binomial_grid, norm_log_moment,
+                      norm_log_moment_deriv, series_partial_trend)
 from gompertz.exactmath import bernoulli, stirling1_unsigned, stirling2
 from gompertz.verify import (EPS_WINDOW_SAMPLES, EXACT_PASS, FAIL,
                              NUMERIC_PASS, SKIPPED, _bernoulli_stirling_sum)
@@ -215,21 +214,19 @@ class TestShiftIdentities:
     def test_recurrence_passes(self, ctx30):
         for eps, r, u in ((Fraction(-3, 4), 0, Fraction(1)),
                           (Fraction(-2, 3), 1, Fraction(1, 2))):
-            report = check_shift_recurrence(eps, r, u, ctx30)
+            report = check_shift_expansion(1, eps, r, u, ctx30)
             assert report.verdict == NUMERIC_PASS
             assert report.residual < report.tolerance
 
     def test_recurrence_zero_u(self, ctx30):
-        report = check_shift_recurrence(Fraction(-3, 4), 0, 0, ctx30)
+        report = check_shift_expansion(1, Fraction(-3, 4), 0, 0, ctx30)
         assert report.verdict == NUMERIC_PASS
         assert report.lhs == 0
 
-    def test_expansion_j1_consistent_with_recurrence(self, ctx30):
-        eps, r, u = Fraction(-3, 4), 0, Fraction(1)
-        expansion = check_shift_expansion(1, eps, r, u, ctx30)
-        recurrence = check_shift_recurrence(eps, r, u, ctx30)
-        assert expansion.verdict == NUMERIC_PASS
-        assert expansion.lhs == recurrence.lhs
+    def test_degenerate_denominator(self, ctx30):
+        # eps + 1 - r = 0: the one-step recurrence divides by zero
+        with pytest.raises(DegenerateDenominator):
+            check_shift_expansion(1, Fraction(0), 1, 1, ctx30)
 
     def test_expansion_passes(self, ctx30):
         for j, eps, r, u in ((2, Fraction(-3, 4), 0, Fraction(1)),
@@ -244,12 +241,13 @@ class TestShiftIdentities:
 
 class TestSeriesPartialSums:
     def test_zero_u(self, ctx30):
-        assert series_partial_sum(0, 0, 6, ctx30) == 0
+        assert series_partial_trend(0, 0, 6, ctx30)[-1][1] == 0
 
     def test_paths_agree(self, ctx30):
         for r in (0, 1):
-            exact = series_partial_sum(1, r, 8, ctx30, path="exact")
-            quad = series_partial_sum(1, r, 8, ctx30, path="quadrature")
+            exact = series_partial_trend(1, r, 8, ctx30, path="exact")[-1][1]
+            quad = series_partial_trend(1, r, 8, ctx30,
+                                        path="quadrature")[-1][1]
             assert absdiff(exact, quad) < mpf(10) ** -25
 
     def test_trend_toward_u(self, ctx30):
@@ -258,11 +256,11 @@ class TestSeriesPartialSums:
 
     def test_domain(self, ctx30):
         with pytest.raises(DomainError):
-            series_partial_sum(1, 2, 1, ctx30)
+            series_partial_trend(1, 2, 1, ctx30)
         with pytest.raises(DomainError):
-            series_partial_sum(-1, 0, 5, ctx30)
+            series_partial_trend(-1, 0, 5, ctx30)
         with pytest.raises(ValueError):
-            series_partial_sum(1, 0, 5, ctx30, path="fast")
+            series_partial_trend(1, 0, 5, ctx30, path="fast")
 
 
 def oracle_series_coeff(k, m, b1):
