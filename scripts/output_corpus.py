@@ -13,10 +13,10 @@ in corpus order) leaves four files in OUTDIR:
 The corpus is every distinct `perfbench.workloads.invocations(w, s)` for
 the three workloads and seeds 1-5, in first-seen order, then EXTRA: cases
 the benchmark does not reach (the 1000-digit cap, the theorem and
-conjecture cases of earlier output checks, one exit-1 and one exit-2 case,
-and three `--out` targets that cannot be written). The list is read from this
-checkout's perfbench/, whichever tree --src names, so two runs compare the
-same invocations.
+conjecture cases of earlier output checks, the csv rows of every identity
+point at m <= 25, one exit-1 and one exit-2 case, and three `--out` targets
+that cannot be written). The list is read from this checkout's perfbench/,
+whichever tree --src names, so two runs compare the same invocations.
 
 Usage: python3 scripts/output_corpus.py --src TREE/src OUTDIR
 Compare: diff -r OUTDIR_A OUTDIR_B
@@ -40,6 +40,8 @@ EXTRA = (
     ["theorem", "--u", "1/100", "--r", "2", "--max-m", "15", "--digits", "40"],
     ["theorem", "--u", "2/3", "--max-m", "12", "--path", "quadrature"],
     ["conjecture", "--u", "1", "--max-m", "29", "--digits", "90"],
+    # every identity point's params, verdict and residual
+    ["identities", "--max-m", "25", "--format", "csv"],
     # exit 1: the injected negative control fails
     ["identities", "--inject-fault", "--max-m", "6", "--format", "json"],
     # exit 2: an option the parser does not know

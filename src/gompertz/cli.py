@@ -238,17 +238,20 @@ def _identity_rows(args: argparse.Namespace):
 
 
 def _run_identities(args: argparse.Namespace) -> tuple[str, int]:
-    rows = []
+    reports = _identity_rows(args)
     counts: dict[str, dict[str, int]] = {}
-    for rep in _identity_rows(args):
-        params = " ".join(f"{k}={v}" for k, v in rep.parameters.items())
-        rows.append([rep.identity_name, params, rep.verdict, str(rep.residual)])
+    for rep in reports:
         bucket = counts.setdefault(rep.identity_name,
                                    {"points": 0, "pass": 0, "fail": 0,
                                     "skipped": 0})
         bucket["points"] += 1
         bucket[{FAIL: "fail", SKIPPED: "skipped"}.get(rep.verdict, "pass")] += 1
     failures = sum(c["fail"] for c in counts.values())
+    if args.format == "text":  # prints the counts and the failing rows only
+        reports = [rep for rep in reports if rep.verdict == FAIL]
+    rows = [[rep.identity_name,
+             " ".join(f"{k}={v}" for k, v in rep.parameters.items()),
+             rep.verdict, str(rep.residual)] for rep in reports]
     lines = [f"{name}: {c['points']} points, {c['pass']} pass, "
              f"{c['fail']} fail, {c['skipped']} skipped"
              for name, c in sorted(counts.items())]

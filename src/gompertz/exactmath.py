@@ -3,15 +3,14 @@ factorials, Stirling numbers of both kinds, Bernoulli numbers, alternating
 factorial sums, and elements of the rational span of {1, G(c)}, with
 G(c) = e**c E1(c) and G(1) = delta.
 
-Everything here is exact (Python int / Fraction). Memo tables only ever
-grow, by appending behind a lock, so lookups take no lock and concurrent
-readers always see a consistent prefix.
+Everything here is exact (Python int / Fraction). The Stirling and
+Bernoulli memo tables only ever grow, by appending rows in order. The
+package starts no threads, so they take no lock.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,8 +20,6 @@ BigRat = Fraction
 B1_MINUS_HALF = "B1_minus_half"
 B1_PLUS_HALF = "B1_plus_half"
 BERNOULLI_CONVENTIONS = (B1_MINUS_HALF, B1_PLUS_HALF)
-
-_table_lock = threading.Lock()
 
 
 def binom_int(n: int, k: int) -> int:
@@ -60,16 +57,15 @@ _stirling1_rows: list[list[int]] = [[1]]
 
 
 def _grow_stirling(rows: list[list[int]], n: int, second_kind: bool) -> None:
-    with _table_lock:
-        while len(rows) <= n:
-            m = len(rows)
-            prev = rows[m - 1]
-            row = [0] * (m + 1)
-            for t in range(1, m + 1):
-                left = prev[t] if t < m else 0
-                mult = t if second_kind else (m - 1)
-                row[t] = mult * left + prev[t - 1]
-            rows.append(row)
+    while len(rows) <= n:
+        m = len(rows)
+        prev = rows[m - 1]
+        row = [0] * (m + 1)
+        for t in range(1, m + 1):
+            left = prev[t] if t < m else 0
+            mult = t if second_kind else (m - 1)
+            row[t] = mult * left + prev[t - 1]
+        rows.append(row)
 
 
 def stirling2(m: int, t: int) -> int:
@@ -122,16 +118,15 @@ _B1 = {B1_MINUS_HALF: Fraction(-1, 2), B1_PLUS_HALF: Fraction(1, 2)}
 
 def _grow_bernoulli(k: int) -> None:
     global _tangent_column
-    with _table_lock:
-        table = _bernoulli_even
-        while len(table) <= k:
-            assert len(_tangent_column) == len(table) - 1
-            _tangent_column = column = _next_tangent_column(_tangent_column)
-            i = len(column)
-            # B_2i = (-1)**(i-1) 2i T_i / (4**i (4**i - 1))
-            four = 4 ** i
-            num = 2 * i * column[-1]
-            table.append(Fraction(num if i % 2 else -num, four * (four - 1)))
+    table = _bernoulli_even
+    while len(table) <= k:
+        assert len(_tangent_column) == len(table) - 1
+        _tangent_column = column = _next_tangent_column(_tangent_column)
+        i = len(column)
+        # B_2i = (-1)**(i-1) 2i T_i / (4**i (4**i - 1))
+        four = 4 ** i
+        num = 2 * i * column[-1]
+        table.append(Fraction(num if i % 2 else -num, four * (four - 1)))
 
 
 def bernoulli(j: int, convention: str = B1_MINUS_HALF) -> Fraction:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, perm
 
 import mpmath
 from mpmath import mp, mpf
@@ -62,29 +63,46 @@ class IdentityReport:
         return self.verdict in (EXACT_PASS, NUMERIC_PASS)
 
 
-def _exact_report(name: str, params: dict, lhs: Fraction,
-                  rhs: Fraction) -> IdentityReport:
-    if lhs == rhs:  # a pass skips the big-integer products of lhs - rhs
-        return IdentityReport(name, params, lhs, rhs, EXACT_PASS, Fraction(0))
-    return IdentityReport(name, params, lhs, rhs, FAIL, lhs - rhs)
+def _compare_pairs(name: str, params: dict, lhs: tuple[int, int],
+                   rhs: tuple[int, int]) -> IdentityReport:
+    """Exact comparison of the unreduced integer ratios lhs = (ln, ld) and
+    rhs = (rn, rd), nonzero denominators of either sign, by ln*rd == rn*ld.
+    A pass reduces one Fraction, reported as both sides; a fail reduces
+    both and reports lhs - rhs."""
+    (ln, ld), (rn, rd) = lhs, rhs
+    if ln * rd == rn * ld:
+        value = Fraction(ln, ld)
+        return IdentityReport(name, params, value, value, EXACT_PASS,
+                              Fraction(0))
+    left, right = Fraction(ln, ld), Fraction(rn, rd)
+    return IdentityReport(name, params, left, right, FAIL, left - right)
 
 
-def _sum_by_ratios(first: Fraction, steps) -> Fraction:
-    """t_0 + t_1 + ... with t_{k+1} = t_k * num_k / den_k for the integer
-    pairs (num_k, den_k) in steps; the terms share one running denominator,
-    so the sum is reduced once, at the end."""
-    num, den = first.numerator, first.denominator
+def _sum_by_ratios(num: int, den: int, steps) -> tuple[int, int]:
+    """t_0 + t_1 + ... as an unreduced (numerator, denominator) pair, for
+    t_0 = num/den and t_{k+1} = t_k * num_k / den_k with the integer pairs
+    (num_k, den_k) in steps; the terms share one running denominator."""
     total = num
     for step_num, step_den in steps:
         num *= step_num
         den *= step_den
         total = total * step_den + num
-    return Fraction(total, den)
+    return total, den
 
 
-def hypergeom_terminating(p: HyperGeomParams) -> Fraction:
-    """Exact finite 2F1 sum for nonpositive-integer b: exactly 1-b terms,
-    each from the last by t_{k+1}/t_k = (a+k)(b+k) x/((c+k)(k+1))."""
+def _hypergeom_pair(an: int, ad: int, n: int, cn: int, cd: int, xn: int,
+                    xd: int) -> tuple[int, int]:
+    """2F1(a, -n; c; x) for a = an/ad, c = cn/cd, x = xn/xd as an unreduced
+    pair: exactly n + 1 terms, each from the last by
+    t_{k+1}/t_k = (a+k)(k-n) x/((c+k)(k+1)). The caller makes sure no
+    c + k vanishes for k < n."""
+    return _sum_by_ratios(1, 1, (
+        ((an + k * ad) * (k - n) * xn * cd, ad * xd * (cn + k * cd) * (k + 1))
+        for k in range(n)))
+
+
+def _terminating_pair(p: HyperGeomParams) -> tuple[int, int]:
+    """hypergeom_terminating's sum as an unreduced pair, after its checks."""
     if p.b > 0 or p.b.denominator != 1:
         raise DomainError(f"b must be a nonpositive integer, got {p.b}")
     n = -int(p.b)
@@ -93,19 +111,30 @@ def hypergeom_terminating(p: HyperGeomParams) -> Fraction:
                               f"termination (c={p.c}, b={p.b})")
     (an, ad), (cn, cd), (xn, xd) = (v.as_integer_ratio()
                                     for v in (p.a, p.c, p.x))
-    return _sum_by_ratios(Fraction(1), (
-        ((an + k * ad) * (k - n) * xn * cd, ad * xd * (cn + k * cd) * (k + 1))
-        for k in range(n)))
+    return _hypergeom_pair(an, ad, n, cn, cd, xn, xd)
+
+
+def hypergeom_terminating(p: HyperGeomParams) -> Fraction:
+    """Exact finite 2F1 sum for nonpositive-integer b: exactly 1-b terms,
+    each from the last by t_{k+1}/t_k = (a+k)(b+k) x/((c+k)(k+1))."""
+    return Fraction(*_terminating_pair(p))
 
 
 def check_gauss_terminating(p: HyperGeomParams,
                             closed_form: Fraction) -> IdentityReport:
     """Exact comparison of the terminating sum against its Gauss closed form
     (supplied already reduced to a rational)."""
-    lhs = hypergeom_terminating(p)
-    rhs = Fraction(closed_form)
     params = {"a": str(p.a), "b": str(p.b), "c": str(p.c), "x": str(p.x)}
-    return _exact_report("gauss_terminating", params, lhs, rhs)
+    return _compare_pairs("gauss_terminating", params, _terminating_pair(p),
+                          Fraction(closed_form).as_integer_ratio())
+
+
+def _progression_product(p: int, q: int, start: int, stop: int) -> int:
+    """Product of p + s*q over start <= s < stop."""
+    out = 1
+    for s in range(start, stop):
+        out *= p + s * q
+    return out
 
 
 def check_gen_binomial_sum(m: int, i: int, r: int,
@@ -117,25 +146,30 @@ def check_gen_binomial_sum(m: int, i: int, r: int,
         = C(m-i-r, m-i) C(m+eps-r, m)**-1 (-1)**i
 
     The left side is summed from its j = i term by the summand's own ratio,
-    taken from the definition, not from the right side."""
+    taken from the definition, not from the right side. With eps = p/q,
+    C(eps+n, k) = prod_{t<k} (p + (n-t) q) / (q**k k!), so both sides are
+    integer ratios."""
     eps = Fraction(eps)
     if eps.denominator == 1:
         raise DomainError("eps must be a non-integer rational")
     if not (0 <= i <= m) or r < 0:
         raise DomainError(f"need 0 <= i <= m and r >= 0, got m={m} i={i} r={r}")
-    # eps = p/q is not an integer, so no factor eps + n of an inverted
-    # binomial vanishes. t_{j+1}/t_j = -(m-j)(eps+j) / ((eps+j+1-r)(j+1-i))
+    # eps = p/q is not an integer, so no factor p + s*q vanishes.
+    # t_i = C(m,i) (-1)**i / C(eps+i-r, i) and
+    # t_{j+1}/t_j = -(m-j)(eps+j) / ((eps+j+1-r)(j+1-i))
     p, q = eps.numerator, eps.denominator
-    first = Fraction(binom_int(m, i)) / binom_gen(eps + i - r, i)
+    first = comb(m, i) * q ** i * factorial(i)
     lhs = _sum_by_ratios(-first if i % 2 else first,
+                         _progression_product(p, q, 1 - r, 1 + i - r),
                          ((-(m - j) * (p + j * q),
                            (p + (j + 1 - r) * q) * (j + 1 - i))
                           for j in range(i, m)))
-    rhs = binom_gen(Fraction(m - i - r), m - i) / binom_gen(m + eps - r, m)
-    if i % 2:
-        rhs = -rhs
+    # the integer binomial's (m-i)! cancels against the m! of the inverted one
+    n = m - i
+    rn = _progression_product(n - r, -1, 0, n) * q ** m * perm(m, i)
+    rhs = (-rn if i % 2 else rn, _progression_product(p, q, 1 - r, 1 + m - r))
     params = {"m": str(m), "i": str(i), "r": str(r), "eps": str(eps)}
-    return _exact_report("gen_binomial_sum", params, lhs, rhs)
+    return _compare_pairs("gen_binomial_sum", params, lhs, rhs)
 
 
 def check_int_binomial_sum(m: int, j: int, r: int) -> IdentityReport:
@@ -145,22 +179,29 @@ def check_int_binomial_sum(m: int, j: int, r: int) -> IdentityReport:
         raise DomainError(f"need 0 <= r <= j <= m, got m={m} j={j} r={r}")
     if m == r:
         raise DegenerateCase("right-hand side divides by m - r = 0")
-    lhs = Fraction(sum((binom_int(m, k) * binom_int(k, r)) * (-1 if k % 2 else 1)
-                       for k in range(j, m + 1)))
-    rhs = Fraction(binom_int(m, j) * binom_int(j, r) * (j - r), m - r)
-    if j % 2:
-        rhs = -rhs
+    lhs = sum(comb(m, k) * comb(k, r) * (-1 if k % 2 else 1)
+              for k in range(j, m + 1))
     params = {"m": str(m), "j": str(j), "r": str(r)}
-    return _exact_report("int_binomial_sum", params, lhs, rhs)
+    return _compare_pairs("int_binomial_sum", params, (lhs, 1),
+                          _int_binomial_closed_form(m, j, r))
+
+
+def _int_binomial_closed_form(m: int, j: int, r: int) -> tuple[int, int]:
+    """C(m,j) C(j,r) (j-r)/(m-r) (-1)**j as an unreduced pair."""
+    num = comb(m, j) * comb(j, r) * (j - r)
+    return -num if j % 2 else num, m - r
 
 
 def gauss_grid(m_max: int = 15) -> list[IdentityReport]:
     """All terminating Gauss instances F(1, j-m, 1+j-r; 1) = (j-r)/(m-r)
     over 1 <= r < j <= m <= m_max."""
-    return [check_gauss_terminating(
-                HyperGeomParams(Fraction(1), Fraction(j - m),
-                                Fraction(1 + j - r), Fraction(1)),
-                Fraction(j - r, m - r))
+    # b = j-m <= 0 and c = 1+j-r >= 2 on this grid, so the parameters need
+    # none of check_gauss_terminating's validation: no c + k vanishes
+    return [_compare_pairs("gauss_terminating",
+                           {"a": "1", "b": str(j - m), "c": str(1 + j - r),
+                            "x": "1"},
+                           _hypergeom_pair(1, 1, m - j, 1 + j - r, 1, 1, 1),
+                           (j - r, m - r))
             for m in range(1, m_max + 1)
             for j in range(1, m + 1)
             for r in range(1, j)]

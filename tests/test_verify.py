@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 
 import pytest
 from hypothesis import given
@@ -18,8 +18,10 @@ from gompertz import (B1_MINUS_HALF, B1_PLUS_HALF, DegenerateCase,
                       int_binomial_grid, norm_log_moment,
                       norm_log_moment_deriv, series_partial_trend)
 from gompertz.exactmath import bernoulli, stirling1_unsigned, stirling2
+from gompertz import verify
 from gompertz.verify import (EPS_WINDOW_SAMPLES, EXACT_PASS, FAIL,
-                             NUMERIC_PASS, SKIPPED, _bernoulli_stirling_sum)
+                             NUMERIC_PASS, SKIPPED, _bernoulli_stirling_sum,
+                             _compare_pairs)
 
 
 def H(a, b, c, x=1):
@@ -60,6 +62,20 @@ class TestHypergeomTerminating:
             hypergeom_terminating(H(1, Fraction(1, 2), 2))
         with pytest.raises(DomainError):
             hypergeom_terminating(H(1, 2, 3))
+
+
+class TestComparePairs:
+    def test_equal_ratios_with_opposite_sign_denominators(self):
+        report = _compare_pairs("x", {}, (3, -6), (-1, 2))
+        assert report.verdict == EXACT_PASS
+        assert report.lhs == report.rhs == Fraction(-1, 2)
+        assert report.residual == 0
+
+    def test_unequal_pairs_fail_with_exact_residual(self):
+        report = _compare_pairs("x", {}, (1, 3), (2, -8))
+        assert report.verdict == FAIL
+        assert (report.lhs, report.rhs) == (Fraction(1, 3), Fraction(-1, 4))
+        assert report.residual == Fraction(7, 12)
 
 
 class TestGaussClosedForm:
@@ -104,6 +120,13 @@ class TestGenBinomialSum:
         with pytest.raises(DomainError):
             check_gen_binomial_sum(2, 0, 0, Fraction(-1))
 
+    def test_corrupted_closed_form_fails(self, monkeypatch):
+        # m!/(m-i)! is a factor of the closed form only
+        monkeypatch.setattr(verify, "perm", lambda m, i: perm(m, i) + 1)
+        report = check_gen_binomial_sum(2, 1, 0, Fraction(-3, 4))
+        assert report.verdict == FAIL
+        assert report.residual == report.lhs - report.rhs != 0
+
     def test_lhs_matches_definition(self):
         def gen(x, k):
             out = Fraction(1)
@@ -136,6 +159,19 @@ class TestIntBinomialSum:
     def test_degenerate_m_equals_r(self):
         with pytest.raises(DegenerateCase):
             check_int_binomial_sum(3, 3, 3)
+
+    def test_corrupted_closed_form_fails(self, monkeypatch):
+        closed_form = verify._int_binomial_closed_form
+
+        def doubled(m, j, r):
+            num, den = closed_form(m, j, r)
+            return 2 * num, den
+
+        monkeypatch.setattr(verify, "_int_binomial_closed_form", doubled)
+        report = check_int_binomial_sum(3, 2, 1)
+        assert report.verdict == FAIL
+        assert (report.lhs, report.rhs) == (3, 6)
+        assert report.residual == report.lhs - report.rhs == -3
 
     @given(st.integers(0, 40), st.integers(0, 40), st.integers(0, 40))
     def test_random_parameters_exact(self, m, j, r):
