@@ -20,11 +20,11 @@ is worth keeping only while it is the faster one.
 - Digamma-series coefficients: every `digamma_series_coeff(k, m)` that
   `conjecture --max-m 20` uses, in both conventions, against the triple sum
   that recomputes the inner Bernoulli-Stirling sum for every (t, w).
-- Exact layer: the family-2 r = 1 pairs for m <= 100 from the integer
-  recurrences of `corollary2_pair` against the `Fraction` triple sum they
-  replaced, the same pairs to m <= 200 (the `--max-m` cap), and each
-  identity grid (`gauss_grid`, `gen_binomial_grid`, `int_binomial_grid`)
-  at m <= 25 and m <= 40.
+- Exact layer: the family-2 r = 1 pairs for m <= 100 from `corollary2_pair`
+  (weighted span rows) against the `Fraction` triple sum it replaced, the
+  same pairs to m <= 200 (the `--max-m` cap), and each identity grid
+  (`gauss_grid`, `gen_binomial_grid`, `int_binomial_grid`) at m <= 25 and
+  m <= 40.
 
 Every case is cold (caches emptied first), as in a fresh CLI process, and is
 timed RUNS times; the median and the extremes are reported.
@@ -164,7 +164,7 @@ def bench_quadrature() -> list:
 def reset_log_moments() -> None:
     reference.quad_semi_infinite.cache_clear()
     reference._g_by_method.cache_clear()
-    integrals._span_row.cache_clear()
+    integrals._span_tables.clear()
 
 
 def bench_log_moments() -> list:
@@ -215,9 +215,9 @@ def bench_digamma_coeffs() -> list:
 
 
 def triple_sum_pair_2(m: int, r: int) -> tuple[int, int]:
-    """The family-2 pair as `corollary2_pair` computed it before the integer
-    recurrences: m!-scaled Fraction double/triple sums, checked to reduce to
-    integers."""
+    """The family-2 pair as `corollary2_pair` computed it before the
+    integer recurrences and the weighted span rows: m!-scaled Fraction
+    double/triple sums, checked to reduce to integers."""
     a = Fraction(0)
     b = Fraction(0)
     for k in range(r, m + 1):
@@ -242,18 +242,18 @@ def triple_sum_pair_2(m: int, r: int) -> tuple[int, int]:
 
 
 def bench_exact_layer() -> list:
-    # no cache sits on these paths, so every run is cold
+    # the span rows are emptied before each run, so every run is cold
     rows = []
     for m_max in FAMILY2_MAX_M:
         ms = range(FAMILY2_R, m_max + 1)
         row = {"case": f"family 2 r={FAMILY2_R} pairs m<={m_max}",
-               "integer_recurrences": timed(lambda: None, lambda: [
+               "span_weighted": timed(integrals._span_tables.clear, lambda: [
                    approximants.corollary2_pair(m, FAMILY2_R) for m in ms])}
         if m_max == FAMILY2_MAX_M[0]:
             row["fraction_triple_sum"] = timed(lambda: None, lambda: [
                 triple_sum_pair_2(m, FAMILY2_R) for m in ms])
-            row["triple_sum_over_recurrences"] = ratio(
-                row["fraction_triple_sum"], row["integer_recurrences"])
+            row["triple_sum_over_span_weighted"] = ratio(
+                row["fraction_triple_sum"], row["span_weighted"])
             row["pairs_equal"] = all(
                 approximants.corollary2_pair(m, FAMILY2_R)
                 == triple_sum_pair_2(m, FAMILY2_R) for m in ms)

@@ -1,7 +1,13 @@
-"""Exact integer approximant sequences (a_m, b_m), each pair one k-loop of
-integer steps, whose ratios converge to +delta (family 1) or -delta
-(family 2), with ratio/error tables against the cross-validated reference
-value.
+"""Exact integer approximant sequences (a_m, b_m), whose ratios converge to
++delta (family 1) or -delta (family 2), with ratio/error tables against the
+cross-validated reference value.
+
+Both are one sum over the integer c = 1 span rows (p, q) = p + q*delta of
+I_k = <x**k/(x+1)> and L_k = <x**k ln(x+1)> (integrals.span_rows, with
+<f> = integral(0,inf) f e**-x dx), weighted by w_k = span_weights(m, r).
+With Q(x) = sum_{k=r}^{m} w_k x**(k-1), family 2 is a + b*delta
+= sum w_k L_{k-1} = <Q ln(x+1)>, and family 1 is (-A, B) for
+A + B*delta = sum w_k I_k, so b*delta - a = <Q x/(x+1)>.
 
 Family 1 as printed converges to +delta even though the source states -delta
 (direct evaluation at m = 1..3 gives ratios 0.5, 0.571, 0.588); the table
@@ -16,12 +22,13 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from .errors import DomainError
-from .exactmath import alt_factorial_sum, binom_int, factorial
+from .exactmath import span_weights
+from .integrals import span_rows
 from .precision import BigFloat, PrecisionContext, to_bigfloat
 from .reference import delta_reference
 
-#: Empirical limit sign of a_m/b_m per family, confirmed against the
-#: reference value at table-build time.
+#: Limit sign of a_m/b_m per family: a + b*delta (family 2) and
+#: b*delta - a (family 1) are the integrals of Q above, small against b.
 TARGET_SIGNS = {1: "+", 2: "-"}
 
 DEFAULT_M_MAX_CAP = 200
@@ -42,60 +49,34 @@ class ApproximantRow:
     target_sign: str
 
 
+def _weighted_sum(weights: list[int], rows) -> tuple[int, int]:
+    """sum_k w_k (p_k, q_k) over the weights and the rows they meet."""
+    p = q = 0
+    for w, (row_p, row_q) in zip(weights, rows):
+        p += w * row_p
+        q += w * row_q
+    return p, q
+
+
 def corollary1_pair(m: int, r: int) -> tuple[int, int]:
-    """Family-1 pair: b = sum C(m,k)**2 C(k,r) (m-k)!, a the same sum with
-    each term weighted by alt_factorial_sum(k), carried along the loop."""
+    """Family-1 pair (-A, B) with A + B*delta = sum_{k=r}^{m} w_k I_k, that
+    is sum C(m,k)**2 C(k,r) (m-k)! times alt_factorial_sum(k) (a) or 1 (b)."""
     if r < 0:
         raise DomainError("r must be nonnegative")
     if m < r:
         raise DomainError(f"need m >= r, got m={m} r={r}")
-    a = b = 0
-    alt = alt_factorial_sum(r)
-    kfact = factorial(r)
-    for k in range(r, m + 1):
-        w = binom_int(m, k) ** 2 * binom_int(k, r) * factorial(m - k)
-        a += w * alt
-        b += w
-        alt += -kfact if k % 2 else kfact
-        kfact *= k + 1
-    return a, b
+    a, b = _weighted_sum(span_weights(m, r), span_rows(m)[0][r:])
+    return -a, b
 
 
 def corollary2_pair(m: int, r: int) -> tuple[int, int]:
-    """Family-2 pair m! sum_k C(m,k) C(k,r)/k sum_{j<k} (-1)**(k+j)/j! times
-    1 (b) or -(-1)**k alt(j) (a, alt = alt_factorial_sum), grouped by k:
-    b = sum_{k=r}^{m} (-1)**k C(m,k) C(k,r) (m!/k!) D_k and a the same with
-    -F_k, where the integers D_k = (k-1)! sum_{j<k} (-1)**j/j! and
-    F_k = (k-1)! sum_{j<k} (-1)**j alt(j)/j! step from D_0 = F_0 = 0. So a
-    and b are integers by construction, in O(m) integer steps."""
+    """Family-2 pair a + b*delta = sum_{k=r}^{m} w_k L_{k-1}, that is
+    (-1)**r m! times the m-th block of the double series at u = 1."""
     if r < 1:
         raise DomainError("r must be positive for family 2")
     if m < r:
         raise DomainError(f"need m >= r, got m={m} r={r}")
-    a = b = 0
-    d = f = alt = 0  # D_{k-1}, F_{k-1}, alt(k-1)
-    fact = 1  # (k-1)!
-    m_over_k = factorial(m)  # m!/(k-1)!, then m!/k! after the // k
-    for k in range(1, m + 1):
-        sign = 1 if k % 2 else -1  # (-1)**(k-1)
-        d = (k - 1) * d + sign
-        f = (k - 1) * f + sign * alt
-        alt += sign * fact
-        fact *= k
-        m_over_k //= k
-        if k >= r:
-            w = binom_int(m, k) * binom_int(k, r) * m_over_k
-            b -= sign * w * d  # (-1)**k = -sign
-            a += sign * w * f
-    return a, b
-
-
-def _pair(corollary: int, m: int, r: int) -> tuple[int, int]:
-    if corollary == 1:
-        return corollary1_pair(m, r)
-    if corollary == 2:
-        return corollary2_pair(m, r)
-    raise ValueError(f"corollary must be 1 or 2, got {corollary}")
+    return _weighted_sum(span_weights(m, r), span_rows(m - 1)[1][r - 1:])
 
 
 def approx_table(corollary: int, r: int, m_max: int,
@@ -107,9 +88,12 @@ def approx_table(corollary: int, r: int, m_max: int,
         raise DomainError(f"need m_max >= max(r,1), got m_max={m_max} r={r}")
     if m_max > DEFAULT_M_MAX_CAP:
         raise DomainError(f"m_max capped at {DEFAULT_M_MAX_CAP}")
-    sign = TARGET_SIGNS[1] if corollary == 1 else TARGET_SIGNS[2]
+    if corollary not in TARGET_SIGNS:
+        raise ValueError(f"corollary must be 1 or 2, got {corollary}")
+    pair = corollary1_pair if corollary == 1 else corollary2_pair
+    sign = TARGET_SIGNS[corollary]
     ms = list(range(max(r, 1), m_max + 1))
-    pairs = [_pair(corollary, m, r) for m in ms]
+    pairs = [pair(m, r) for m in ms]
     delta = delta_reference(ctx)
     rows = []
     with mp.workprec(ctx.working_bits):

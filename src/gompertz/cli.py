@@ -28,7 +28,7 @@ from .precision import (MAX_DECIMAL_DIGITS, PrecisionContext, bigfloat_str,
                         to_bigfloat)
 from .reference import delta_reference
 from .verify import (FAIL, SKIPPED, HyperGeomParams, IdentityReport,
-                     calibrate_bernoulli_convention, check_gauss_terminating,
+                     calibrated_convention, check_gauss_terminating,
                      digamma_series_scan, gauss_grid, gen_binomial_grid,
                      int_binomial_grid, series_partial_trend)
 
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identities", help="exact identity suite")
     p.add_argument("--max-m", dest="m_max", type=_positive_int, default=None,
-                   help="cap every grid at this m (defaults: 12/20/15)")
+                   help="cap every grid at this m (default: each grid's own)")
     p.add_argument("--inject-fault", action="store_true",
                    help="internal: add a corrupted closed form as a "
                         "negative control")
@@ -221,11 +221,10 @@ def _run_theorem(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _identity_rows(args: argparse.Namespace):
-    caps = ((args.m_max,) * 3 if args.m_max is not None else (12, 20, 15))
-    reports = []
-    reports += gen_binomial_grid(m_max=caps[0])
-    reports += int_binomial_grid(m_max=caps[1])
-    reports += gauss_grid(m_max=caps[2])
+    # without --max-m each grid keeps its own default cap
+    cap = {} if args.m_max is None else {"m_max": args.m_max}
+    reports = [*gen_binomial_grid(**cap), *int_binomial_grid(**cap),
+               *gauss_grid(**cap)]
     if args.inject_fault:
         # negative control: a deliberately wrong closed form must Fail
         p = HyperGeomParams(Fraction(1), Fraction(-1), Fraction(2), Fraction(1))
@@ -275,7 +274,8 @@ def _run_conjecture(args: argparse.Namespace) -> tuple[str, int]:
     rows = [[pt.convention, pt.m, bigfloat_str(pt.rhs, args.digits),
              bigfloat_str(pt.psi, args.digits),
              bigfloat_str(pt.residual, args.digits)] for pt in points]
-    calibrated = (calibrate_bernoulli_convention(ctx, args.u, args.m_max)
+    calibrated = (calibrated_convention(pt for pt in points
+                                        if pt.m == args.m_max)
                   if len(conventions) == 2 else None)
     payload = {"command": "conjecture", "u": str(args.u),
                "digits": args.digits, "max_m": args.m_max,

@@ -1,7 +1,7 @@
 """Exact integer/rational combinatorics: binomials (integer and generalized),
 factorials, Stirling numbers of both kinds, Bernoulli numbers, alternating
-factorial sums, and elements of the rational span of {1, G(c)}, with
-G(c) = e**c E1(c) and G(1) = delta.
+factorial sums, the approximants' binomial weights, and elements of the
+rational span of {1, G(c)}, with G(c) = e**c E1(c) and G(1) = delta.
 
 Everything here is exact (Python int / Fraction). The Stirling and
 Bernoulli memo tables only ever grow, by appending rows in order. The
@@ -153,6 +153,20 @@ def alt_factorial_sum(k: int) -> int:
         total += term if w % 2 == 0 else -term
         term *= w + 1
     return total
+
+
+def span_weights(m: int, r: int) -> list[int]:
+    """The integers w_k = (-1)**k C(m,k) C(k,r) m!/k! for k = r..m (entry
+    k - r), which weigh the span rows into both approximant families and,
+    over m!, into the m-th block of the double series. Each follows the last
+    by w_k = -w_{k-1} (m-k+1) / (k (k-r)), from w_r = (-1)**r C(m,r) m!/r!."""
+    if not 0 <= r <= m:
+        raise ValueError(f"need 0 <= r <= m, got m={m} r={r}")
+    w = math.comb(m, r) * math.perm(m, m - r)
+    weights = [-w if r % 2 else w]
+    for k in range(r + 1, m + 1):
+        weights.append(-weights[-1] * (m - k + 1) // (k * (k - r)))
+    return weights
 
 
 @dataclass(frozen=True)

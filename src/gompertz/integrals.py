@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpf
@@ -52,43 +51,42 @@ def log_integral_closed(n: int) -> DeltaLinear:
     sum_{j=0}^{n} n!/j! (-1)**j (-alt_factorial_sum(j) + delta)."""
     if n < 0:
         raise DomainError("n must be nonnegative")
-    const = Fraction(0)
-    delta = Fraction(0)
-    for j in range(n + 1):
-        w = Fraction(factorial(n), factorial(j))
-        if j % 2:
-            w = -w
-        const += w * (-alt_factorial_sum(j))
-        delta += w
-    return DeltaLinear(const, delta)
+    weights = [(-1) ** j * math.perm(n, n - j) for j in range(n + 1)]
+    return DeltaLinear(-sum(w * alt_factorial_sum(j)
+                            for j, w in enumerate(weights)), sum(weights))
 
 
-@lru_cache(maxsize=None)
-def _span_row(n: int, c: Fraction) -> tuple[DeltaLinear, DeltaLinear]:
-    # (I_n, L_n) in the span of {1, G(c)}
-    if n == 0:
-        g = DeltaLinear(0, 1, c)
-        return g, g
-    i_prev, l_prev = _span_row(n - 1, c)
-    i_n = DeltaLinear(factorial(n - 1), 0, c) - c * i_prev
-    return i_n, n * l_prev + i_n
+#: Per c, the span rows (frac, log) as lists of pairs (p, q), p + q G(c).
+_span_tables: dict[Fraction, tuple[list, list]] = {}
+
+
+def span_rows(n: int, c: Fraction | int = 1) -> tuple[list, list]:
+    """The exact rows I_j = integral(0,inf) x**j e**-x / (x + c) dx and
+    L_j = integral(0,inf) x**j ln(x/c + 1) e**-x dx, j <= n at least, for
+    rational c > 0, as (frac, log) lists of pairs (p, q) meaning p + q G(c),
+    ints when c is. x**j / (x + c) = x**(j-1) - c x**(j-1) / (x + c) gives
+    I_j = (j-1)! - c I_{j-1}, parts give L_j = j L_{j-1} + I_j, from
+    I_0 = L_0 = G(c). The lists are the per-c cache: read, never change."""
+    c = Fraction(c)
+    if c <= 0:
+        raise DomainError("c must be positive")
+    frac, log = rows = _span_tables.setdefault(c, ([(0, 1)], [(0, 1)]))
+    if c.denominator == 1:
+        c = c.numerator
+    while len(frac) <= n:
+        j = len(frac)
+        ip, iq = factorial(j - 1) - c * frac[-1][0], -c * frac[-1][1]
+        frac.append((ip, iq))
+        log.append((j * log[-1][0] + ip, j * log[-1][1] + iq))
+    return rows
 
 
 def log_integral_coeffs(n: int, c: Fraction | int) -> DeltaLinear:
     """Exact (A_n, B_n) with integral(0,inf) x**n ln(x/c + 1) e**-x dx
-    = A_n + B_n G(c), for rational c > 0. With
-    I_n = integral(0,inf) x**n e**-x / (x + c) dx, x**n / (x + c)
-    = x**(n-1) - c x**(n-1) / (x + c) gives I_n = (n-1)! - c I_{n-1}, and
-    parts give L_n = n L_{n-1} + I_n, from I_0 = L_0 = G(c). At c = 1 this
-    is log_integral_closed(n). Rows are cached per (n, c)."""
+    = A_n + B_n G(c): span_rows' L_n. At c = 1 it is log_integral_closed(n)."""
     if n < 0:
         raise DomainError("n must be nonnegative")
-    c = Fraction(c)
-    if c <= 0:
-        raise DomainError("c must be positive")
-    for j in range(n + 1):  # bottom up, so _span_row recurses one level
-        row = _span_row(j, c)
-    return row[1]
+    return DeltaLinear(*span_rows(n, c)[1][n], c)
 
 
 def _lost_digits(v: DeltaLinear, g: BigFloat, value: BigFloat) -> float:

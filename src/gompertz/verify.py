@@ -19,7 +19,7 @@ from mpmath import mp, mpf
 from .errors import (DegenerateCase, DegenerateDenominator, DomainError,
                      ZeroDenominator)
 from .exactmath import (B1_MINUS_HALF, B1_PLUS_HALF, BERNOULLI_CONVENTIONS,
-                        binom_gen, binom_int, factorial, stirling2)
+                        binom_gen, factorial, span_weights, stirling2)
 from .integrals import log_moment_sum
 from .precision import BigFloat, PrecisionContext, to_bigfloat
 from .reference import Integrand, digamma, gamma_real, quad_semi_infinite
@@ -316,15 +316,14 @@ def check_shift_expansion(j: int, eps: Fraction, r: int, u: Fraction,
 
 def _series_blocks(u: Fraction, r: int, m_max: int, ctx: PrecisionContext,
                    path: str):
-    """Yield (m, block value); coefficients stay exact inside each block and
-    each block is one log_moment_sum, rounded once."""
+    """Yield (m, block value), each one exact log_moment_sum rounded once;
+    the k-th coefficient (-1)**(k+r) C(m,k) C(k,r)/k! is (-1)**r w_k/m!."""
     if r < 0 or m_max < r:
         raise DomainError(f"need 0 <= r <= m_max, got r={r} m_max={m_max}")
     for m in range(r, m_max + 1):
-        terms = []
-        for k in range(r, m + 1):
-            coeff = Fraction(binom_int(m, k) * binom_int(k, r), factorial(k))
-            terms.append((k, -coeff if (k + r) % 2 else coeff))
+        den = -factorial(m) if r % 2 else factorial(m)
+        terms = [(k, Fraction(w, den))
+                 for k, w in enumerate(span_weights(m, r), start=r)]
         yield m, log_moment_sum(terms, u, ctx, path)
 
 
@@ -395,12 +394,10 @@ def digamma_series_rhs(u: Fraction, m: int, convention: str,
         raise DomainError("u must be positive")
     if convention not in BERNOULLI_CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    mfact = factorial(m)
-    terms = []
-    for k in range(1, m + 1):
-        coeff = (digamma_series_coeff(k, m + 1, convention)
-                 * Fraction(binom_int(m, k), factorial(k) * mfact))
-        terms.append((k, -coeff if k % 2 else coeff))
+    # C(m,k) (-1)**k/(k! m!) is w_k/m!**2 with the span_weights(m, 0)
+    den = factorial(m) ** 2
+    terms = [(k, digamma_series_coeff(k, m + 1, convention) * Fraction(w, den))
+             for k, w in enumerate(span_weights(m, 0)) if k]
     # shifted log-moments at u are the log-moments at 1/u
     series = log_moment_sum(terms, 1 / u, ctx)
     with mp.workprec(ctx.inner_bits):
@@ -419,15 +416,20 @@ def digamma_series_scan(u: Fraction, m_values, conventions,
             for conv in conventions for m in m_values]
 
 
-def calibrate_bernoulli_convention(ctx: PrecisionContext, u: Fraction = Fraction(1),
-                                   m: int = 20) -> str:
-    """The convention whose residual at (u, m) is smaller becomes the
-    calibrated default for reporting."""
-    pts = {conv: digamma_series_rhs(u, m, conv, ctx)
-           for conv in BERNOULLI_CONVENTIONS}
-    minus = pts[B1_MINUS_HALF].residual
-    plus = pts[B1_PLUS_HALF].residual
+def calibrated_convention(points) -> str:
+    """The convention of the smaller residual of two points at one (u, m),
+    one per convention; equal residuals make the point degenerate."""
+    residual = {pt.convention: pt.residual for pt in points}
+    minus, plus = residual[B1_MINUS_HALF], residual[B1_PLUS_HALF]
     if minus == plus:
         raise DomainError("conventions produced identical residuals; "
                           "calibration point is degenerate")
     return B1_MINUS_HALF if minus < plus else B1_PLUS_HALF
+
+
+def calibrate_bernoulli_convention(ctx: PrecisionContext, u: Fraction = Fraction(1),
+                                   m: int = 20) -> str:
+    """The convention whose residual at (u, m) is smaller becomes the
+    calibrated default for reporting."""
+    return calibrated_convention(digamma_series_rhs(u, m, conv, ctx)
+                                 for conv in BERNOULLI_CONVENTIONS)

@@ -5,9 +5,10 @@ import pytest
 from mpmath import mpf
 
 from conftest import absdiff
-from gompertz import (DomainError, approx_table, corollary1_pair,
+from gompertz import (DeltaLinear, DomainError, approx_table, corollary1_pair,
                       corollary2_pair, delta_reference,
-                      error_decay_report)
+                      error_decay_report, frac_integral_closed,
+                      log_integral_coeffs)
 from gompertz.approximants import DEFAULT_M_MAX_CAP
 
 
@@ -115,6 +116,29 @@ class TestPairs:
                     Fraction(comb(m, k) * comb(k, r), factorial(k))
                     for k in range(r, m + 1))
                 assert regrouped == b
+
+    def test_pairs_are_the_papers_integrals(self):
+        # <P(x) ln(x+1)> = a + b delta: family 2 is (-1)**r m! times the
+        # theorem's m-th block at u = 1, sum_k (-1)**(k+r) C(m,k) C(k,r)/k!
+        # times L_{k-1}; family 1's (-a, b) weighs the frac rows I_k by
+        # (-1)**k C(m,k) C(k,r) m!/k!
+        for r in range(4):
+            for m in range(max(r, 1), 31):
+                block = DeltaLinear(0, 0)
+                frac = DeltaLinear(0, 0)
+                for k in range(r, m + 1):
+                    coeff = Fraction((-1) ** (k + r) * comb(m, k) * comb(k, r),
+                                     factorial(k))
+                    if k >= 1:
+                        block += coeff * log_integral_coeffs(k - 1, 1)
+                    weight = (-1) ** k * comb(m, k) * comb(k, r) \
+                        * factorial(m) // factorial(k)
+                    frac += weight * frac_integral_closed(k)
+                a, b = corollary1_pair(m, r)
+                assert DeltaLinear(-a, b) == frac
+                if r >= 1:
+                    want = block.scaled((-1) ** r * factorial(m))
+                    assert DeltaLinear(*corollary2_pair(m, r)) == want
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

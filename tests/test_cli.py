@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import DELTA_60
-from gompertz import cli
+from gompertz import cli, verify
 from gompertz.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -168,6 +168,22 @@ class TestConjecture:
                                                     "B1_plus_half")
         assert len(payload["rows"]) == 6
         assert len(payload["notes"]) == 2
+
+    def test_both_conventions_evaluate_each_point_once(self, capsys,
+                                                       monkeypatch):
+        # the calibration reads the scan's m = max-m points
+        calls = []
+        real = verify.digamma_series_rhs
+
+        def spy(*args):
+            calls.append(args[:3])
+            return real(*args)
+
+        monkeypatch.setattr(verify, "digamma_series_rhs", spy)
+        code, _, _ = run_cli(capsys, "conjecture", "--u", "2", "--max-m", "3",
+                             "--digits", "12", "--convention", "both")
+        assert code == 0
+        assert len(calls) == 2 * 3 == len(set(calls))
 
     def test_single_convention(self, capsys):
         code, out, _ = run_cli(capsys, "conjecture", "--u", "2", "--max-m", "2",

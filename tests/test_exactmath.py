@@ -224,6 +224,22 @@ class TestAltFactorialSum:
             assert alt_factorial_sum(k) == alt_factorial_sum(k - 1) + step
 
 
+class TestSpanWeights:
+    def test_against_the_definition(self):
+        for m in range(31):
+            for r in range(min(m, 5) + 1):
+                assert exactmath.span_weights(m, r) == [
+                    (-1) ** k * math.comb(m, k) * math.comb(k, r)
+                    * math.factorial(m) // math.factorial(k)
+                    for k in range(r, m + 1)]
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            exactmath.span_weights(2, 3)
+        with pytest.raises(ValueError):
+            exactmath.span_weights(2, -1)
+
+
 class TestDeltaLinear:
     def test_componentwise_algebra(self):
         a = DeltaLinear(Fraction(1, 2), Fraction(3))

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -226,6 +227,16 @@ class TestExactSpan:
         assert log_integral_coeffs(1, c) == DeltaLinear(1, 1 - c, c)
         assert log_integral_coeffs(2, c) == DeltaLinear(2 + 1 - c,
                                                         2 * (1 - c) + c * c, c)
+
+    def test_first_call_beyond_the_recursion_limit(self):
+        # the rows of a new c grow in a loop, not by recursion
+        n = sys.getrecursionlimit() + 10
+        c = Fraction(5)
+        top = log_integral_coeffs(n, c)
+        assert top.c == c and top.const_part.denominator == 1
+        # the G parts: I_n has (-c)**n, so B_n = n B_{n-1} + (-c)**n
+        below = log_integral_coeffs(n - 1, c)
+        assert top.delta_part == n * below.delta_part + (-c) ** n
 
     def test_coeffs_carry_their_c(self):
         for c in (Fraction(1, 3), Fraction(1), Fraction(7, 2)):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from math import comb, perm
 
@@ -410,6 +411,16 @@ class TestDigammaSeries:
         assert [(p.convention, p.m) for p in points] == [
             (B1_MINUS_HALF, 1), (B1_MINUS_HALF, 2),
             (B1_PLUS_HALF, 1), (B1_PLUS_HALF, 2)]
+
+    def test_calibration_needs_distinct_residuals(self, ctx30):
+        minus, plus = (digamma_series_rhs(Fraction(2), 2, conv, ctx30)
+                       for conv in (B1_MINUS_HALF, B1_PLUS_HALF))
+        want = (B1_MINUS_HALF if minus.residual < plus.residual
+                else B1_PLUS_HALF)
+        assert verify.calibrated_convention([plus, minus]) == want
+        with pytest.raises(DomainError):
+            verify.calibrated_convention(
+                [minus, dataclasses.replace(plus, residual=minus.residual)])
 
     def test_calibration_regression(self, ctx30):
         # frozen from the calibration run at (u=1, m=20)
