@@ -18,8 +18,9 @@ is worth keeping only while it is the faster one.
   {2, 2/3, 3/2} (the `series` workload's u), on the exact route (one
   cross-checked G(1/u)) and on the quadrature route (one quadrature each).
 - Digamma-series coefficients: every `digamma_series_coeff(k, m)` that
-  `conjecture --max-m 20` uses, in both conventions, against the triple sum
-  that recomputes the inner Bernoulli-Stirling sum for every (t, w).
+  `conjecture --max-m 20` uses, in both conventions (an integer Horner from
+  an empty Stirling table), against the triple sum that recomputes the
+  inner Bernoulli-Stirling sum for every (t, w).
 - Exact layer: the family-2 r = 1 pairs for m <= 100 from `corollary2_pair`
   (weighted span rows) against the `Fraction` triple sum it replaced, the
   same pairs to m <= 200 (the `--max-m` cap), and each identity grid
@@ -196,8 +197,7 @@ def triple_sum_coeff(k: int, m: int, convention: str) -> Fraction:
 
 
 def reset_digamma_coeffs() -> None:
-    verify.digamma_series_coeff.cache_clear()
-    verify._bernoulli_stirling_sum.cache_clear()
+    del exactmath._stirling2_rows[1:]
 
 
 def bench_digamma_coeffs() -> list:

@@ -7,7 +7,7 @@ from .approximants import (ApproximantRow, DecayReport, approx_table,
 from .errors import (CrossCheckFailure, DegenerateCase, DegenerateDenominator,
                      DomainError, GompertzError, NonIntegrable, PoleError,
                      PrecisionUnreachable, ZeroDenominator)
-from .exactmath import (B1_MINUS_HALF, B1_PLUS_HALF, BigRat, DeltaLinear,
+from .exactmath import (B1_MINUS_HALF, B1_PLUS_HALF, DeltaLinear,
                         alt_factorial_sum, bernoulli, binom_gen, binom_int,
                         factorial, stirling1_unsigned, stirling2)
 from .integrals import (delta_linear_eval, frac_integral_closed,

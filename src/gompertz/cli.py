@@ -43,13 +43,6 @@ CONJECTURE_NOTES = (
     "log-kernel integral taken with measure dx",
 )
 
-#: Family-1 ratios approach +delta even though the sequences are usually
-#: quoted with limit -delta; the table reports |ratio - (+delta)|.
-SIGN_NOTES = {
-    1: "family 1 empirical target sign: + (ratios approach +delta)",
-    2: "family 2 empirical target sign: - (ratios approach -delta)",
-}
-
 
 def _rational(text: str) -> Fraction:
     # exact parse; never goes through binary floating point
@@ -196,7 +189,10 @@ def _run_approx(args: argparse.Namespace) -> tuple[str, int]:
              fmt(row.abs_error), sign] for row in table]
     payload = {"command": "approx", "corollary": args.corollary, "r": args.r,
                "digits": args.digits, "target_sign": sign, "rows": rows}
-    lines = [f"# {SIGN_NOTES[args.corollary]}"] + _table_lines(header, rows)
+    # Family-1 ratios approach +delta even though the sequences are usually
+    # quoted with limit -delta; the table reports |ratio - (+delta)|.
+    lines = [f"# family {args.corollary} empirical target sign: {sign} "
+             f"(ratios approach {sign}delta)"] + _table_lines(header, rows)
     return _report(args, payload, header, rows, lines)
 
 

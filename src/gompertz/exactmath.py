@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-BigRat = Fraction
+from math import factorial  # raises ValueError for n < 0
 
 #: Bernoulli-number sign conventions for the index-1 value.
 B1_MINUS_HALF = "B1_minus_half"
@@ -43,12 +42,6 @@ def binom_gen(x: Fraction | int, k: int) -> Fraction:
     for t in range(k):
         num *= p - t * q
     return Fraction(num, q ** k * math.factorial(k))
-
-
-def factorial(n: int) -> int:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return math.factorial(n)
 
 
 # Stirling tables, grown row by row; row m depends only on row m-1.

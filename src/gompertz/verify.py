@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, perm
+from math import comb, lcm, perm
 
 import mpmath
 from mpmath import mp, mpf
@@ -344,33 +343,38 @@ def series_partial_trend(u: Fraction, r: int, m_max: int,
 
 # --- digamma-series harness ------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _bernoulli_stirling_sum(w: int, convention: str) -> Fraction:
-    """h(w) = sum_{j=1}^{w} (-1)**j B_j S1u(w, j) for w >= 1, in closed form.
-    The sum is (-1)**w sum_j s(w, j) B_j with signed Stirling numbers s, and
+def _bernoulli_stirling_sum(w: int, convention: str) -> tuple[int, int]:
+    """h(w) = sum_{j=1}^{w} (-1)**j B_j S1u(w, j) for w >= 1, in closed form,
+    as the unreduced pair (numerator, w + 1). The sum is (-1)**w
+    sum_j s(w, j) B_j with signed Stirling numbers s, and
     sum_{n,j} s(n, j) B_j t**n / n! = sum_j B_j ln(1+t)**j / j! = ln(1+t)/t,
     so h(w) = w!/(w+1) with B_1 = -1/2. B_1 = +1/2 moves the j = 1 term,
     S1u(w, 1) = (w-1)!, by -(w-1)!."""
     if convention not in BERNOULLI_CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    h = Fraction(factorial(w), w + 1)
-    return h if convention == B1_MINUS_HALF else h - factorial(w - 1)
+    num = factorial(w)
+    if convention == B1_PLUS_HALF:
+        num -= factorial(w - 1) * (w + 1)
+    return num, w + 1
 
 
-@lru_cache(maxsize=None)
 def digamma_series_coeff(k: int, m: int, convention: str = B1_MINUS_HALF) -> Fraction:
     """Exact coefficient sum_{t=2}^{m} S2(m,t) sum_{w=1}^{t-1} (-k)**(t-w)
     sum_{j=1}^{w} (-1)**j B_j S1u(w,j); empty for m = 1. The inner j-sum
-    h(w) has a closed form, cached per (w, convention), and the w-sum p_t
-    follows by Horner: p_2 = -k h(1), p_{t+1} = -k (p_t + h(t))."""
+    h(w) has a closed form over w + 1, and the w-sum p_t follows by Horner:
+    p_2 = -k h(1), p_{t+1} = -k (p_t + h(t)). Every w + 1 <= m divides
+    L = lcm(1..m), so the Horner runs over the integers L p_t."""
     if k < 1 or m < 1:
         raise DomainError("k and m must be positive")
-    total = Fraction(0)
-    p = Fraction(0)
+    if convention not in BERNOULLI_CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}")
+    scale = lcm(*range(1, m + 1))
+    total = p = 0
     for t in range(2, m + 1):
-        p = -k * (p + _bernoulli_stirling_sum(t - 1, convention))
+        num, den = _bernoulli_stirling_sum(t - 1, convention)
+        p = -k * (p + scale // den * num)
         total += stirling2(m, t) * p
-    return total
+    return Fraction(total, scale)
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,9 @@ def test_traced_functions_resolve():
 
 
 def _missing_package_names(source: str) -> list[str]:
-    """Names that a script imports from gompertz, or takes as attributes of
-    an imported gompertz module, and that do not exist."""
+    """Names that a script imports from gompertz, or reaches as an attribute
+    chain (module.function.attr) from an imported gompertz module, and that
+    do not exist; a chain is reported up to its first missing link."""
     tree = ast.parse(source)
     modules: dict[str, ModuleType] = {}  # local name -> gompertz module
     missing = []
@@ -44,12 +45,24 @@ def _missing_package_names(source: str) -> list[str]:
                     missing.append(f"{node.module}.{alias.name}")
                 elif isinstance(value, ModuleType):
                     modules[alias.asname or alias.name] = value
+    inner = {id(node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and \
-                isinstance(node.value, ast.Name) and node.value.id in modules:
-            module = modules[node.value.id]
-            if not hasattr(module, node.attr):
-                missing.append(f"{module.__name__}.{node.attr}")
+        if not isinstance(node, ast.Attribute) or id(node) in inner:
+            continue
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id in modules:
+            value = modules[node.id]
+            path = value.__name__
+            for attr in reversed(chain):
+                path += f".{attr}"
+                if not hasattr(value, attr):
+                    missing.append(path)
+                    break
+                value = getattr(value, attr)
     return missing
 
 
@@ -66,7 +79,9 @@ def test_script_check_catches_stale_names():
     stale = ("from gompertz import verify, no_such_function\n"
              "from gompertz.verify import _no_such_helper\n"
              "verify._no_such_cache.cache_clear()\n"
+             "verify.digamma_series_rhs.cache_clear()\n"
              "verify.digamma_series_coeff(1, 2)\n")
     assert _missing_package_names(stale) == [
         "gompertz.no_such_function", "gompertz.verify._no_such_helper",
-        "gompertz.verify._no_such_cache"]
+        "gompertz.verify._no_such_cache",
+        "gompertz.verify.digamma_series_rhs.cache_clear"]

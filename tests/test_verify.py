@@ -346,6 +346,11 @@ class TestDigammaSeries:
     def test_coeff_empty_at_m1(self):
         assert digamma_series_coeff(3, 1) == 0
 
+    def test_coeff_checks_convention_at_m1(self):
+        # the m = 1 sum is empty, but an unknown convention is still refused
+        with pytest.raises(ValueError):
+            digamma_series_coeff(1, 1, "B1_zero")
+
     def test_coeff_m2_is_k_times_b1(self):
         assert digamma_series_coeff(1, 2, B1_MINUS_HALF) == Fraction(-1, 2)
         assert digamma_series_coeff(1, 2, B1_PLUS_HALF) == Fraction(1, 2)
@@ -366,7 +371,7 @@ class TestDigammaSeries:
                 direct = sum((-1) ** j * bernoulli(j, conv)
                              * stirling1_unsigned(w, j)
                              for j in range(1, w + 1))
-                assert _bernoulli_stirling_sum(w, conv) == direct
+                assert Fraction(*_bernoulli_stirling_sum(w, conv)) == direct
         with pytest.raises(ValueError):
             _bernoulli_stirling_sum(3, "B1_zero")
 
