@@ -10,10 +10,14 @@ is worth keeping only while it is the faster one.
   `mpmath.digamma` at the same working precision, at 30, 300 and 1000
   digits for u in {1, 2/3}, with both Bernoulli caches emptied; records
   whether the printed digits are equal.
-- Quadrature: `quad_semi_infinite` for delta = integral ln(x+1) e**-x dx
-  at 30, 100, 150, 300 and 1000 digits, the quadrature side of `delta`,
-  with the integrand evaluations the rule made (a counting wrapper around
-  its pointwise evaluator, in a separate untimed run).
+- Quadrature: `quad_semi_infinite` for delta at 30, 100, 150, 300 and 1000
+  digits, as the log-free integral e**-x / (x+1) that the quadrature side
+  of `delta` integrates, against the by-parts integral ln(x+1) e**-x it
+  replaced, with the integrand evaluations the rule made (a counting
+  wrapper around its factor evaluator, in a separate untimed run).
+- Node table: the two quadratures of `theorem --u 1` at r = 0, the
+  cross-checked G(1) and the k = 0 log-moment, at 30, 150 and 1000 digits,
+  with the node table emptied between them (cold) and shared.
 - Log-moments: `log_moment(k, u)` for k = 1..20 at 30 digits, u in
   {2, 2/3, 3/2} (the `series` workload's u), on the exact route (one
   cross-checked G(1/u)) and on the quadrature route (one quadrature each).
@@ -27,8 +31,9 @@ is worth keeping only while it is the faster one.
   (`gauss_grid`, `gen_binomial_grid`, `int_binomial_grid`) at m <= 25 and
   m <= 40.
 
-Every case is cold (caches emptied first), as in a fresh CLI process, and is
-timed RUNS times; the median and the extremes are reported.
+Every case is cold (caches and the quadrature's node table emptied first),
+as in a fresh CLI process, and is timed RUNS times; the median and the
+extremes are reported.
 
 Usage: PYTHONPATH=src python3 scripts/bench_layers.py [--out FILE]
 """
@@ -54,6 +59,7 @@ BERNOULLI_MAX = (794, 1600)
 DIGAMMA_DIGITS = (30, 300, 1000)
 DIGAMMA_U = (Fraction(1), Fraction(2, 3))
 QUADRATURE_DIGITS = (30, 100, 150, 300, 1000)
+NODE_TABLE_DIGITS = (30, 150, 1000)
 LOG_MOMENT_U = (Fraction(2), Fraction(2, 3), Fraction(3, 2))
 LOG_MOMENT_K = 20
 LOG_MOMENT_DIGITS = 30
@@ -133,8 +139,8 @@ def bench_digamma() -> list:
 
 def count_evaluations(integrand: Integrand, ctx: PrecisionContext) -> int:
     """Integrand evaluations of one `quad_semi_infinite(integrand, ctx)`:
-    the rule run as it runs there, on a counting wrapper around its own
-    pointwise evaluator."""
+    the rule run as it runs there, on a counting wrapper around the
+    integrand's factor evaluator."""
     f = reference._make_eval(integrand)
     calls = 0
 
@@ -148,24 +154,55 @@ def count_evaluations(integrand: Integrand, ctx: PrecisionContext) -> int:
     return calls
 
 
+def reset_quadrature() -> None:
+    reference.quad_semi_infinite.cache_clear()
+    reference._NODE_TABLES.clear()
+
+
 def bench_quadrature() -> list:
-    delta_integrand = Integrand(Fraction(0), log_scale=Fraction(1))
+    integrands = {"log_free": Integrand(Fraction(0), denom_power=1),
+                  "log_integrand": Integrand(Fraction(0),
+                                             log_scale=Fraction(1))}
     rows = []
     for digits in QUADRATURE_DIGITS:
         ctx = PrecisionContext(digits)
-        rows.append({"case": f"delta digits={digits}",
-                     "double_exponential": timed(
-                         reference.quad_semi_infinite.cache_clear,
-                         lambda: reference.quad_semi_infinite(
-                             delta_integrand, ctx)),
-                     "evaluations": count_evaluations(delta_integrand, ctx)})
+        row = {"case": f"delta digits={digits}"}
+        for name, integrand in integrands.items():
+            row[name] = timed(reset_quadrature,
+                              lambda: reference.quad_semi_infinite(
+                                  integrand, ctx))
+        row["log_integrand_over_log_free"] = ratio(row["log_integrand"],
+                                                   row["log_free"])
+        row["evaluations"] = {name: count_evaluations(integrand, ctx)
+                              for name, integrand in integrands.items()}
+        rows.append(row)
     return rows
 
 
 def reset_log_moments() -> None:
-    reference.quad_semi_infinite.cache_clear()
+    reset_quadrature()
     reference._g_by_method.cache_clear()
     integrals._span_tables.clear()
+
+
+def bench_node_table() -> list:
+    rows = []
+    for digits in NODE_TABLE_DIGITS:
+        ctx = PrecisionContext(digits)
+
+        def theorem_quadratures(between):
+            reference.exp_e1(1, ctx)
+            between()
+            integrals.log_moment(0, 1, ctx)
+
+        cold = timed(reset_log_moments,
+                     lambda: theorem_quadratures(reference._NODE_TABLES.clear))
+        shared = timed(reset_log_moments,
+                       lambda: theorem_quadratures(lambda: None))
+        rows.append({"case": f"G(1) and k=0 moment digits={digits}",
+                     "cold": cold, "shared": shared,
+                     "cold_over_shared": ratio(cold, shared)})
+    return rows
 
 
 def bench_log_moments() -> list:
@@ -291,6 +328,7 @@ def main() -> None:
         "bernoulli": bench_bernoulli(),
         "digamma": bench_digamma(),
         "quadrature": bench_quadrature(),
+        "node_table": bench_node_table(),
         "log_moments": bench_log_moments(),
         "digamma_series_coeff": bench_digamma_coeffs(),
         "exact_layer": bench_exact_layer(),

@@ -1,8 +1,8 @@
 """Arbitrary-precision reference evaluation: semi-infinite quadrature for the
 exp(-x)-weighted integrand family, the Gamma and digamma functions, Euler's
-constant, and G(c) = e**c E1(c), whose value at c = 1 is the Euler-Gompertz
-constant delta, by two independent evaluators: the quadrature below and
-mpmath.e1.
+constant, and G(c) = e**c E1(c) = integral(0,inf) e**-x / (x + c) dx, whose
+value at c = 1 is the Euler-Gompertz constant delta, by two independent
+evaluators: quadrature of that log-free integral and mpmath.e1.
 Gamma, Euler's constant and E1 come from mpmath (mpmath.gamma, mpmath.euler,
 mpmath.e1); digamma is summed here from the package's exact Bernoulli
 numbers.
@@ -10,12 +10,16 @@ numbers.
 Quadrature is one double-exponential rule for the whole half-line: the map
 x = exp(t - e**-t) absorbs the algebraic endpoint singularity at 0 and turns
 the exp(-x) decay at infinity into double-exponential decay in t, so no
-split point and no truncation point are needed.
+split point and no truncation point are needed. Its nodes, with e**-x folded
+into their weights, form one table per working precision that every
+quadrature at that precision reads and extends; an integrand evaluates only
+its own factor of e**-x.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -79,8 +83,12 @@ def plan_quadrature(integrand: Integrand, ctx: PrecisionContext) -> None:
 
 
 def _make_eval(integrand: Integrand):
-    """Pointwise evaluator at the ambient working precision."""
-    a = mpf(integrand.power.numerator) / integrand.power.denominator
+    """Pointwise evaluator of the integrand's factor of exp(-x), x**power
+    times its log or denominator factor, at the ambient working precision;
+    the rule's node table carries exp(-x) in the weights."""
+    power = integrand.power
+    a = (int(power) if power.denominator == 1
+         else mpf(power.numerator) / power.denominator)
     b = None
     if integrand.log_scale is not None:
         b = mpf(integrand.log_scale.numerator) / integrand.log_scale.denominator
@@ -88,7 +96,7 @@ def _make_eval(integrand: Integrand):
     p = integrand.denom_power
 
     def f(x: BigFloat) -> BigFloat:
-        v = x ** a * mpmath.exp(-x)
+        v = x ** a if a else mpf(1)
         if b is not None:
             v *= log1p(b * x)
         if p:
@@ -103,8 +111,62 @@ def _log10(v: BigFloat) -> float:
         return float(mpmath.log10(v))
 
 
+#: The double-exponential nodes walked so far, per mp.prec; see _Level.
+_NODE_TABLES: dict[int, list[_Level]] = {}
+
+
+@dataclass
+class _Level:
+    """The nodes of one refinement level at one precision, in walk order:
+    nodes[i] is ((x, w e**-x) at t, (x, w e**-x) at -t or None at t = 0) for
+    the i-th t = k h of the walk, and e is e**-t at the last of them, from
+    which the next walk extends the level. A node depends only on (mp.prec,
+    level, i), so a node read back equals the one a cold walk computes."""
+    h: BigFloat
+    ratio: BigFloat
+    nodes: list = field(default_factory=list)
+    e: BigFloat | None = None
+
+
+def _k(n: int, i: int) -> int:
+    """The i-th node of level n is at t = k 2**-n: level 0 walks every
+    k >= 0, a finer level only the odd k, the nodes it adds."""
+    return i if n == 0 else 2 * i + 1
+
+
+def _level(n: int) -> _Level:
+    """Level n of the node table at the ambient precision, created empty:
+    step h = 2**-n, and e**-t steps by e**-(2 h) along it (e**-h on level
+    0)."""
+    levels = _NODE_TABLES.setdefault(mp.prec, [])
+    while len(levels) <= n:
+        h = mpmath.ldexp(mpf(1), -len(levels))
+        step = 2 if levels else 1
+        levels.append(_Level(h, mpmath.exp(-step * h)))
+    return levels[n]
+
+
+def _grow(level: _Level, n: int) -> None:
+    """Append the level's next node pair: x = exp(t - e), dx/dt = x (1 + e)
+    with e = e**-t, and at -t the same with e**t = 1 / e, each weight times
+    e**-x."""
+    i = len(level.nodes)
+    t = _k(n, i) * level.h
+    if i % _DE_REFRESH_STEPS == 0:
+        e = mpmath.exp(-t)
+    else:
+        e = level.e * level.ratio
+    level.e = e
+
+    def node(t, e):
+        x = mpmath.exp(t - e)
+        return x, x * (1 + e) * mpmath.exp(-x)
+
+    level.nodes.append((node(t, e), node(-t, 1 / e) if _k(n, i) else None))
+
+
 def _double_exponential(f, tol: BigFloat) -> BigFloat:
-    """integral(0, inf) of f via the double-exponential transform
+    """integral(0, inf) of f(x) e**-x via the double-exponential transform
     x = exp(t - e**-t) (Takahasi and Mori 1974, Mori 1985): as t -> -inf, x
     falls double exponentially to 0, which absorbs an algebraic endpoint
     singularity; as t -> +inf, x grows like e**t, so an exp(-x)-damped
@@ -122,56 +184,46 @@ def _double_exponential(f, tol: BigFloat) -> BigFloat:
     log10 of |I_n - I_(n-2)|) predicts 1e-125 at level 3 for
     x**7 ln(x/100 + 1) e**-x at 30 digits, whose true error there is 1e-24.
 
-    Along a level, e**-t is a geometric progression in e**-(step h), and
-    the node at -t takes e**t = 1 / e**-t, so a node pair costs two exp
-    calls; the progression restarts from a direct exp every
-    _DE_REFRESH_STEPS nodes to bound its accumulated rounding."""
-
-    def node(t, e):
-        # x = exp(t - e) and dx/dt = x (1 + e), with e = e**-t
-        x = mpmath.exp(t - e)
-        return x, x * (1 + e)
-
+    The nodes and their weights times e**-x come from the node table at the
+    ambient precision, which every quadrature at that precision shares and
+    which grows as far as a walk goes. Along a level, e**-t is a geometric
+    progression in e**-(step h), and the node at -t takes e**t = 1 / e**-t,
+    so a new node pair costs four exp calls; the progression restarts from
+    a direct exp every _DE_REFRESH_STEPS nodes to bound its accumulated
+    rounding."""
     results: list[BigFloat] = []
     l_prev = None  # log10 of the previous level difference
     running = mpf(0)
-    h = mpf(1)
-    for level in range(_DE_MAX_LEVEL + 1):
+    for n in range(_DE_MAX_LEVEL + 1):
+        level = _level(n)
         new = mpf(0)
-        k = 0 if level == 0 else 1
-        step = 1 if level == 0 else 2  # reuse all coarser-level nodes
-        ratio = mpmath.exp(-step * h)
         scale = max(mpf(1), abs(results[-1])) if results else mpf(1)
         cutoff = tol * scale / 100
         small_run = 0
-        count = 0
+        i = 0
         while True:
-            t = k * h
-            if count % _DE_REFRESH_STEPS == 0:
-                e = mpmath.exp(-t)
-            else:
-                e *= ratio
-            count += 1
-            x, w = node(t, e)
+            if i == len(level.nodes):
+                _grow(level, n)
+            (x, w), minus = level.nodes[i]
             contrib = w * f(x)
-            if k > 0:
-                xm, wm = node(-t, 1 / e)
+            if minus is not None:
+                xm, wm = minus
                 contrib += wm * f(xm)
             new += contrib
-            if float(t) > 3 and abs(contrib) < cutoff:
+            if math.ldexp(_k(n, i), -n) > 3 and abs(contrib) < cutoff:
                 small_run += 1
                 if small_run >= 2:
                     break
             else:
                 small_run = 0
-            k += step
-            if float(k * h) > _DE_T_CAP:
+            i += 1
+            if math.ldexp(_k(n, i), -n) > _DE_T_CAP:
                 raise PrecisionUnreachable(
                     "double-exponential window exhausted before terms decayed")
         running += new
-        value = running * h
+        value = running * level.h
         results.append(value)
-        if level > 0:
+        if n > 0:
             diff = abs(value - results[-2])
             bound = tol * max(mpf(1), abs(value))
             if diff < bound:
@@ -183,7 +235,6 @@ def _double_exponential(f, tol: BigFloat) -> BigFloat:
                     < _log10(bound) - _DE_STOP_MARGIN_DIGITS):
                 return value
             l_prev = l_now
-        h = h / 2
     raise PrecisionUnreachable(
         f"double-exponential rule did not converge within {_DE_MAX_LEVEL} "
         "refinement levels")
@@ -200,6 +251,7 @@ def quad_semi_infinite(integrand: Integrand, ctx: PrecisionContext) -> BigFloat:
     2; see _double_exponential). The guard digits leave room for the
     cross-check tolerance of PrecisionContext.agrees. Results are cached by
     (integrand, ctx)."""
+    ctx.check_cap()
     if integrand.log_scale == 0:
         return ctx.round(mpf(0))  # ln(1) annihilates the integrand
     plan_quadrature(integrand, ctx)
@@ -279,8 +331,15 @@ DELTA_METHODS = ("quadrature", "e_times_E1", "cross_validated")
 
 
 def _g_quadrature(c: Fraction, ctx: PrecisionContext) -> BigFloat:
-    # G(c) = integral(0,inf) ln(x/c + 1) e**-x dx, by parts
-    return quad_semi_infinite(Integrand(Fraction(0), log_scale=1 / c), ctx)
+    # G(c) = integral(0,inf) e**-x / (x + c) dx, and the rule integrates
+    # e**-x / (x/c + 1), which is c G(c): no logarithm at the nodes. The
+    # quotient is taken at inner_bits; a BigFloat over a Fraction outside
+    # workprec would round to mpmath's default 53 bits
+    integral = quad_semi_infinite(
+        Integrand(Fraction(0), denom_power=1, denom_scale=1 / c), ctx)
+    with mp.workprec(ctx.inner_bits):
+        value = integral / (mpf(c.numerator) / c.denominator)
+    return ctx.round(value)
 
 
 def _g_series(c: Fraction, ctx: PrecisionContext) -> BigFloat:
@@ -296,14 +355,16 @@ def _g_series(c: Fraction, ctx: PrecisionContext) -> BigFloat:
 def exp_e1(c: Fraction | int, ctx: PrecisionContext,
            method: str = "cross_validated") -> BigFloat:
     """G(c) = e**c E1(c) = integral(0,inf) e**-x / (x + c) dx for rational
-    c > 0, by quadrature of integral(0,inf) ln(x/c + 1) e**-x dx, by
-    e**c times mpmath.e1(c), or by both with a mandatory agreement check
-    (their mean is returned). Cached by (method, c, ctx); G(1) is delta."""
+    c > 0, by quadrature of that integral (as c G(c) = integral(0,inf)
+    e**-x / (x/c + 1) dx, divided by c), by e**c times mpmath.e1(c), or by
+    both with a mandatory agreement check (their mean is returned). Cached
+    by (method, c, ctx); G(1) is delta."""
     if method not in DELTA_METHODS:
         raise ValueError(f"unknown method {method!r}")
     c = Fraction(c)
     if c <= 0:
         raise DomainError(f"exp_e1 requires c > 0, got {c}")
+    ctx.check_cap()
     return _g_by_method(method, c, ctx)
 
 

@@ -31,7 +31,12 @@ class TestPrecisionContext:
             quad_semi_infinite(Integrand(Fraction(0)), big)
         with pytest.raises(PrecisionUnreachable):
             gamma_real(Fraction(1, 2), big)
-
+        # neither the ln(1) shortcut nor the series-only route of G(c)
+        # skips the cap
+        with pytest.raises(PrecisionUnreachable):
+            quad_semi_infinite(Integrand(Fraction(0), log_scale=0), big)
+        with pytest.raises(PrecisionUnreachable):
+            reference.exp_e1(1, big, "e_times_E1")
 
     def test_agrees_is_relative_above_one(self, ctx30):
         with mp.workprec(600):
@@ -126,6 +131,18 @@ def span_value(v, c, bits):
         return a + b * mpmath.exp(x) * mpmath.e1(x)
 
 
+#: (integrand, digits, evaluations with and without the predicted-error
+#: stop) for delta by parts, ln(x + 1) e**-x, and log-free, e**-x / (x + 1),
+#: as _g_quadrature integrates it
+DELTA_EVALUATIONS = [
+    (Integrand(Fraction(0), log_scale=Fraction(1)), 30, 171, 327),
+    (Integrand(Fraction(0), log_scale=Fraction(1)), 100, 385, 749),
+    (Integrand(Fraction(0), log_scale=Fraction(1)), 150, 793, 1561),
+    (Integrand(Fraction(0), denom_power=1), 30, 171, 325),
+    (Integrand(Fraction(0), denom_power=1), 100, 383, 745),
+    (Integrand(Fraction(0), denom_power=1), 150, 791, 1557)]
+
+
 class TestHalfLineEnds:
     """One rule covers (0, inf): an algebraic singularity at 0, mass far
     from the origin and exp(-x) decay must all come out to the rule's own
@@ -187,13 +204,15 @@ class TestHalfLineEnds:
             want = mpmath.e * mpmath.e1(1)
         assert relerr(got, want) < 100 * ctx.internal_tolerance()
 
-    @pytest.mark.parametrize("digits, early, full", [
-        (30, 171, 327), (100, 385, 749), (150, 793, 1561)])
-    def test_delta_evaluations(self, digits, early, full, monkeypatch):
+    @pytest.mark.parametrize(
+        "integrand, digits, early, full", DELTA_EVALUATIONS,
+        ids=[f"{d}-{e}-{f}" for _, d, e, f in DELTA_EVALUATIONS])
+    def test_delta_evaluations(self, integrand, digits, early, full,
+                               monkeypatch):
         # the predicted-error stop saves the last level, half of all nodes;
         # an infinite margin turns it off and leaves the difference test
         ctx = PrecisionContext(digits)
-        f = reference._make_eval(Integrand(Fraction(0), log_scale=Fraction(1)))
+        f = reference._make_eval(integrand)
         calls = []
 
         def counted(x):
@@ -212,6 +231,45 @@ class TestHalfLineEnds:
         full_value, n_full = run()
         assert (n_early, n_full) == (early, full)
         assert relerr(value, full_value) < ctx.internal_tolerance()
+
+
+class TestNodeTable:
+    @staticmethod
+    def table_size(prec):
+        return sum(len(level.nodes)
+                   for level in reference._NODE_TABLES.get(prec, ()))
+
+    def test_warm_equals_cold(self, ctx30, ctx60):
+        # a node read back from the table is the node a cold walk computes,
+        # so a result does not depend on what ran before it at its precision
+        shapes = (Integrand(Fraction(0), denom_power=1),
+                  Integrand(Fraction(-1), log_scale=Fraction(1)),
+                  Integrand(Fraction(7), log_scale=Fraction(1, 100)),
+                  Integrand(Fraction(-2, 3)))
+        for ctx in (ctx30, ctx60):
+            cold = []
+            for integrand in shapes:
+                reference._NODE_TABLES.clear()
+                reference.quad_semi_infinite.cache_clear()
+                cold.append(quad_semi_infinite(integrand, ctx))
+                size = self.table_size(ctx.inner_bits)
+                reference.quad_semi_infinite.cache_clear()
+                assert quad_semi_infinite(integrand, ctx) == cold[-1]
+                assert self.table_size(ctx.inner_bits) == size
+            # and warm from the walks of the other shapes
+            reference.quad_semi_infinite.cache_clear()
+            assert [quad_semi_infinite(i, ctx) for i in shapes] == cold
+
+    def test_one_table_per_precision(self, ctx30, ctx60):
+        reference._NODE_TABLES.clear()
+        reference.quad_semi_infinite.cache_clear()
+        quad_semi_infinite(Integrand(Fraction(0), denom_power=1), ctx30)
+        assert list(reference._NODE_TABLES) == [ctx30.inner_bits]
+        size30 = self.table_size(ctx30.inner_bits)
+        quad_semi_infinite(Integrand(Fraction(0), denom_power=1), ctx60)
+        assert sorted(reference._NODE_TABLES) == [ctx30.inner_bits,
+                                                  ctx60.inner_bits]
+        assert self.table_size(ctx30.inner_bits) == size30
 
 
 class TestGamma:
@@ -297,8 +355,10 @@ class TestDeltaReference:
         assert bigfloat_str(got, 10) == "0.5963473623"
 
     # c = 1000 takes mpmath.e1's asymptotic branch, the others its series
-    @pytest.mark.parametrize("digits", [30, 100])
-    @pytest.mark.parametrize("c", ["1/64", "1/3", "1", "3/2", "64", "1000"])
+    @pytest.mark.parametrize("c, digits", [
+        *((c, d) for d in (30, 100)
+          for c in ("1/64", "1/3", "1", "3/2", "64", "1000")),
+        *((c, 300) for c in ("1/64", "1", "3/2", "64"))])
     def test_methods_agree(self, c, digits):
         ctx = PrecisionContext(digits)
         q = reference.exp_e1(Fraction(c), ctx, "quadrature")
