@@ -27,9 +27,15 @@ is worth keeping only while it is the faster one.
   inner Bernoulli-Stirling sum for every (t, w).
 - Exact layer: the family-2 r = 1 pairs for m <= 100 from `corollary2_pair`
   (weighted span rows) against the `Fraction` triple sum it replaced, the
-  same pairs to m <= 200 (the `--max-m` cap), and each identity grid
-  (`gauss_grid`, `gen_binomial_grid`, `int_binomial_grid`) at m <= 25 and
-  m <= 40.
+  same pairs to m <= 200 (the `--max-m` cap), the span parts of the 201
+  blocks of `theorem --u 2/3 --max-m 200` (c = 3/2), each one `span_dot`
+  of the integer weights with the scaled span rows, against the per-term
+  route they replaced (one `DeltaLinear` per (m, k) from
+  `log_integral_coeffs`), with whether all blocks are equal, and each
+  identity grid (`gauss_grid`, `gen_binomial_grid`, `int_binomial_grid`) at
+  m <= 25 and m <= 40.
+- Theorem: `series_partial_trend(2/3, 0, 200)` at 30 digits, the whole of
+  `theorem --u 2/3 --max-m 200` but for printing.
 
 Every case is cold (caches and the quadrature's node table emptied first),
 as in a fresh CLI process, and is timed RUNS times; the median and the
@@ -49,10 +55,12 @@ from fractions import Fraction
 import mpmath
 import mpmath.libmp.gammazeta as mp_gammazeta
 
-from gompertz import Integrand, PrecisionContext, bigfloat_str, exactmath
+from gompertz import (DeltaLinear, Integrand, PrecisionContext, bigfloat_str,
+                      exactmath)
 from gompertz import approximants, integrals, reference, verify
 from gompertz.exactmath import (BERNOULLI_CONVENTIONS, bernoulli, binom_int,
-                                factorial, stirling1_unsigned, stirling2)
+                                factorial, span_weights, stirling1_unsigned,
+                                stirling2)
 
 RUNS = 5
 BERNOULLI_MAX = (794, 1600)
@@ -69,6 +77,10 @@ FAMILY2_R = 1
 #: the triple sum is timed at the first size only
 FAMILY2_MAX_M = (100, approximants.DEFAULT_M_MAX_CAP)
 GRID_MAX_M = (25, 40)
+#: `theorem --u 2/3 --max-m 200`: r = 0, c = 1/u = 3/2
+THEOREM_U = Fraction(2, 3)
+THEOREM_MAX_M = 200
+THEOREM_DIGITS = 30
 
 
 def timed(setup, work) -> dict:
@@ -278,6 +290,34 @@ def triple_sum_pair_2(m: int, r: int) -> tuple[int, int]:
     return int(a), int(b)
 
 
+def span_block(m: int, u: Fraction) -> DeltaLinear:
+    """The span part (k >= 1) of block m of the r = 0 double series at u, as
+    `log_moment_sum` builds it: one `span_dot` of w_k b**(m-k) with the
+    scaled rows b**(k-1) L_{k-1} at c = 1/u = a/b, over m! b**(m-1)."""
+    c = 1 / u
+    if m == 0:
+        return DeltaLinear(0, 0, c)
+    b = c.denominator
+    p, q = integrals.span_dot(
+        (w * b ** (m - k) for k, w in enumerate(span_weights(m, 0)[1:],
+                                                 start=1)),
+        integrals.span_rows(m - 1, c)[1])
+    den = factorial(m) * b ** (m - 1)
+    return DeltaLinear(Fraction(p, den), Fraction(q, den), c)
+
+
+def per_term_block(m: int, u: Fraction) -> DeltaLinear:
+    """The same span part by the route `span_block` replaced: one
+    `DeltaLinear` per term, w_k/m! times `log_integral_coeffs(k-1, 1/u)`,
+    summed in `DeltaLinear` algebra."""
+    c = 1 / u
+    total = DeltaLinear(0, 0, c)
+    for k, w in enumerate(span_weights(m, 0)[1:], start=1):
+        total += Fraction(w, factorial(m)) * integrals.log_integral_coeffs(
+            k - 1, c)
+    return total
+
+
 def bench_exact_layer() -> list:
     # the span rows are emptied before each run, so every run is cold
     rows = []
@@ -295,12 +335,34 @@ def bench_exact_layer() -> list:
                 approximants.corollary2_pair(m, FAMILY2_R)
                 == triple_sum_pair_2(m, FAMILY2_R) for m in ms)
         rows.append(row)
+    ms = range(THEOREM_MAX_M + 1)
+    row = {"case": f"span parts of {len(ms)} theorem blocks u={THEOREM_U} "
+                   f"m<={THEOREM_MAX_M}",
+           "span_dot": timed(integrals._span_tables.clear, lambda: [
+               span_block(m, THEOREM_U) for m in ms]),
+           "per_term_delta_linear": timed(integrals._span_tables.clear,
+                                          lambda: [per_term_block(m, THEOREM_U)
+                                                   for m in ms])}
+    row["per_term_over_span_dot"] = ratio(row["per_term_delta_linear"],
+                                          row["span_dot"])
+    row["blocks_equal"] = all(span_block(m, THEOREM_U)
+                              == per_term_block(m, THEOREM_U) for m in ms)
+    rows.append(row)
     for grid in (verify.gauss_grid, verify.gen_binomial_grid,
                  verify.int_binomial_grid):
         for m_max in GRID_MAX_M:
             rows.append({"case": f"{grid.__name__}(m_max={m_max})",
                          "grid": timed(lambda: None, lambda: grid(m_max))})
     return rows
+
+
+def bench_theorem() -> list:
+    ctx = PrecisionContext(THEOREM_DIGITS)
+    cold = timed(reset_log_moments, lambda: verify.series_partial_trend(
+        THEOREM_U, 0, THEOREM_MAX_M, ctx))
+    return [{"case": f"series_partial_trend(u={THEOREM_U}, r=0, "
+                     f"m_max={THEOREM_MAX_M}) digits={THEOREM_DIGITS}",
+             "cold": cold}]
 
 
 def cpu_model() -> str:
@@ -332,6 +394,7 @@ def main() -> None:
         "log_moments": bench_log_moments(),
         "digamma_series_coeff": bench_digamma_coeffs(),
         "exact_layer": bench_exact_layer(),
+        "theorem": bench_theorem(),
     }
     text = json.dumps(result, indent=2)
     print(text)

@@ -13,10 +13,11 @@ in corpus order) leaves four files in OUTDIR:
 The corpus is every distinct `perfbench.workloads.invocations(w, s)` for
 the three workloads and seeds 1-5, in first-seen order, then EXTRA: cases
 the benchmark does not reach (the 1000-digit cap, the theorem and
-conjecture cases of earlier output checks, two family-2 tables beyond the
-workloads' r and m, the csv rows of every identity point at m <= 25, one
-exit-1 and one exit-2 case, and three `--out` targets that cannot be
-written). The list is read from this checkout's perfbench/,
+conjecture cases of earlier output checks, the exact span sums at m = 200
+for u = 2/3 and at m = 60 for the digamma series, two family-2 tables
+beyond the workloads' r and m, the csv rows of every identity point at
+m <= 25, one exit-1 and one exit-2 case, and three `--out` targets that
+cannot be written). The list is read from this checkout's perfbench/,
 whichever tree --src names, so two runs compare the same invocations.
 
 Usage: python3 scripts/output_corpus.py --src TREE/src OUTDIR
@@ -41,6 +42,10 @@ EXTRA = (
     ["theorem", "--u", "1/100", "--r", "2", "--max-m", "15", "--digits", "40"],
     ["theorem", "--u", "2/3", "--max-m", "12", "--path", "quadrature"],
     ["conjecture", "--u", "1", "--max-m", "29", "--digits", "90"],
+    # the exact span sums at large m: the theorem's blocks at u != 1, and
+    # the digamma series at u = 1
+    ["theorem", "--u", "2/3", "--max-m", "200"],
+    ["conjecture", "--u", "1", "--max-m", "60"],
     # the approximant integers beyond the workloads' r and m: family 2 at
     # the --max-m cap, and at r = 4
     ["approx", "--corollary", "2", "--r", "1", "--max-m", "200"],

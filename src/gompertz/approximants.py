@@ -2,9 +2,9 @@
 +delta (family 1) or -delta (family 2), with ratio/error tables against the
 cross-validated reference value.
 
-Both are one sum over the integer c = 1 span rows (p, q) = p + q*delta of
-I_k = <x**k/(x+1)> and L_k = <x**k ln(x+1)> (integrals.span_rows, with
-<f> = integral(0,inf) f e**-x dx), weighted by w_k = span_weights(m, r).
+Both are one integrals.span_dot of w_k = span_weights(m, r) with the c = 1
+span rows (p, q) = p + q*delta of I_k = <x**k/(x+1)> and L_k = <x**k ln(x+1)>
+(integrals.span_rows, with <f> = integral(0,inf) f e**-x dx).
 With Q(x) = sum_{k=r}^{m} w_k x**(k-1), family 2 is a + b*delta
 = sum w_k L_{k-1} = <Q ln(x+1)>, and family 1 is (-A, B) for
 A + B*delta = sum w_k I_k, so b*delta - a = <Q x/(x+1)>.
@@ -17,13 +17,12 @@ carries an explicit target_sign so the discrepancy stays visible downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from mpmath import mp, mpf
 
 from .errors import DomainError
 from .exactmath import span_weights
-from .integrals import span_rows
+from .integrals import span_dot, span_rows
 from .precision import BigFloat, PrecisionContext, to_bigfloat
 from .reference import delta_reference
 
@@ -49,15 +48,6 @@ class ApproximantRow:
     target_sign: str
 
 
-def _weighted_sum(weights: list[int], rows) -> tuple[int, int]:
-    """sum_k w_k (p_k, q_k) over the weights and the rows they meet."""
-    p = q = 0
-    for w, (row_p, row_q) in zip(weights, rows):
-        p += w * row_p
-        q += w * row_q
-    return p, q
-
-
 def corollary1_pair(m: int, r: int) -> tuple[int, int]:
     """Family-1 pair (-A, B) with A + B*delta = sum_{k=r}^{m} w_k I_k, that
     is sum C(m,k)**2 C(k,r) (m-k)! times alt_factorial_sum(k) (a) or 1 (b)."""
@@ -65,7 +55,7 @@ def corollary1_pair(m: int, r: int) -> tuple[int, int]:
         raise DomainError("r must be nonnegative")
     if m < r:
         raise DomainError(f"need m >= r, got m={m} r={r}")
-    a, b = _weighted_sum(span_weights(m, r), span_rows(m)[0][r:])
+    a, b = span_dot(span_weights(m, r), span_rows(m)[0][r:])
     return -a, b
 
 
@@ -76,7 +66,7 @@ def corollary2_pair(m: int, r: int) -> tuple[int, int]:
         raise DomainError("r must be positive for family 2")
     if m < r:
         raise DomainError(f"need m >= r, got m={m} r={r}")
-    return _weighted_sum(span_weights(m, r), span_rows(m - 1)[1][r - 1:])
+    return span_dot(span_weights(m, r), span_rows(m - 1)[1][r - 1:])
 
 
 def approx_table(corollary: int, r: int, m_max: int,
@@ -92,18 +82,16 @@ def approx_table(corollary: int, r: int, m_max: int,
         raise ValueError(f"corollary must be 1 or 2, got {corollary}")
     pair = corollary1_pair if corollary == 1 else corollary2_pair
     sign = TARGET_SIGNS[corollary]
-    ms = list(range(max(r, 1), m_max + 1))
-    pairs = [pair(m, r) for m in ms]
     delta = delta_reference(ctx)
     rows = []
     with mp.workprec(ctx.working_bits):
         target = delta if sign == "+" else -delta
-        for m, (a, b) in zip(ms, pairs):
+        for m in range(max(r, 1), m_max + 1):
+            a, b = pair(m, r)
             if b == 0:
                 ratio = err = None
             else:
-                ratio = ctx.round(to_bigfloat(Fraction(a), ctx)
-                                  / to_bigfloat(Fraction(b), ctx))
+                ratio = ctx.round(to_bigfloat(a, ctx) / to_bigfloat(b, ctx))
                 err = ctx.round(abs(ratio - target))
             rows.append(ApproximantRow(m=m, r=r, corollary=corollary, a=a, b=b,
                                        ratio=ratio, abs_error=err,

@@ -8,11 +8,13 @@ Each family has a closed form here; the independent recurrence and the
 quadrature cross-check that test them live in tests/integral_oracles.py. The
 general log-moment integral(0,inf) x**(k-1) e**-x ln(x*u+1) dx lies, for
 k >= 1, in the rational span of {1, G(c)}, where G(c) = e**c E1(c) and
-c = 1/u; the DeltaLinear values carry their c, and g_span_eval is the one
-evaluator of the span, over the fixed-value primitive delta_linear_eval.
-log_moment_sum is the one router of log-moments: exact from that span for
-every rational u with 1/64 <= u, and by quadrature otherwise (k = 0, smaller
-u, or on request); log_moment is its one-term case.
+c = 1/u = a/b. span_rows holds its rows at every rational c as int pairs
+scaled by powers of b, and span_dot is the one dot product of weights with
+them; g_span_eval evaluates a DeltaLinear, which carries its c, over the
+fixed-value primitive delta_linear_eval. log_moment_sum is the one router of
+log-moments: one span value from integer weights for every rational u with
+1/64 <= u, and by quadrature otherwise (k = 0, smaller u, or on request);
+log_moment is its one-term case.
 """
 
 from __future__ import annotations
@@ -56,37 +58,50 @@ def log_integral_closed(n: int) -> DeltaLinear:
                             for j, w in enumerate(weights)), sum(weights))
 
 
-#: Per c, the span rows (frac, log) as lists of pairs (p, q), p + q G(c).
+#: Per c, the scaled span rows (frac, log) as lists of int pairs (p, q).
 _span_tables: dict[Fraction, tuple[list, list]] = {}
 
 
 def span_rows(n: int, c: Fraction | int = 1) -> tuple[list, list]:
     """The exact rows I_j = integral(0,inf) x**j e**-x / (x + c) dx and
     L_j = integral(0,inf) x**j ln(x/c + 1) e**-x dx, j <= n at least, for
-    rational c > 0, as (frac, log) lists of pairs (p, q) meaning p + q G(c),
-    ints when c is. x**j / (x + c) = x**(j-1) - c x**(j-1) / (x + c) gives
-    I_j = (j-1)! - c I_{j-1}, parts give L_j = j L_{j-1} + I_j, from
-    I_0 = L_0 = G(c). The lists are the per-c cache: read, never change."""
+    rational c = a/b > 0 in lowest terms, as (frac, log) lists of int pairs
+    (p, q) meaning b**j I_j or b**j L_j = p + q G(c). x**j / (x + c)
+    = x**(j-1) - c x**(j-1) / (x + c) gives I_j = (j-1)! - c I_{j-1}, parts
+    give L_j = j L_{j-1} + I_j, from I_0 = L_0 = G(c); times b**j, both take
+    integer steps. The lists are the per-c cache: read, never change."""
     c = Fraction(c)
     if c <= 0:
         raise DomainError("c must be positive")
     frac, log = rows = _span_tables.setdefault(c, ([(0, 1)], [(0, 1)]))
-    if c.denominator == 1:
-        c = c.numerator
+    a, b = c.numerator, c.denominator
     while len(frac) <= n:
         j = len(frac)
-        ip, iq = factorial(j - 1) - c * frac[-1][0], -c * frac[-1][1]
+        ip, iq = b ** j * factorial(j - 1) - a * frac[-1][0], -a * frac[-1][1]
         frac.append((ip, iq))
-        log.append((j * log[-1][0] + ip, j * log[-1][1] + iq))
+        log.append((j * b * log[-1][0] + ip, j * b * log[-1][1] + iq))
     return rows
+
+
+def span_dot(weights, rows) -> tuple[int, int]:
+    """sum_k w_k (p_k, q_k) over the weights and the rows they meet, for the
+    approximant families, the theorem's blocks and the digamma series."""
+    p = q = 0
+    for w, (row_p, row_q) in zip(weights, rows):
+        p += w * row_p
+        q += w * row_q
+    return p, q
 
 
 def log_integral_coeffs(n: int, c: Fraction | int) -> DeltaLinear:
     """Exact (A_n, B_n) with integral(0,inf) x**n ln(x/c + 1) e**-x dx
-    = A_n + B_n G(c): span_rows' L_n. At c = 1 it is log_integral_closed(n)."""
+    = A_n + B_n G(c): span_rows' L_n over b**n. At c = 1 it is
+    log_integral_closed(n)."""
     if n < 0:
         raise DomainError("n must be nonnegative")
-    return DeltaLinear(*span_rows(n, c)[1][n], c)
+    c = Fraction(c)
+    scale = c.denominator ** n
+    return DeltaLinear(*(Fraction(v, scale) for v in span_rows(n, c)[1][n]), c)
 
 
 def _lost_digits(v: DeltaLinear, g: BigFloat, value: BigFloat) -> float:
@@ -142,45 +157,50 @@ def log_moment(k: int, u: Fraction | int, ctx: PrecisionContext,
                path: str = "exact") -> BigFloat:
     """integral(0,inf) x**(k-1) e**-x ln(x*u+1) dx for k >= 0, u >= 0; the
     one-term log_moment_sum, which picks the route."""
-    return log_moment_sum(((k, 1),), u, ctx, path)
+    return log_moment_sum((1,), k, 1, u, ctx, path)
 
 
-def log_moment_sum(terms, u: Fraction | int, ctx: PrecisionContext,
-                   path: str = "exact") -> BigFloat:
-    """sum of coeff * log_moment(k, u) over the (k, coeff) pairs of terms,
-    k >= 0 and coeff rational, for u >= 0, rounded once.
+def log_moment_sum(weights, r: int, den: int, u: Fraction | int,
+                   ctx: PrecisionContext, path: str = "exact") -> BigFloat:
+    """sum_{k=r}^{m} w_k/den * log_moment(k, u) over the int sequence
+    weights = (w_r, ..., w_m) and the int den != 0 of either sign, for
+    r >= 0 and u >= 0, rounded once.
 
-    On path "exact" (the default) the terms with k >= 1 accumulate exactly
-    in the span of {1, G(1/u)} from log_integral_coeffs(k-1, 1/u) for
-    u >= EXACT_MIN_U, and the sum is one g_span_eval, so the guard digits
-    grow with the cancellation of the whole sum; G(1/u) is cross-checked
-    between quadrature and mpmath.e1 once per (u, precision). Path
-    "quadrature" integrates each log-moment numerically, as do k = 0 (the
-    integrand x**-1 ln(x*u+1) is integrable) and u < EXACT_MIN_U."""
+    On path "exact" (the default) and for u >= EXACT_MIN_U, the terms with
+    k >= 1 are one span value: with c = 1/u = a/b and the scaled span_rows
+    Lhat, sum_k w_k b**(m-k) Lhat_{k-1} over den b**(m-1), one span_dot and
+    one g_span_eval, so the guard digits grow with the cancellation of the
+    whole sum; G(c) is cross-checked between quadrature and mpmath.e1 once
+    per (c, precision). Path "quadrature" integrates each log-moment
+    numerically, as do k = 0 (the integrand x**-1 ln(x*u+1) is integrable)
+    and u < EXACT_MIN_U, each term with its weight over den."""
     if path not in LOG_MOMENT_PATHS:
         raise ValueError(f"unknown path {path!r}")
-    terms = tuple(terms)
-    if any(k < 0 for k, _ in terms):
+    if r < 0:
         raise DomainError("k must be nonnegative")
     u = Fraction(u)
     if u < 0:
         raise DomainError("u must be nonnegative")
     if u == 0:
         return ctx.round(mpf(0))
-    c = 1 / u
-    span = None
+    # the first n terms are quadratures, the rest one span value
+    quadrature = path == "quadrature" or u < EXACT_MIN_U
+    n = len(weights) if quadrature else int(r == 0)
+    m = r + len(weights) - 1
     with mp.workprec(ctx.inner_bits):
         total = mpf(0)
-        for k, coeff in terms:
-            if k == 0 or u < EXACT_MIN_U or path == "quadrature":
-                moment = quad_semi_infinite(
-                    Integrand(Fraction(k - 1), log_scale=u), ctx)
-                total += to_bigfloat(coeff, ctx) * moment
-            else:
-                term = coeff * log_integral_coeffs(k - 1, c)
-                span = term if span is None else span + term
-        if span is not None:
-            total += g_span_eval(span, ctx)
+        for k, w in enumerate(weights[:n], start=r):
+            moment = quad_semi_infinite(
+                Integrand(Fraction(k - 1), log_scale=u), ctx)
+            total += to_bigfloat(Fraction(w, den), ctx) * moment
+        if n < len(weights):
+            c, b = 1 / u, u.numerator
+            p, q = span_dot((w * b ** (m - k) for k, w in
+                             enumerate(weights[n:], start=r + n)),
+                            span_rows(m - 1, c)[1][r + n - 1:])
+            scale = den * b ** (m - 1)
+            total += g_span_eval(DeltaLinear(Fraction(p, scale),
+                                             Fraction(q, scale), c), ctx)
     return ctx.round(total)
 
 

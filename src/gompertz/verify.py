@@ -313,30 +313,21 @@ def check_shift_expansion(j: int, eps: Fraction, r: int, u: Fraction,
 
 # --- partial sums of the double series whose limit is u -------------------------
 
-def _series_blocks(u: Fraction, r: int, m_max: int, ctx: PrecisionContext,
-                   path: str):
-    """Yield (m, block value), each one exact log_moment_sum rounded once;
-    the k-th coefficient (-1)**(k+r) C(m,k) C(k,r)/k! is (-1)**r w_k/m!."""
-    if r < 0 or m_max < r:
-        raise DomainError(f"need 0 <= r <= m_max, got r={r} m_max={m_max}")
-    for m in range(r, m_max + 1):
-        den = -factorial(m) if r % 2 else factorial(m)
-        terms = [(k, Fraction(w, den))
-                 for k, w in enumerate(span_weights(m, r), start=r)]
-        yield m, log_moment_sum(terms, u, ctx, path)
-
-
 def series_partial_trend(u: Fraction, r: int, m_max: int,
                          ctx: PrecisionContext,
                          path: str = "exact") -> list[tuple[int, BigFloat]]:
     """All partial sums S_r..S_m_max in one pass, as (M, S_M) pairs, where
     S_M = sum_{m=r}^{M} sum_{k=r}^{m} C(m,k) C(k,r) (-1)**(k+r)/k! times the
-    k-th log-moment at u; S_M converges to u as M grows."""
+    k-th log-moment at u; S_M converges to u as M grows. Block m is one
+    log_moment_sum of the span_weights(m, r) over (-1)**r m!."""
+    if r < 0 or m_max < r:
+        raise DomainError(f"need 0 <= r <= m_max, got r={r} m_max={m_max}")
     out = []
     with mp.workprec(ctx.inner_bits):
         total = mpf(0)
-        for m, block in _series_blocks(u, r, m_max, ctx, path):
-            total += block
+        for m in range(r, m_max + 1):
+            den = -factorial(m) if r % 2 else factorial(m)
+            total += log_moment_sum(span_weights(m, r), r, den, u, ctx, path)
             out.append((m, ctx.round(total)))
     return out
 
@@ -398,12 +389,13 @@ def digamma_series_rhs(u: Fraction, m: int, convention: str,
         raise DomainError("u must be positive")
     if convention not in BERNOULLI_CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    # C(m,k) (-1)**k/(k! m!) is w_k/m!**2 with the span_weights(m, 0)
-    den = factorial(m) ** 2
-    terms = [(k, digamma_series_coeff(k, m + 1, convention) * Fraction(w, den))
-             for k, w in enumerate(span_weights(m, 0)) if k]
-    # shifted log-moments at u are the log-moments at 1/u
-    series = log_moment_sum(terms, 1 / u, ctx)
+    # coeff(k, m+1) C(m,k) (-1)**k/(k! m!) is L coeff(k, m+1) w_k/(L m!**2)
+    # with the span_weights(m, 0), where L = lcm(1..m+1) makes L coeff an
+    # integer; shifted log-moments at u are the log-moments at 1/u
+    scale = lcm(*range(1, m + 2))
+    weights = [int(digamma_series_coeff(k, m + 1, convention) * scale) * w
+               for k, w in enumerate(span_weights(m, 0)) if k]
+    series = log_moment_sum(weights, 1, scale * factorial(m) ** 2, 1 / u, ctx)
     with mp.workprec(ctx.inner_bits):
         rhs = mpmath.log(to_bigfloat(u, ctx)) + series
         psi = digamma(u, ctx)

@@ -1,12 +1,17 @@
 """Test-side oracles for the integral families of gompertz.integrals: an
-independent recurrence for the frac family, and a cross-check of either
-family's exact value against quadrature."""
+independent recurrence for the frac family, a cross-check of either
+family's exact value against quadrature, and the per-term route of a
+weighted log-moment sum."""
 
 from fractions import Fraction
 
+from mpmath import mp, mpf
+
 from gompertz import (CrossCheckFailure, DeltaLinear, DomainError, Integrand,
                       PrecisionContext, factorial, frac_integral_closed,
-                      g_span_eval, log_integral_closed, quad_semi_infinite)
+                      g_span_eval, log_integral_closed, log_integral_coeffs,
+                      quad_semi_infinite, to_bigfloat)
+from gompertz.integrals import EXACT_MIN_U
 
 
 def frac_integral_recurrence(n: int) -> DeltaLinear:
@@ -42,3 +47,29 @@ def cross_checked_value(family: str, n: int,
         raise CrossCheckFailure(
             f"{family} integral n={n}: exact {evaluated} vs quadrature {numeric}")
     return exact
+
+
+def per_term_log_moment_sum(terms, u: Fraction, ctx: PrecisionContext,
+                            path: str = "exact"):
+    """sum of coeff * log_moment(k, u) over the (k, coeff) pairs of terms,
+    by one DeltaLinear per term: coeff * log_integral_coeffs(k-1, 1/u)
+    summed in DeltaLinear algebra and evaluated once by g_span_eval, with
+    k = 0, u < EXACT_MIN_U and path "quadrature" integrated term by term,
+    in order, before the span value is added."""
+    u = Fraction(u)
+    if u == 0:
+        return ctx.round(mpf(0))
+    span = None
+    with mp.workprec(ctx.inner_bits):
+        total = mpf(0)
+        for k, coeff in terms:
+            if k == 0 or u < EXACT_MIN_U or path == "quadrature":
+                moment = quad_semi_infinite(
+                    Integrand(Fraction(k - 1), log_scale=u), ctx)
+                total += to_bigfloat(coeff, ctx) * moment
+            else:
+                term = coeff * log_integral_coeffs(k - 1, 1 / u)
+                span = term if span is None else span + term
+        if span is not None:
+            total += g_span_eval(span, ctx)
+    return ctx.round(total)

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from fractions import Fraction
 
@@ -9,13 +10,15 @@ from mpmath import mp, mpf
 
 from conftest import absdiff
 from gompertz import (CrossCheckFailure, DeltaLinear, DomainError, Integrand,
-                      bigfloat_str, delta_linear_eval, delta_reference, exp_e1,
+                      bigfloat_str, corollary1_pair, corollary2_pair,
+                      delta_linear_eval, delta_reference, exp_e1,
                       frac_integral_closed, log_integral_closed,
                       log_integral_coeffs, PrecisionContext, log_moment,
                       quad_semi_infinite, reference, shifted_log_moment)
 from gompertz.approximants import DEFAULT_M_MAX_CAP
 from gompertz.exactmath import alt_factorial_sum, factorial
-from gompertz.integrals import EXACT_MIN_U, g_span_eval, log_moment_sum
+from gompertz.integrals import (EXACT_MIN_U, g_span_eval, log_moment_sum,
+                                span_rows)
 from integral_oracles import cross_checked_value, frac_integral_recurrence
 
 
@@ -143,26 +146,41 @@ class TestLogMoment:
 
 
 class TestLogMomentSum:
-    TERMS = ((0, Fraction(1, 3)), (1, Fraction(-2)), (4, Fraction(5, 7)),
-             (0, Fraction(-1, 5)), (9, Fraction(1, 11)))
+    #: w_0..w_9 over one denominator: on path "exact" the k = 0 term is
+    #: integrated and the rest is one span value; r = 1 drops the k = 0 term
+    WEIGHTS = (2, -70, 0, 0, 25, 0, 0, 0, 0, 7)
+    DEN = 105
+
+    def want(self, weights, r, den, u, ctx, path):
+        with mp.workprec(ctx.working_bits + 16):
+            return sum(mpf(w) / den * log_moment(k, u, ctx, path)
+                       for k, w in enumerate(weights, start=r))
 
     @pytest.mark.parametrize("path", ("exact", "quadrature"))
     def test_matches_the_sum_of_moments(self, ctx30, path):
         u = Fraction(2, 3)
-        got = log_moment_sum(self.TERMS, u, ctx30, path)
-        with mp.workprec(ctx30.working_bits + 16):
-            want = sum(mpf(coeff.numerator) / coeff.denominator
-                       * log_moment(k, u, ctx30, path)
-                       for k, coeff in self.TERMS)
-        assert ctx30.agrees(got, want)
+        for r in (0, 1):
+            weights = self.WEIGHTS[r:]
+            got = log_moment_sum(weights, r, self.DEN, u, ctx30, path)
+            assert ctx30.agrees(got, self.want(weights, r, self.DEN, u, ctx30,
+                                               path)), r
+
+    @pytest.mark.parametrize("path", ("exact", "quadrature"))
+    def test_negative_denominator(self, ctx30, path):
+        u = Fraction(3, 2)
+        got = log_moment_sum(self.WEIGHTS, 0, -self.DEN, u, ctx30, path)
+        assert ctx30.agrees(got, self.want(self.WEIGHTS, 0, -self.DEN, u,
+                                           ctx30, path))
+        flipped = log_moment_sum(self.WEIGHTS, 0, self.DEN, u, ctx30, path)
+        assert got == mpmath.fneg(flipped, exact=True)
 
     def test_zero_u(self, ctx30):
-        assert log_moment_sum(self.TERMS, 0, ctx30) == 0
+        assert log_moment_sum(self.WEIGHTS, 0, self.DEN, 0, ctx30) == 0
 
     def test_negative_k_refused(self, ctx30):
+        # the weights start at k = r
         with pytest.raises(DomainError):
-            log_moment_sum(self.TERMS + ((-1, Fraction(1)),),
-                           Fraction(2, 3), ctx30)
+            log_moment_sum(self.WEIGHTS, -1, self.DEN, Fraction(2, 3), ctx30)
 
 
 class TestShiftedLogMoment:
@@ -215,7 +233,41 @@ GRID_U = (Fraction(1, 50), Fraction(1, 10), Fraction(2, 7), Fraction(1, 2),
           Fraction(2, 3), Fraction(3, 2), Fraction(2), Fraction(3))
 
 
+#: sha256 of the approximant pairs for r <= 5, m <= 200, both families, as
+#: hashed in test_approximant_pairs_digest; frozen, so that a change to the
+#: span rows or the weights cannot move a single pair unnoticed
+PAIRS_DIGEST = \
+    "e2947e0433ff745c5e2db02dc52a1138bd05a62e3030fc2f5ffad9a5eb38a2a6"
+
+
 class TestExactSpan:
+    @pytest.mark.parametrize("c", (Fraction(2, 3), Fraction(3, 2),
+                                   Fraction(7, 5), Fraction(1, 100),
+                                   Fraction(100)))
+    def test_rows_are_the_scaled_fraction_rows(self, c):
+        # I_j = (j-1)! - c I_{j-1} and L_j = j L_{j-1} + I_j from
+        # I_0 = L_0 = G(c), in Fraction pairs; the rows are b**j times them
+        frac, log = span_rows(60, c)
+        i_row = l_row = (Fraction(0), Fraction(1))
+        for j in range(61):
+            if j:
+                i_row = (factorial(j - 1) - c * i_row[0], -c * i_row[1])
+                l_row = (j * l_row[0] + i_row[0], j * l_row[1] + i_row[1])
+            scale = c.denominator ** j
+            assert frac[j] == tuple(scale * v for v in i_row), (c, j)
+            assert log[j] == tuple(scale * v for v in l_row), (c, j)
+            assert all(type(v) is int for v in frac[j] + log[j])
+
+    def test_approximant_pairs_digest(self):
+        digest = hashlib.sha256()
+        for r in range(6):
+            for m in range(max(r, 1), DEFAULT_M_MAX_CAP + 1):
+                digest.update(f"1 {r} {m} {corollary1_pair(m, r)}\n".encode())
+                if r >= 1:
+                    digest.update(
+                        f"2 {r} {m} {corollary2_pair(m, r)}\n".encode())
+        assert digest.hexdigest() == PAIRS_DIGEST
+
     def test_coeffs_at_c1_are_the_closed_form(self):
         for n in range(DEFAULT_M_MAX_CAP + 1):
             assert log_integral_coeffs(n, 1) == log_integral_closed(n)

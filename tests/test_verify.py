@@ -1,7 +1,8 @@
 import dataclasses
 from fractions import Fraction
-from math import comb, perm
+from math import comb, factorial, perm
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,12 +18,15 @@ from gompertz import (B1_MINUS_HALF, B1_PLUS_HALF, DegenerateCase,
                       digamma_series_coeff, digamma_series_rhs,
                       digamma_series_scan, gauss_grid, hypergeom_terminating,
                       int_binomial_grid, norm_log_moment,
-                      norm_log_moment_deriv, series_partial_trend)
+                      norm_log_moment_deriv, series_partial_trend,
+                      to_bigfloat)
 from gompertz.exactmath import bernoulli, stirling1_unsigned, stirling2
 from gompertz import verify
+from gompertz.integrals import EXACT_MIN_U
 from gompertz.verify import (EPS_WINDOW_SAMPLES, EXACT_PASS, FAIL,
                              NUMERIC_PASS, SKIPPED, _bernoulli_stirling_sum,
                              _compare_pairs)
+from integral_oracles import per_term_log_moment_sum
 
 
 def H(a, b, c, x=1):
@@ -276,7 +280,39 @@ class TestShiftIdentities:
             check_shift_expansion(5, Fraction(-3, 4), 0, 1, ctx30)
 
 
+def per_term_series_trend(u, r, m_max, ctx, path="exact"):
+    """series_partial_trend by the per-term route: each block's terms
+    (k, (-1)**(k+r) C(m,k) C(k,r)/k!) summed by per_term_log_moment_sum."""
+    out = []
+    with mp.workprec(ctx.inner_bits):
+        total = mpf(0)
+        for m in range(r, m_max + 1):
+            terms = [(k, Fraction((-1) ** (k + r) * comb(m, k) * comb(k, r),
+                                  factorial(k))) for k in range(r, m + 1)]
+            total += per_term_log_moment_sum(terms, u, ctx, path)
+            out.append((m, ctx.round(total)))
+    return out
+
+
 class TestSeriesPartialSums:
+    @pytest.mark.parametrize("u", (Fraction(2, 3), Fraction(3, 2),
+                                   Fraction(2), Fraction(1, 3)))
+    @pytest.mark.parametrize("r", (0, 1, 3))
+    def test_blocks_equal_the_per_term_route(self, ctx30, u, r):
+        # odd r puts the blocks over a negative denominator
+        assert series_partial_trend(u, r, 25, ctx30) == \
+            per_term_series_trend(u, r, 25, ctx30)
+
+    @pytest.mark.parametrize("u, path", ((Fraction(1, 100), "exact"),
+                                         (EXACT_MIN_U, "exact"),
+                                         (Fraction(2, 3), "quadrature")))
+    def test_quadrature_blocks_equal_the_per_term_route(self, ctx30, u, path):
+        # below EXACT_MIN_U and on path "quadrature" every moment is a
+        # quadrature; at EXACT_MIN_U only k = 0 is
+        for r in (0, 1):
+            assert series_partial_trend(u, r, 10, ctx30, path) == \
+                per_term_series_trend(u, r, 10, ctx30, path)
+
     def test_zero_u(self, ctx30):
         assert series_partial_trend(0, 0, 6, ctx30)[-1][1] == 0
 
@@ -381,6 +417,21 @@ class TestDigammaSeries:
                 for k in range(1, m + 1):
                     assert digamma_series_coeff(k, m, conv) == \
                         triple_sum_series_coeff(k, m, conv)
+
+    @pytest.mark.parametrize("conv", [B1_MINUS_HALF, B1_PLUS_HALF])
+    @pytest.mark.parametrize("u", (Fraction(1), Fraction(3, 2), Fraction(100)))
+    def test_rhs_equals_the_per_term_route(self, ctx30, conv, u):
+        # u = 100 puts the moments at 1/u < EXACT_MIN_U, on quadrature
+        for m in range(1, 21):
+            terms = [(k, digamma_series_coeff(k, m + 1, conv)
+                      * Fraction((-1) ** k * comb(m, k),
+                                 factorial(k) * factorial(m)))
+                     for k in range(1, m + 1)]
+            series = per_term_log_moment_sum(terms, 1 / u, ctx30)
+            with mp.workprec(ctx30.inner_bits):
+                want = mpmath.log(to_bigfloat(u, ctx30)) + series
+            got = digamma_series_rhs(u, m, conv, ctx30).rhs
+            assert got == ctx30.round(want), (m, conv, u)
 
     def test_rhs_single_term_at_m1(self, ctx30):
         # m=1: rhs = ln(1) + coeff(1,2) * (-1) * delta
