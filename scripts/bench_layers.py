@@ -31,9 +31,14 @@ is worth keeping only while it is the faster one.
   blocks of `theorem --u 2/3 --max-m 200` (c = 3/2), each one `span_dot`
   of the integer weights with the scaled span rows, against the per-term
   route they replaced (one `DeltaLinear` per (m, k) from
-  `log_integral_coeffs`), with whether all blocks are equal, and each
-  identity grid (`gauss_grid`, `gen_binomial_grid`, `int_binomial_grid`) at
-  m <= 25 and m <= 40.
+  `log_integral_coeffs`), with whether all blocks are equal.
+- Identity grids: `gauss_grid`, `gen_binomial_grid` and `int_binomial_grid`
+  at m <= 25 (the `tables` workload's `identities --max-m 25`) and m <= 40,
+  each read row by row from integer tables built once per row, against the
+  per-point routes they replaced (each point's left side summed from its
+  own first term by the summand's ratio, and every Gauss point summed
+  again), with whether all reports are equal and, for `gauss_grid`, the
+  distinct instances and the 2F1 sums it made.
 - Theorem: `series_partial_trend(2/3, 0, 200)` at 30 digits, the whole of
   `theorem --u 2/3 --max-m 200` but for printing.
 
@@ -51,6 +56,7 @@ import platform
 import statistics
 import time
 from fractions import Fraction
+from math import comb, perm, prod
 
 import mpmath
 import mpmath.libmp.gammazeta as mp_gammazeta
@@ -348,11 +354,127 @@ def bench_exact_layer() -> list:
     row["blocks_equal"] = all(span_block(m, THEOREM_U)
                               == per_term_block(m, THEOREM_U) for m in ms)
     rows.append(row)
-    for grid in (verify.gauss_grid, verify.gen_binomial_grid,
-                 verify.int_binomial_grid):
+    return rows
+
+
+def ratio_sum(num: int, den: int, steps) -> tuple[int, int]:
+    """t_0 + t_1 + ... as an unreduced pair, for t_0 = num/den and
+    t_{k+1} = t_k num_k/den_k over the integer pairs (num_k, den_k)."""
+    total = num
+    for step_num, step_den in steps:
+        num *= step_num
+        den *= step_den
+        total = total * step_den + num
+    return total, den
+
+
+def progression_product(p: int, q: int, start: int, stop: int) -> int:
+    return prod(p + s * q for s in range(start, stop))
+
+
+def per_point_compare(name: str, params: dict, lhs, rhs):
+    """The per-point routes' comparison: a pass reduces the left side."""
+    (ln, ld), (rn, rd) = lhs, rhs
+    if ln * rd == rn * ld:
+        value = Fraction(ln, ld)
+        return verify.IdentityReport(name, params, value, value,
+                                     verify.EXACT_PASS, Fraction(0))
+    left, right = Fraction(ln, ld), Fraction(rn, rd)
+    return verify.IdentityReport(name, params, left, right, verify.FAIL,
+                                 left - right)
+
+
+def per_point_gen_binomial(m: int, i: int, r: int, eps: Fraction):
+    """One point of the generalized-binomial identity, its left side summed
+    from the j = i term by t_{j+1}/t_j = -(m-j)(eps+j)/((eps+j+1-r)(j+1-i))."""
+    p, q = eps.numerator, eps.denominator
+    first = comb(m, i) * q ** i * factorial(i)
+    lhs = ratio_sum(-first if i % 2 else first,
+                    progression_product(p, q, 1 - r, 1 + i - r),
+                    ((-(m - j) * (p + j * q),
+                      (p + (j + 1 - r) * q) * (j + 1 - i))
+                     for j in range(i, m)))
+    n = m - i
+    rn = progression_product(n - r, -1, 0, n) * q ** m * perm(m, i)
+    rhs = (-rn if i % 2 else rn, progression_product(p, q, 1 - r, 1 + m - r))
+    params = {"m": str(m), "i": str(i), "r": str(r), "eps": str(eps)}
+    return per_point_compare("gen_binomial_sum", params, lhs, rhs)
+
+
+def per_point_gen_binomial_grid(m_max: int) -> list:
+    return [per_point_gen_binomial(m, i, r, eps)
+            for m in range(m_max + 1) for i in range(m + 1)
+            for r in range(4) for eps in verify.EPS_WINDOW_SAMPLES]
+
+
+def per_point_int_binomial_grid(m_max: int) -> list:
+    def check(m, j, r):
+        params = {"m": str(m), "j": str(j), "r": str(r)}
+        if m == r:
+            return verify.IdentityReport(
+                "int_binomial_sum", params, None, None, verify.SKIPPED,
+                "right-hand side divides by m - r = 0")
+        lhs = sum(comb(m, k) * comb(k, r) * (-1 if k % 2 else 1)
+                  for k in range(j, m + 1))
+        return per_point_compare("int_binomial_sum", params, (lhs, 1),
+                                 verify._int_binomial_closed_form(m, j, r))
+
+    return [check(m, j, r) for m in range(m_max + 1)
+            for j in range(m + 1) for r in range(j + 1)]
+
+
+def per_point_gauss_grid(m_max: int) -> list:
+    return [per_point_compare("gauss_terminating",
+                              {"a": "1", "b": str(j - m), "c": str(1 + j - r),
+                               "x": "1"},
+                              verify._hypergeom_pair(1, 1, m - j, 1 + j - r,
+                                                     1, 1, 1),
+                              (j - r, m - r))
+            for m in range(1, m_max + 1) for j in range(1, m + 1)
+            for r in range(1, j)]
+
+
+def count_hypergeom_sums(m_max: int) -> int:
+    """The 2F1 sums one `gauss_grid(m_max)` makes, by a counting wrapper
+    around `verify._hypergeom_pair` in a separate untimed run."""
+    hypergeom_pair = verify._hypergeom_pair
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return hypergeom_pair(*args)
+
+    verify._hypergeom_pair = counted
+    try:
+        verify.gauss_grid(m_max)
+    finally:
+        verify._hypergeom_pair = hypergeom_pair
+    return calls
+
+
+def bench_identity_grids() -> list:
+    rows = []
+    for grid, per_point in ((verify.gauss_grid, per_point_gauss_grid),
+                            (verify.gen_binomial_grid,
+                             per_point_gen_binomial_grid),
+                            (verify.int_binomial_grid,
+                             per_point_int_binomial_grid)):
         for m_max in GRID_MAX_M:
-            rows.append({"case": f"{grid.__name__}(m_max={m_max})",
-                         "grid": timed(lambda: None, lambda: grid(m_max))})
+            reports = grid(m_max)
+            row = {"case": f"{grid.__name__}(m_max={m_max})",
+                   "points": len(reports),
+                   "row_kernels": timed(lambda: None, lambda: grid(m_max)),
+                   "per_point": timed(lambda: None,
+                                      lambda: per_point(m_max))}
+            row["per_point_over_row_kernels"] = ratio(row["per_point"],
+                                                      row["row_kernels"])
+            row["reports_equal"] = reports == per_point(m_max)
+            if grid is verify.gauss_grid:
+                row["distinct_instances"] = len(
+                    {tuple(rep.parameters.items()) for rep in reports})
+                row["hypergeom_sums"] = count_hypergeom_sums(m_max)
+            rows.append(row)
     return rows
 
 
@@ -394,6 +516,7 @@ def main() -> None:
         "log_moments": bench_log_moments(),
         "digamma_series_coeff": bench_digamma_coeffs(),
         "exact_layer": bench_exact_layer(),
+        "identity_grids": bench_identity_grids(),
         "theorem": bench_theorem(),
     }
     text = json.dumps(result, indent=2)

@@ -16,7 +16,8 @@ the benchmark does not reach (the 1000-digit cap, the theorem and
 conjecture cases of earlier output checks, the exact span sums at m = 200
 for u = 2/3 and at m = 60 for the digamma series, two family-2 tables
 beyond the workloads' r and m, the csv rows of every identity point at
-m <= 25, one exit-1 and one exit-2 case, and three `--out` targets that
+m <= 25, the json reports and summary counts of the identity grids at
+m <= 40, one exit-1 and one exit-2 case, and three `--out` targets that
 cannot be written). The list is read from this checkout's perfbench/,
 whichever tree --src names, so two runs compare the same invocations.
 
@@ -50,8 +51,10 @@ EXTRA = (
     # the --max-m cap, and at r = 4
     ["approx", "--corollary", "2", "--r", "1", "--max-m", "200"],
     ["approx", "--corollary", "2", "--r", "4", "--max-m", "60"],
-    # every identity point's params, verdict and residual
+    # every identity point's params, verdict and residual; and larger
+    # grids than the workloads', with the summary counts
     ["identities", "--max-m", "25", "--format", "csv"],
+    ["identities", "--max-m", "40", "--format", "json"],
     # exit 1: the injected negative control fails
     ["identities", "--inject-fault", "--max-m", "6", "--format", "json"],
     # exit 2: an option the parser does not know

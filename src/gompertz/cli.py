@@ -27,10 +27,11 @@ from .exactmath import B1_MINUS_HALF, B1_PLUS_HALF
 from .precision import (MAX_DECIMAL_DIGITS, PrecisionContext, bigfloat_str,
                         to_bigfloat)
 from .reference import delta_reference
-from .verify import (FAIL, SKIPPED, HyperGeomParams, IdentityReport,
-                     calibrated_convention, check_gauss_terminating,
-                     digamma_series_scan, gauss_grid, gen_binomial_grid,
-                     int_binomial_grid, series_partial_trend)
+from .verify import (FAIL, IDENTITY_M_MAX_CAP, SKIPPED, HyperGeomParams,
+                     IdentityReport, calibrated_convention,
+                     check_gauss_terminating, digamma_series_scan, gauss_grid,
+                     gen_binomial_grid, int_binomial_grid,
+                     series_partial_trend)
 
 _METHODS = {"quadrature": "quadrature", "e1": "e_times_E1",
             "cross": "cross_validated"}
@@ -104,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identities", help="exact identity suite")
     p.add_argument("--max-m", dest="m_max", type=_positive_int, default=None,
-                   help="cap every grid at this m (default: each grid's own)")
+                   help="cap every grid at this m, at most "
+                        f"{IDENTITY_M_MAX_CAP} (default: each grid's own)")
     p.add_argument("--inject-fault", action="store_true",
                    help="internal: add a corrupted closed form as a "
                         "negative control")
@@ -219,6 +221,8 @@ def _run_theorem(args: argparse.Namespace) -> tuple[str, int]:
 def _identity_rows(args: argparse.Namespace):
     # without --max-m each grid keeps its own default cap
     cap = {} if args.m_max is None else {"m_max": args.m_max}
+    if args.m_max is not None and args.m_max > IDENTITY_M_MAX_CAP:
+        raise DomainError(f"--max-m capped at {IDENTITY_M_MAX_CAP}")
     reports = [*gen_binomial_grid(**cap), *int_binomial_grid(**cap),
                *gauss_grid(**cap)]
     if args.inject_fault:

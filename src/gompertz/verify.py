@@ -3,14 +3,18 @@ with their Gauss closed forms, the two alternating binomial-sum identities
 (exact over Q), the shift expansion satisfied by the normalized log-moments
 (its one-step case is the shift recurrence), partial sums of the double
 series converging to u, and the digamma-series harness with its convention
-calibration.
+calibration. The identity grids run row by row over integer tables built
+once per row: each point's left side is one integer dot product or suffix
+sum, compared with its closed form by cross-multiplication.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, perm
+from itertools import accumulate
+from math import comb, lcm, perm, prod
+from operator import mul
 
 import mpmath
 from mpmath import mp, mpf
@@ -31,6 +35,13 @@ SKIPPED = "Skipped"
 #: Rational sample points inside the (-1, -1/2) window; exact arithmetic
 #: makes the binomial-sum checks zero-tolerance.
 EPS_WINDOW_SAMPLES = (Fraction(-3, 4), Fraction(-2, 3), Fraction(-5, 9))
+
+#: Largest `identities --max-m`: the grids grow like m**3 points, and
+#: m = 100 takes a few seconds.
+IDENTITY_M_MAX_CAP = 100
+
+_ZERO = Fraction(0)  # the residual of every exact pass
+_M_EQUALS_R = "right-hand side divides by m - r = 0"
 
 
 @dataclass(frozen=True)
@@ -66,38 +77,28 @@ def _compare_pairs(name: str, params: dict, lhs: tuple[int, int],
                    rhs: tuple[int, int]) -> IdentityReport:
     """Exact comparison of the unreduced integer ratios lhs = (ln, ld) and
     rhs = (rn, rd), nonzero denominators of either sign, by ln*rd == rn*ld.
-    A pass reduces one Fraction, reported as both sides; a fail reduces
-    both and reports lhs - rhs."""
+    A pass reduces the closed form rhs, the same value in fewer digits,
+    reported as both sides; a fail reduces both and reports lhs - rhs."""
     (ln, ld), (rn, rd) = lhs, rhs
     if ln * rd == rn * ld:
-        value = Fraction(ln, ld)
-        return IdentityReport(name, params, value, value, EXACT_PASS,
-                              Fraction(0))
+        value = Fraction(rn, rd)
+        return IdentityReport(name, params, value, value, EXACT_PASS, _ZERO)
     left, right = Fraction(ln, ld), Fraction(rn, rd)
     return IdentityReport(name, params, left, right, FAIL, left - right)
-
-
-def _sum_by_ratios(num: int, den: int, steps) -> tuple[int, int]:
-    """t_0 + t_1 + ... as an unreduced (numerator, denominator) pair, for
-    t_0 = num/den and t_{k+1} = t_k * num_k / den_k with the integer pairs
-    (num_k, den_k) in steps; the terms share one running denominator."""
-    total = num
-    for step_num, step_den in steps:
-        num *= step_num
-        den *= step_den
-        total = total * step_den + num
-    return total, den
 
 
 def _hypergeom_pair(an: int, ad: int, n: int, cn: int, cd: int, xn: int,
                     xd: int) -> tuple[int, int]:
     """2F1(a, -n; c; x) for a = an/ad, c = cn/cd, x = xn/xd as an unreduced
-    pair: exactly n + 1 terms, each from the last by
-    t_{k+1}/t_k = (a+k)(k-n) x/((c+k)(k+1)). The caller makes sure no
-    c + k vanishes for k < n."""
-    return _sum_by_ratios(1, 1, (
-        ((an + k * ad) * (k - n) * xn * cd, ad * xd * (cn + k * cd) * (k + 1))
-        for k in range(n)))
+    pair: n + 1 terms over one running denominator, each from the last by
+    t_{k+1}/t_k = (a+k)(k-n) x/((c+k)(k+1)); no c + k may vanish, k < n."""
+    total = num = den = 1
+    for k in range(n):
+        step = ad * xd * (cn + k * cd) * (k + 1)
+        num *= (an + k * ad) * (k - n) * xn * cd
+        den *= step
+        total = total * step + num
+    return total, den
 
 
 def _terminating_pair(p: HyperGeomParams) -> tuple[int, int]:
@@ -128,12 +129,35 @@ def check_gauss_terminating(p: HyperGeomParams,
                           Fraction(closed_form).as_integer_ratio())
 
 
-def _progression_product(p: int, q: int, start: int, stop: int) -> int:
-    """Product of p + s*q over start <= s < stop."""
-    out = 1
-    for s in range(start, stop):
-        out *= p + s * q
-    return out
+def _factorial_ratios(top: int) -> list[list[int]]:
+    """n!/k! at [n][k], for k <= n <= top."""
+    return [[factorial(n) // factorial(k) for k in range(n + 1)]
+            for n in range(top + 1)]
+
+
+def _gen_binomial_row(m: int, r: int, eps: Fraction, ratios):
+    """check_gen_binomial_sum at (m, r, eps) as a function of (i, params),
+    over tables A_j, E_j, D_m built once and _factorial_ratios(m) or more."""
+    p, q = Fraction(eps).as_integer_ratio()
+    if q == 1:  # else a factor p + s*q could vanish
+        raise DomainError("eps must be a non-integer rational")
+    starts, heads, dens = [1], [1], [1]  # E_j, (-1)**j m!/(m-j)! E_j, D_j
+    for j in range(m):
+        starts.append(starts[-1] * (p + j * q))
+        heads.append(-heads[-1] * (m - j) * (p + j * q))
+        dens.append(dens[-1] * (p + (j + 1 - r) * q))
+    d_m = dens[-1]
+    terms = [head * (d_m // den) for head, den in zip(heads, dens)]
+
+    def point(i: int, params: dict) -> IdentityReport:
+        n = m - i
+        lhs = (q ** i * sum(map(mul, terms[i:], ratios[n])),
+               starts[i] * d_m * ratios[n][0])
+        # the integer binomial's (m-i)! cancels the inverted one's m!
+        rn = prod(range(1 - r, n + 1 - r)) * q ** m * perm(m, i)
+        return _compare_pairs("gen_binomial_sum", params, lhs,
+                              (-rn if i % 2 else rn, d_m))
+    return point
 
 
 def check_gen_binomial_sum(m: int, i: int, r: int,
@@ -144,31 +168,24 @@ def check_gen_binomial_sum(m: int, i: int, r: int,
       sum_{j=i}^{m} C(m,j) C(eps+j-r, j)**-1 C(eps+j-1, j-i) (-1)**j
         = C(m-i-r, m-i) C(m+eps-r, m)**-1 (-1)**i
 
-    The left side is summed from its j = i term by the summand's own ratio,
-    taken from the definition, not from the right side. With eps = p/q,
-    C(eps+n, k) = prod_{t<k} (p + (n-t) q) / (q**k k!), so both sides are
-    integer ratios."""
-    eps = Fraction(eps)
-    if eps.denominator == 1:
-        raise DomainError("eps must be a non-integer rational")
+    The left side comes from the definitions, not from the right side. With
+    eps = p/q, E_k = prod_{s<k} (p+sq) and D_k = prod_{s=1-r}^{k-r} (p+sq),
+    C(eps+j-r, j) = D_j/(q**j j!) and C(eps+j-1, j-i) = (E_j/E_i)/(q**(j-i)
+    (j-i)!). With A_j = (-1)**j C(m,j) j! E_j D_m/D_j it is the pair
+    (q**i sum_{j>=i} A_j (m-i)!/(j-i)!, E_i D_m (m-i)!): one integer dot
+    product per i with the row of A_j of (m, r, eps)."""
+    point = _gen_binomial_row(m, r, eps, _factorial_ratios(m))
     if not (0 <= i <= m) or r < 0:
         raise DomainError(f"need 0 <= i <= m and r >= 0, got m={m} i={i} r={r}")
-    # eps = p/q is not an integer, so no factor p + s*q vanishes.
-    # t_i = C(m,i) (-1)**i / C(eps+i-r, i) and
-    # t_{j+1}/t_j = -(m-j)(eps+j) / ((eps+j+1-r)(j+1-i))
-    p, q = eps.numerator, eps.denominator
-    first = comb(m, i) * q ** i * factorial(i)
-    lhs = _sum_by_ratios(-first if i % 2 else first,
-                         _progression_product(p, q, 1 - r, 1 + i - r),
-                         ((-(m - j) * (p + j * q),
-                           (p + (j + 1 - r) * q) * (j + 1 - i))
-                          for j in range(i, m)))
-    # the integer binomial's (m-i)! cancels against the m! of the inverted one
-    n = m - i
-    rn = _progression_product(n - r, -1, 0, n) * q ** m * perm(m, i)
-    rhs = (-rn if i % 2 else rn, _progression_product(p, q, 1 - r, 1 + m - r))
-    params = {"m": str(m), "i": str(i), "r": str(r), "eps": str(eps)}
-    return _compare_pairs("gen_binomial_sum", params, lhs, rhs)
+    return point(i, {"m": str(m), "i": str(i), "r": str(r),
+                     "eps": str(Fraction(eps))})
+
+
+def _int_binomial_row(m: int, r: int) -> list[int]:
+    """S_j = sum_{k=j}^{m} (-1)**k C(m,k) C(k,r) at index j - r, for every
+    r <= j <= m, in one pass from k = m down."""
+    return list(accumulate((-1) ** k * comb(m, k) * comb(k, r)
+                           for k in range(m, r - 1, -1)))[::-1]
 
 
 def check_int_binomial_sum(m: int, j: int, r: int) -> IdentityReport:
@@ -177,11 +194,10 @@ def check_int_binomial_sum(m: int, j: int, r: int) -> IdentityReport:
     if not (0 <= r <= j <= m):
         raise DomainError(f"need 0 <= r <= j <= m, got m={m} j={j} r={r}")
     if m == r:
-        raise DegenerateCase("right-hand side divides by m - r = 0")
-    lhs = sum(comb(m, k) * comb(k, r) * (-1 if k % 2 else 1)
-              for k in range(j, m + 1))
-    params = {"m": str(m), "j": str(j), "r": str(r)}
-    return _compare_pairs("int_binomial_sum", params, (lhs, 1),
+        raise DegenerateCase(_M_EQUALS_R)
+    return _compare_pairs("int_binomial_sum",
+                          {"m": str(m), "j": str(j), "r": str(r)},
+                          (_int_binomial_row(m, r)[j - r], 1),
                           _int_binomial_closed_form(m, j, r))
 
 
@@ -193,41 +209,51 @@ def _int_binomial_closed_form(m: int, j: int, r: int) -> tuple[int, int]:
 
 def gauss_grid(m_max: int = 15) -> list[IdentityReport]:
     """All terminating Gauss instances F(1, j-m, 1+j-r; 1) = (j-r)/(m-r)
-    over 1 <= r < j <= m <= m_max."""
-    # b = j-m <= 0 and c = 1+j-r >= 2 on this grid, so the parameters need
+    over 1 <= r < j <= m <= m_max. A point depends on n = m-j and d = j-r
+    only, so each distinct instance is summed once, its report repeated."""
+    # b = -n <= 0 and c = 1+d >= 2 on this grid, so the parameters need
     # none of check_gauss_terminating's validation: no c + k vanishes
-    return [_compare_pairs("gauss_terminating",
-                           {"a": "1", "b": str(j - m), "c": str(1 + j - r),
-                            "x": "1"},
-                           _hypergeom_pair(1, 1, m - j, 1 + j - r, 1, 1, 1),
-                           (j - r, m - r))
-            for m in range(1, m_max + 1)
-            for j in range(1, m + 1)
-            for r in range(1, j)]
+    rows = [[None] + [_compare_pairs(
+        "gauss_terminating",
+        {"a": "1", "b": str(-n), "c": str(1 + d), "x": "1"},
+        _hypergeom_pair(1, 1, n, 1 + d, 1, 1, 1), (d, d + n))
+        for d in range(1, m_max - n)] for n in range(m_max)]
+    return [rows[m - j][j - r] for m in range(1, m_max + 1)
+            for j in range(1, m + 1) for r in range(1, j)]
 
 
 def gen_binomial_grid(m_max: int = 12, r_max: int = 3,
                       eps_list=EPS_WINDOW_SAMPLES) -> list[IdentityReport]:
-    return [check_gen_binomial_sum(m, i, r, eps)
-            for m in range(m_max + 1)
-            for i in range(m + 1)
-            for r in range(r_max + 1)
-            for eps in eps_list]
+    """check_gen_binomial_sum over i <= m <= m_max, r <= r_max and eps,
+    nested in that order, from one _gen_binomial_row per (m, r, eps)."""
+    eps_names = [(eps, str(Fraction(eps))) for eps in eps_list]
+    names = [str(k) for k in range(max(m_max, r_max) + 1)]
+    ratios, out = _factorial_ratios(m_max), []
+    for m in range(m_max + 1):
+        rows = [(names[r], _gen_binomial_row(m, r, eps, ratios), eps_name)
+                for r in range(r_max + 1) for eps, eps_name in eps_names]
+        out += [point(i, {"m": names[m], "i": names[i], "r": r_name,
+                          "eps": eps_name})
+                for i in range(m + 1) for r_name, point, eps_name in rows]
+    return out
 
 
 def int_binomial_grid(m_max: int = 20) -> list[IdentityReport]:
-    def check(m, j, r):
-        try:
-            return check_int_binomial_sum(m, j, r)
-        except DegenerateCase as exc:
-            return IdentityReport("int_binomial_sum",
-                                  {"m": str(m), "j": str(j), "r": str(r)},
-                                  None, None, SKIPPED, str(exc))
-
-    return [check(m, j, r)
-            for m in range(m_max + 1)
-            for j in range(m + 1)
-            for r in range(j + 1)]
+    """check_int_binomial_sum over r <= j <= m <= m_max, nested in that
+    order, from one _int_binomial_row per (m, r); each m ends with its
+    degenerate point j = r = m, reported as skipped."""
+    names, out = [str(k) for k in range(m_max + 1)], []
+    for m in range(m_max + 1):
+        rows = [_int_binomial_row(m, r) for r in range(m)]
+        out += [_compare_pairs("int_binomial_sum",
+                               {"m": names[m], "j": names[j], "r": names[r]},
+                               (rows[r][j - r], 1),
+                               _int_binomial_closed_form(m, j, r))
+                for j in range(m + 1) for r in range(min(j + 1, m))]
+        out.append(IdentityReport(
+            "int_binomial_sum", {"m": names[m], "j": names[m], "r": names[m]},
+            None, None, SKIPPED, _M_EQUALS_R))
+    return out
 
 
 # --- normalized log-moments and their shift identities -------------------------

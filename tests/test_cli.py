@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -141,6 +142,35 @@ class TestIdentities:
         fails = [r for r in rows if r["verdict"] == "Fail"]
         assert len(fails) == 1
         assert "fault=injected" in fails[0]["params"]
+
+    # sha256 of the stdout of `identities --max-m 25 --format FORMAT`, as
+    # printed by the per-point grids the row kernels replaced
+    @pytest.mark.parametrize("fmt, digest", [
+        ("csv", "cebdd041692afa8a1f6b646e8d4b447e"
+                "19f932f4b5fd85e63252aeac5233ff60"),
+        ("json", "306fa2ba7630040b7dc9e655c71a8e10"
+                 "23c3f7430d8b2d8efee85c9484811e37")])
+    def test_workload_grid_digest(self, capsys, fmt, digest):
+        code, out, err = run_cli(capsys, "identities", "--max-m", "25",
+                                 "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_max_m_above_cap_is_a_usage_error(self, capsys):
+        assert verify.IDENTITY_M_MAX_CAP == 100
+        code, out, err = run_cli(capsys, "identities", "--max-m", "101")
+        assert (code, out) == (2, "")
+        assert err == "error: --max-m capped at 100\n"
+
+    def test_max_m_at_cap_is_accepted(self, capsys, monkeypatch):
+        # the grids are stubbed: only the cap is under test here
+        seen = []
+        for name in ("gen_binomial_grid", "int_binomial_grid", "gauss_grid"):
+            monkeypatch.setattr(cli, name,
+                                lambda m_max: seen.append(m_max) or [])
+        code, out, err = run_cli(capsys, "identities", "--max-m", "100")
+        assert (code, out, err) == (0, "all passed\n", "")
+        assert seen == [100, 100, 100]
 
     def test_csv_json_parity(self, capsys):
         code, json_out, _ = run_cli(capsys, "identities", "--max-m", "5",

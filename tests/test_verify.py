@@ -16,16 +16,16 @@ from gompertz import (B1_MINUS_HALF, B1_PLUS_HALF, DegenerateCase,
                       check_gen_binomial_sum, check_int_binomial_sum,
                       check_shift_expansion, delta_reference, digamma,
                       digamma_series_coeff, digamma_series_rhs,
-                      digamma_series_scan, gauss_grid, hypergeom_terminating,
-                      int_binomial_grid, norm_log_moment,
-                      norm_log_moment_deriv, series_partial_trend,
-                      to_bigfloat)
+                      digamma_series_scan, gauss_grid, gen_binomial_grid,
+                      hypergeom_terminating, int_binomial_grid,
+                      norm_log_moment, norm_log_moment_deriv,
+                      series_partial_trend, to_bigfloat)
 from gompertz.exactmath import bernoulli, stirling1_unsigned, stirling2
 from gompertz import verify
 from gompertz.integrals import EXACT_MIN_U
 from gompertz.verify import (EPS_WINDOW_SAMPLES, EXACT_PASS, FAIL,
-                             NUMERIC_PASS, SKIPPED, _bernoulli_stirling_sum,
-                             _compare_pairs)
+                             NUMERIC_PASS, SKIPPED, IdentityReport,
+                             _bernoulli_stirling_sum, _compare_pairs)
 from integral_oracles import per_term_log_moment_sum
 
 
@@ -139,14 +139,17 @@ class TestGenBinomialSum:
                 out *= Fraction(x - t, t + 1)
             return out
 
-        for eps in EPS_WINDOW_SAMPLES:
-            for m in range(13):
-                for i in range(m + 1):
-                    for r in range(4):
+        grid = iter(gen_binomial_grid(12))
+        for m in range(13):
+            for i in range(m + 1):
+                for r in range(4):
+                    for eps in EPS_WINDOW_SAMPLES:
                         lhs = sum(comb(m, j) / gen(eps + j - r, j)
                                   * gen(eps + j - 1, j - i) * (-1) ** j
                                   for j in range(i, m + 1))
                         assert check_gen_binomial_sum(m, i, r, eps).lhs == lhs
+                        assert next(grid).lhs == lhs
+        assert next(grid, None) is None
 
 
 class TestIntBinomialSum:
@@ -191,6 +194,88 @@ class TestIntBinomialSum:
         assert len(skipped) + len(passed) == len(reports)
         assert skipped  # the m with j=r=m points are reported, not hidden
         assert all(r.verdict != FAIL for r in reports)
+
+
+def gen_points(m_max):
+    return [(m, i, r, eps) for m in range(m_max + 1) for i in range(m + 1)
+            for r in range(4) for eps in EPS_WINDOW_SAMPLES]
+
+
+def int_points(m_max):
+    return [(m, j, r) for m in range(m_max + 1) for j in range(m + 1)
+            for r in range(j + 1)]
+
+
+def gauss_points(m_max):
+    return [(m, j, r) for m in range(1, m_max + 1) for j in range(1, m + 1)
+            for r in range(1, j)]
+
+
+def int_point_report(m, j, r):
+    """check_int_binomial_sum, with a degenerate point reported as
+    int_binomial_grid reports it."""
+    try:
+        return check_int_binomial_sum(m, j, r)
+    except DegenerateCase as exc:
+        return IdentityReport("int_binomial_sum",
+                              {"m": str(m), "j": str(j), "r": str(r)},
+                              None, None, SKIPPED, str(exc))
+
+
+class TestGridsByRow:
+    """The grids build row tables once and read every point from them; each
+    report must equal the single-point check's at the same point."""
+
+    def test_gen_binomial_grid_is_the_point_check(self):
+        assert gen_binomial_grid(12) == [check_gen_binomial_sum(*point)
+                                         for point in gen_points(12)]
+
+    def test_int_binomial_grid_is_the_point_check(self):
+        assert int_binomial_grid(20) == [int_point_report(*point)
+                                         for point in int_points(20)]
+
+    def test_gauss_grid_is_the_point_check(self):
+        assert gauss_grid(15) == [
+            check_gauss_terminating(H(1, j - m, 1 + j - r),
+                                    Fraction(j - r, m - r))
+            for m, j, r in gauss_points(15)]
+
+    def test_corrupted_perm_fails_at_the_same_points(self, monkeypatch):
+        monkeypatch.setattr(verify, "perm", lambda m, i: perm(m, i) + 1)
+        grid = gen_binomial_grid(8)
+        assert grid == [check_gen_binomial_sum(*point)
+                        for point in gen_points(8)]
+        assert FAIL in [rep.verdict for rep in grid]
+
+    def test_doubled_int_closed_form_fails_at_the_same_points(self,
+                                                              monkeypatch):
+        closed_form = verify._int_binomial_closed_form
+
+        def doubled(m, j, r):
+            num, den = closed_form(m, j, r)
+            return 2 * num, den
+
+        monkeypatch.setattr(verify, "_int_binomial_closed_form", doubled)
+        grid = int_binomial_grid(12)
+        assert grid == [int_point_report(*point) for point in int_points(12)]
+        assert FAIL in [rep.verdict for rep in grid]
+
+    @pytest.mark.parametrize("m_max, sums, points",
+                             [(15, 105, 560), (25, 300, 2600)])
+    def test_gauss_grid_sums_each_distinct_instance_once(self, monkeypatch,
+                                                         m_max, sums, points):
+        calls = []
+        hypergeom_pair = verify._hypergeom_pair
+
+        def counted(*args):
+            calls.append(args)
+            return hypergeom_pair(*args)
+
+        monkeypatch.setattr(verify, "_hypergeom_pair", counted)
+        reports = gauss_grid(m_max)
+        assert (len(calls), len(set(calls)), len(reports)) == (sums, sums,
+                                                               points)
+        assert all(rep.verdict == EXACT_PASS for rep in reports)
 
 
 class TestNormLogMoment:
