@@ -41,6 +41,16 @@ is worth keeping only while it is the faster one.
   distinct instances and the 2F1 sums it made.
 - Theorem: `series_partial_trend(2/3, 0, 200)` at 30 digits, the whole of
   `theorem --u 2/3 --max-m 200` but for printing.
+- Start-up: fresh processes of `python -c "import gompertz"` and
+  `python -m gompertz.cli identities --max-m 1`, timed from outside
+  STARTUP_RUNS times, and the `-X importtime` self and cumulative times of
+  every gompertz module and of mpmath, fractions and argparse (and of
+  dataclasses, json and csv where they are imported) in
+  `import gompertz.cli`, medians over STARTUP_RUNS processes. The
+  processes import the gompertz this script imported and inherit its
+  environment; the environment block records whether bytecode caching was
+  off (sys.flags.dont_write_bytecode), in which case every process
+  compiles the package again.
 
 Every case is cold (caches and the quadrature's node table emptied first),
 as in a fresh CLI process, and is timed RUNS times; the median and the
@@ -54,13 +64,17 @@ import json
 import os
 import platform
 import statistics
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import comb, perm, prod
+from pathlib import Path
 
 import mpmath
 import mpmath.libmp.gammazeta as mp_gammazeta
 
+import gompertz
 from gompertz import (DeltaLinear, Integrand, PrecisionContext, bigfloat_str,
                       exactmath)
 from gompertz import approximants, integrals, reference, verify
@@ -87,6 +101,19 @@ GRID_MAX_M = (25, 40)
 THEOREM_U = Fraction(2, 3)
 THEOREM_MAX_M = 200
 THEOREM_DIGITS = 30
+STARTUP_RUNS = 21
+STARTUP_COMMANDS = (("-c", "import gompertz"),
+                    ("-m", "gompertz.cli", "identities", "--max-m", "1"))
+#: besides every gompertz module; dataclasses, json and csv appear only
+#: where a tree still imports them at start-up
+STARTUP_IMPORTS = ("mpmath", "fractions", "argparse", "dataclasses", "json",
+                   "csv")
+
+
+def summary(samples: list) -> dict:
+    return {"median_s": round(statistics.median(samples), 4),
+            "min_s": round(min(samples), 4), "max_s": round(max(samples), 4),
+            "runs": len(samples)}
 
 
 def timed(setup, work) -> dict:
@@ -96,9 +123,7 @@ def timed(setup, work) -> dict:
         start = time.perf_counter()
         work()
         samples.append(time.perf_counter() - start)
-    return {"median_s": round(statistics.median(samples), 4),
-            "min_s": round(min(samples), 4), "max_s": round(max(samples), 4),
-            "runs": RUNS}
+    return summary(samples)
 
 
 def ratio(theirs: dict, ours: dict) -> float:
@@ -487,6 +512,51 @@ def bench_theorem() -> list:
              "cold": cold}]
 
 
+def python_process(*argv: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter on the gompertz this script imported."""
+    src = Path(gompertz.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, *argv], check=True,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+
+
+def import_times() -> dict:
+    """-X importtime of one `import gompertz.cli`: module -> (self,
+    cumulative) microseconds, for the gompertz modules and STARTUP_IMPORTS.
+    Its lines read `import time: SELF | CUMULATIVE | NAME`."""
+    times = {}
+    for line in python_process("-X", "importtime", "-c",
+                               "import gompertz.cli").stderr.splitlines()[1:]:
+        self_us, cumulative_us, name = line.split(":", 1)[1].split("|")
+        name = name.strip()
+        if name in STARTUP_IMPORTS or name.split(".")[0] == "gompertz":
+            times[name] = (int(self_us), int(cumulative_us))
+    return times
+
+
+def bench_startup() -> dict:
+    processes = []
+    for argv in STARTUP_COMMANDS:
+        samples = []
+        for _ in range(STARTUP_RUNS):
+            start = time.perf_counter()
+            python_process(*argv)
+            samples.append(time.perf_counter() - start)
+        processes.append({"case": "python " + " ".join(argv),
+                          "fresh_process": summary(samples)})
+    runs = [import_times() for _ in range(STARTUP_RUNS)]
+
+    def median_ms(name: str, column: int) -> float:
+        return round(statistics.median(run[name][column] for run in runs)
+                     / 1000, 2)
+
+    imports = {name: {"self_ms": median_ms(name, 0),
+                      "cumulative_ms": median_ms(name, 1)}
+               for name in sorted(runs[0])}
+    return {"processes": processes,
+            "import_gompertz_cli": {"runs": STARTUP_RUNS, "modules": imports}}
+
+
 def cpu_model() -> str:
     try:
         with open("/proc/cpuinfo") as f:
@@ -508,7 +578,8 @@ def main() -> None:
                         "mpmath_backend": mpmath.libmp.BACKEND,
                         "nproc": len(os.sched_getaffinity(0)),
                         "machine": platform.machine(),
-                        "cpu": cpu_model()},
+                        "cpu": cpu_model(),
+                        "dont_write_bytecode": sys.flags.dont_write_bytecode},
         "bernoulli": bench_bernoulli(),
         "digamma": bench_digamma(),
         "quadrature": bench_quadrature(),
@@ -518,6 +589,7 @@ def main() -> None:
         "exact_layer": bench_exact_layer(),
         "identity_grids": bench_identity_grids(),
         "theorem": bench_theorem(),
+        "startup": bench_startup(),
     }
     text = json.dumps(result, indent=2)
     print(text)

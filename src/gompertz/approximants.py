@@ -16,14 +16,14 @@ carries an explicit target_sign so the discrepancy stays visible downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from mpmath import mp, mpf
 
 from .errors import DomainError
 from .exactmath import span_weights
 from .integrals import span_dot, span_rows
-from .precision import BigFloat, PrecisionContext, to_bigfloat
+from .precision import PrecisionContext, to_bigfloat
 from .reference import delta_reference
 
 #: Limit sign of a_m/b_m per family: a + b*delta (family 2) and
@@ -33,19 +33,11 @@ TARGET_SIGNS = {1: "+", 2: "-"}
 DEFAULT_M_MAX_CAP = 200
 
 
-@dataclass(frozen=True)
-class ApproximantRow:
-    """ratio and abs_error are None on the single degenerate point where the
-    denominator sequence vanishes (family 2, m = r = 2 has b = 0)."""
-
-    m: int
-    r: int
-    corollary: int
-    a: int
-    b: int
-    ratio: BigFloat | None
-    abs_error: BigFloat | None
-    target_sign: str
+#: One table row; ratio and abs_error are None on the single degenerate
+#: point where the denominator sequence vanishes (family 2, m = r = 2 has
+#: b = 0).
+ApproximantRow = namedtuple("ApproximantRow", "m r corollary a b ratio "
+                            "abs_error target_sign")
 
 
 def corollary1_pair(m: int, r: int) -> tuple[int, int]:
@@ -99,11 +91,8 @@ def approx_table(corollary: int, r: int, m_max: int,
     return rows
 
 
-@dataclass(frozen=True)
-class DecayReport:
-    m_list: tuple[int, ...]
-    error_list: tuple[BigFloat, ...]
-    decade_gains: tuple[tuple[int, int, BigFloat], ...]  # (m, m', e_m/e_m')
+#: decade_gains holds (m, m', e_m/e_m') triples
+DecayReport = namedtuple("DecayReport", "m_list error_list decade_gains")
 
 
 def error_decay_report(rows: list[ApproximantRow],

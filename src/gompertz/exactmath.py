@@ -11,7 +11,6 @@ package starts no threads, so they take no lock.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial  # raises ValueError for n < 0
 
@@ -162,20 +161,39 @@ def span_weights(m: int, r: int) -> list[int]:
     return weights
 
 
-@dataclass(frozen=True)
 class DeltaLinear:
     """Element p + q*G(c) of the rational span of {1, G(c)}, where
     G(c) = e**c E1(c) and c > 0 is rational; G(1) = delta, so
     DeltaLinear(p, q) is p + q*delta. Values in different spans do not
-    add."""
+    add. Immutable, and not a tuple, whose operators would repeat and
+    order it."""
 
-    const_part: Fraction
-    delta_part: Fraction
-    c: Fraction = Fraction(1)
+    __slots__ = ("const_part", "delta_part", "c")
 
-    def __post_init__(self) -> None:
-        for name in ("const_part", "delta_part", "c"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __init__(self, const_part: Fraction, delta_part: Fraction,
+                 c: Fraction = Fraction(1)) -> None:
+        for name, value in zip(self.__slots__, (const_part, delta_part, c)):
+            object.__setattr__(self, name, Fraction(value))
+
+    def _frozen(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign or delete field {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def _key(self) -> tuple[Fraction, Fraction, Fraction]:
+        return self.const_part, self.delta_part, self.c
+
+    def __eq__(self, other):
+        if type(other) is not DeltaLinear:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return ("DeltaLinear(const_part={!r}, delta_part={!r}, c={!r})"
+                .format(*self._key()))
 
     def __add__(self, other: "DeltaLinear") -> "DeltaLinear":
         if self.c != other.c:

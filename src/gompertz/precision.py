@@ -8,7 +8,7 @@ so results are pure functions of (inputs, context).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 import mpmath
@@ -22,8 +22,8 @@ BigFloat = mpmath.mpf
 MAX_DECIMAL_DIGITS = 1000
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
+class PrecisionContext(namedtuple("PrecisionContext",
+                                  "decimal_digits guard_digits")):
     """Target output digits plus guard digits absorbed before final rounding.
 
     working_bits = ceil((decimal_digits + guard_digits) * log2(10)); all
@@ -32,14 +32,16 @@ class PrecisionContext:
     working_bits, and rounded once to working_bits at the end.
     """
 
-    decimal_digits: int
-    guard_digits: int = 15
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.decimal_digits < 1:
+    def __new__(cls, decimal_digits: int, guard_digits: int = 15):
+        if decimal_digits < 1:
             raise ValueError("decimal_digits must be positive")
-        if self.guard_digits < 5:
+        if guard_digits < 5:
             raise ValueError("guard_digits must be at least 5")
+        return super().__new__(cls, decimal_digits, guard_digits)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
 
     @property
     def total_digits(self) -> int:

@@ -19,7 +19,7 @@ its own factor of e**-x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -41,30 +41,31 @@ _DE_STOP_MARGIN_DIGITS = 10
 _DE_REFRESH_STEPS = 200
 
 
-@dataclass(frozen=True)
-class Integrand:
+class Integrand(namedtuple("Integrand",
+                           "power log_scale denom_power denom_scale")):
     """Descriptor for integral(0, inf) of x**power * exp(-x) * F(x) dx where
     F is exactly one of: 1, ln(log_scale*x + 1), or (denom_scale*x + 1)**-denom_power.
     """
 
-    power: Fraction
-    log_scale: Fraction | None = None
-    denom_power: int = 0
-    denom_scale: Fraction = Fraction(1)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "power", Fraction(self.power))
-        if self.log_scale is not None:
-            object.__setattr__(self, "log_scale", Fraction(self.log_scale))
-            if self.log_scale < 0:
+    def __new__(cls, power: Fraction, log_scale: Fraction | None = None,
+                denom_power: int = 0, denom_scale: Fraction = Fraction(1)):
+        if log_scale is not None:
+            log_scale = Fraction(log_scale)
+            if log_scale < 0:
                 raise ValueError("log_scale must be nonnegative")
-        object.__setattr__(self, "denom_scale", Fraction(self.denom_scale))
-        if self.denom_power < 0:
+        denom_scale = Fraction(denom_scale)
+        if denom_power < 0:
             raise ValueError("denom_power must be nonnegative")
-        if self.log_scale is not None and self.denom_power > 0:
+        if log_scale is not None and denom_power > 0:
             raise ValueError("at most one of log/denominator factors")
-        if self.denom_power > 0 and self.denom_scale <= 0:
+        if denom_power > 0 and denom_scale <= 0:
             raise ValueError("denom_scale must be positive")
+        return super().__new__(cls, Fraction(power), log_scale, denom_power,
+                               denom_scale)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
 
     def check_integrable(self) -> None:
         # the log factor vanishes like x at 0, softening the power by one
@@ -115,17 +116,17 @@ def _log10(v: BigFloat) -> float:
 _NODE_TABLES: dict[int, list[_Level]] = {}
 
 
-@dataclass
 class _Level:
     """The nodes of one refinement level at one precision, in walk order:
     nodes[i] is ((x, w e**-x) at t, (x, w e**-x) at -t or None at t = 0) for
     the i-th t = k h of the walk, and e is e**-t at the last of them, from
     which the next walk extends the level. A node depends only on (mp.prec,
     level, i), so a node read back equals the one a cold walk computes."""
-    h: BigFloat
-    ratio: BigFloat
-    nodes: list = field(default_factory=list)
-    e: BigFloat | None = None
+
+    __slots__ = ("h", "ratio", "nodes", "e")
+
+    def __init__(self, h: BigFloat, ratio: BigFloat) -> None:
+        self.h, self.ratio, self.nodes, self.e = h, ratio, [], None
 
 
 def _k(n: int, i: int) -> int:

@@ -10,7 +10,7 @@ sum, compared with its closed form by cross-multiplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, lcm, perm, prod
@@ -44,33 +44,20 @@ _ZERO = Fraction(0)  # the residual of every exact pass
 _M_EQUALS_R = "right-hand side divides by m - r = 0"
 
 
-@dataclass(frozen=True)
-class HyperGeomParams:
+class HyperGeomParams(namedtuple("HyperGeomParams", "a b c x")):
     """2F1 parameters; all uses here are terminating (b a nonpositive int)."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    x: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "x"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __new__(cls, a: Fraction, b: Fraction, c: Fraction, x: Fraction):
+        return super().__new__(cls, *map(Fraction, (a, b, c, x)))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace coerces
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    identity_name: str
-    parameters: dict
-    lhs: object
-    rhs: object
-    verdict: str
-    residual: object
-    tolerance: BigFloat | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict in (EXACT_PASS, NUMERIC_PASS)
+#: One identity point; tolerance is set only by a numeric comparison.
+IdentityReport = namedtuple("IdentityReport", "identity_name parameters lhs "
+                            "rhs verdict residual tolerance", defaults=(None,))
 
 
 def _compare_pairs(name: str, params: dict, lhs: tuple[int, int],
@@ -394,14 +381,8 @@ def digamma_series_coeff(k: int, m: int, convention: str = B1_MINUS_HALF) -> Fra
     return Fraction(total, scale)
 
 
-@dataclass(frozen=True)
-class DigammaSeriesPoint:
-    u: Fraction
-    m: int
-    convention: str
-    rhs: BigFloat
-    psi: BigFloat
-    residual: BigFloat
+DigammaSeriesPoint = namedtuple("DigammaSeriesPoint",
+                                "u m convention rhs psi residual")
 
 
 def digamma_series_rhs(u: Fraction, m: int, convention: str,

@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -268,6 +270,17 @@ class TestUsageErrors:
                              "--max-m", "3", "--threads", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (("delta", "--digits", "abc"),
+         "gompertz delta: error: argument --digits: not an integer: 'abc'"),
+        (("identities", "--max-m", "x"),
+         "gompertz identities: error: argument --max-m: not an integer: 'x'"),
+    ], ids=("digits", "max-m"))
+    def test_non_integer_named_plainly(self, capsys, argv, message):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.splitlines()[-1] == message
+
 
 class TestOutputFile:
     def test_atomic_write_matches_stdout(self, capsys, tmp_path):
@@ -348,3 +361,46 @@ class TestDeterminism:
                            "--max-m", "8", "--digits", "12", "--format", "csv")[1]
                    for _ in range(2)]
         assert outputs[0] == outputs[1]
+
+
+
+class TestStartup:
+    """What a fresh process imports. Start-up is most of a small command's
+    time, so no module imports `dataclasses` (which pulls in `inspect`,
+    `ast` and `dis`), and json and csv are imported only by the format that
+    writes them. `import gompertz.cli` still loads every package module:
+    the benchmark's tracer wraps their functions right after that
+    import."""
+
+    MODULES = ("approximants", "cli", "errors", "exactmath", "integrals",
+               "precision", "reference", "verify")
+    #: `python -m gompertz.cli ARGV`, run to its exit
+    CLI = ("import runpy\n"
+           "try:\n"
+           "    runpy.run_module('gompertz.cli', run_name='__main__',"
+           " alter_sys=True)\n"
+           "except SystemExit as exc:\n"
+           "    assert not exc.code, exc.code\n")
+
+    @staticmethod
+    def modules_after(script: str, *argv) -> set:
+        """sys.modules at the end of `python -c SCRIPT ARGV`."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys\n{script}sys.stderr.write(' '.join(sys.modules))",
+             *argv], capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 0, done.stderr
+        return set(done.stderr.split())
+
+    @pytest.mark.parametrize("fmt", ("text", "json", "csv"))
+    def test_only_the_format_module_is_loaded(self, fmt):
+        modules = self.modules_after(self.CLI, "delta", "--digits", "30",
+                                     "--format", fmt)
+        assert "dataclasses" not in modules and "inspect" not in modules
+        assert {"json", "csv"} & modules == ({fmt} - {"text"})
+
+    def test_cli_import_loads_every_package_module(self):
+        modules = self.modules_after("import gompertz.cli\n")
+        assert {f"gompertz.{name}" for name in self.MODULES} <= modules

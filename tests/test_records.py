@@ -1,0 +1,206 @@
+"""The package's nine records: field names, order and defaults, the checks
+and coercions made on construction (and again by `_replace`), immutability,
+and equal values hashing equal (PrecisionContext and Integrand are
+`lru_cache` keys). The records are named tuples, but for the reference
+rule's mutable `_Level` and for DeltaLinear, whose operators are its span
+algebra alone: a tuple would repeat under `v * 3` and order under `<`."""
+
+from fractions import Fraction
+
+import pytest
+from mpmath import mpf
+
+from gompertz import (ApproximantRow, DecayReport, DeltaLinear,
+                      DigammaSeriesPoint, HyperGeomParams, IdentityReport,
+                      Integrand, PrecisionContext, quad_semi_infinite)
+from gompertz.reference import _Level
+from gompertz.verify import EXACT_PASS
+
+#: record -> (its fields in order, values for the fields without a default,
+#: the defaults of the others)
+RECORDS = {
+    PrecisionContext: (("decimal_digits", "guard_digits"), (30,),
+                       {"guard_digits": 15}),
+    Integrand: (("power", "log_scale", "denom_power", "denom_scale"),
+                (Fraction(1, 2),),
+                {"log_scale": None, "denom_power": 0,
+                 "denom_scale": Fraction(1)}),
+    DeltaLinear: (("const_part", "delta_part", "c"),
+                  (Fraction(1, 2), Fraction(-3)), {"c": Fraction(1)}),
+    ApproximantRow: (("m", "r", "corollary", "a", "b", "ratio", "abs_error",
+                      "target_sign"),
+                     (2, 0, 1, -4, 7, mpf(4) / 7, mpf("0.025"), "+"), {}),
+    DecayReport: (("m_list", "error_list", "decade_gains"),
+                  ((1, 2), (mpf("0.1"), mpf("0.025")),
+                   ((1, 2, mpf(4)),)), {}),
+    HyperGeomParams: (("a", "b", "c", "x"),
+                      (Fraction(1), Fraction(-1), Fraction(2), Fraction(1)),
+                      {}),
+    IdentityReport: (("identity_name", "parameters", "lhs", "rhs", "verdict",
+                      "residual", "tolerance"),
+                     ("gauss_terminating", {"a": "1"}, Fraction(1, 2),
+                      Fraction(1, 2), EXACT_PASS, Fraction(0)),
+                     {"tolerance": None}),
+    DigammaSeriesPoint: (("u", "m", "convention", "rhs", "psi", "residual"),
+                         (Fraction(1), 3, "B1_plus_half", mpf("-0.5"),
+                          mpf("-0.57"), mpf("0.07")), {}),
+}
+IDS = [record.__name__ for record in RECORDS]
+
+
+def sample(record):
+    _, values, _ = RECORDS[record]
+    return record(*values)
+
+
+def field_names(record) -> tuple:
+    return getattr(record, "_fields", None) or record.__slots__
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=IDS)
+def test_fields_order_and_defaults(record):
+    names, values, defaults = RECORDS[record]
+    assert tuple(field_names(record)) == names
+    value = record(*values)
+    expected = dict(zip(names, values), **defaults)
+    assert {name: getattr(value, name) for name in names} == expected
+    assert record(**dict(zip(names, values))) == value
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=IDS)
+def test_fields_cannot_be_assigned(record):
+    value = sample(record)
+    for name in (*field_names(record), "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=IDS)
+def test_equal_values_equal(record):
+    assert sample(record) == sample(record)
+    assert sample(record) is not sample(record)
+
+
+HASHABLE = [record for record in RECORDS if record is not IdentityReport]
+
+
+@pytest.mark.parametrize("record", HASHABLE,
+                         ids=[record.__name__ for record in HASHABLE])
+def test_equal_values_hash_equal(record):
+    # an IdentityReport carries its parameters as a dict, unhashable
+    assert hash(sample(record)) == hash(sample(record))
+
+
+def test_cache_keys_spelled_differently_hit():
+    quad_semi_infinite.cache_clear()
+    quad_semi_infinite(Integrand(Fraction(0), denom_power=1),
+                       PrecisionContext(12))
+    quad_semi_infinite(Integrand(0, None, 1, 1), PrecisionContext(12, 15))
+    assert quad_semi_infinite.cache_info().hits == 1
+    assert quad_semi_infinite.cache_info().misses == 1
+
+
+class TestPrecisionContext:
+    def test_checks(self):
+        with pytest.raises(ValueError,
+                           match="^decimal_digits must be positive$"):
+            PrecisionContext(0)
+        with pytest.raises(ValueError,
+                           match="^guard_digits must be at least 5$"):
+            PrecisionContext(30, 4)
+
+    def test_replace_checks(self):
+        assert PrecisionContext(30)._replace(guard_digits=20) == \
+            PrecisionContext(30, 20)
+        with pytest.raises(ValueError, match="guard_digits"):
+            PrecisionContext(30)._replace(guard_digits=4)
+
+
+class TestIntegrand:
+    def test_checks(self):
+        for kwargs, message in (
+                ({"log_scale": -1}, "log_scale must be nonnegative"),
+                ({"denom_power": -1}, "denom_power must be nonnegative"),
+                ({"log_scale": 1, "denom_power": 1},
+                 "at most one of log/denominator factors"),
+                ({"denom_power": 1, "denom_scale": 0},
+                 "denom_scale must be positive")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                Integrand(Fraction(0), **kwargs)
+
+    def test_rationals_coerced(self):
+        value = Integrand(1, log_scale="1/3", denom_scale=2)
+        assert [type(v) for v in (value.power, value.log_scale,
+                                  value.denom_scale)] == [Fraction] * 3
+        assert value.log_scale == Fraction(1, 3)
+        assert Integrand(0).log_scale is None
+
+    def test_replace_checks_and_coerces(self):
+        value = Integrand(0)._replace(log_scale=2)
+        assert value == Integrand(0, log_scale=2)
+        assert type(value.log_scale) is Fraction
+        with pytest.raises(ValueError, match="log_scale"):
+            Integrand(0)._replace(log_scale=-1)
+
+
+class TestHyperGeomParams:
+    def test_rationals_coerced(self):
+        value = HyperGeomParams(1, "-2", 0.5, Fraction(1, 3))
+        assert value == HyperGeomParams(Fraction(1), Fraction(-2),
+                                        Fraction(1, 2), Fraction(1, 3))
+        assert {type(v) for v in value} == {Fraction}
+        assert type(value._replace(a=2).a) is Fraction
+        with pytest.raises(ValueError):
+            HyperGeomParams("one", 0, 1, 1)
+
+
+class TestDeltaLinear:
+    def test_rationals_coerced(self):
+        v = DeltaLinear(1, "2/3", 2)
+        assert [type(x) for x in (v.const_part, v.delta_part, v.c)] == \
+            [Fraction] * 3
+        with pytest.raises(ValueError):
+            DeltaLinear("one", 0)
+
+    def test_operators_are_the_span_algebra(self):
+        v = DeltaLinear(Fraction(1, 2), 3)
+        w = DeltaLinear(1, Fraction(-1, 3))
+        assert 3 * v == DeltaLinear(Fraction(3, 2), 9)
+        assert v + w == DeltaLinear(Fraction(3, 2), Fraction(8, 3))
+        with pytest.raises(ValueError):
+            v + DeltaLinear(0, 1, Fraction(3, 2))
+        with pytest.raises(TypeError):
+            v * 3  # not a tuple repeated
+        with pytest.raises(TypeError):
+            v < w  # not a tuple ordered
+        assert v != (Fraction(1, 2), Fraction(3), Fraction(1))
+
+    def test_fields_cannot_be_deleted(self):
+        v = DeltaLinear(1, 2)
+        with pytest.raises(AttributeError):
+            del v.c
+        assert v.c == 1
+
+    def test_repr(self):
+        assert repr(DeltaLinear(1, 2)) == (
+            "DeltaLinear(const_part=Fraction(1, 1), "
+            "delta_part=Fraction(2, 1), c=Fraction(1, 1))")
+
+
+class TestLevel:
+    """The quadrature's node table level: the one mutable record."""
+
+    def test_fields_and_defaults(self):
+        level = _Level(mpf("0.5"), mpf("0.25"))
+        assert _Level.__slots__ == ("h", "ratio", "nodes", "e")
+        assert (level.h, level.ratio, level.nodes, level.e) == \
+            (mpf("0.5"), mpf("0.25"), [], None)
+        assert _Level(1, 1).nodes is not level.nodes
+
+    def test_walk_state_assignable_but_no_new_attributes(self):
+        level = _Level(mpf(1), mpf(1))
+        level.e = mpf(2)
+        level.nodes.append(((mpf(1), mpf(1)), None))
+        assert level.e == 2 and len(level.nodes) == 1
+        with pytest.raises(AttributeError):
+            level.extra = 1

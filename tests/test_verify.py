@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 from math import comb, factorial, perm
 
@@ -561,7 +560,7 @@ class TestDigammaSeries:
         assert verify.calibrated_convention([plus, minus]) == want
         with pytest.raises(DomainError):
             verify.calibrated_convention(
-                [minus, dataclasses.replace(plus, residual=minus.residual)])
+                [minus, plus._replace(residual=minus.residual)])
 
     def test_calibration_regression(self, ctx30):
         # frozen from the calibration run at (u=1, m=20)
