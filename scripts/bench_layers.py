@@ -41,6 +41,11 @@ is worth keeping only while it is the faster one.
   distinct instances and the 2F1 sums it made.
 - Theorem: `series_partial_trend(2/3, 0, 200)` at 30 digits, the whole of
   `theorem --u 2/3 --max-m 200` but for printing.
+- Small u: `series_partial_trend(1/100, 0, 60)` at 30 digits, the whole of
+  `theorem --u 1/100 --max-m 60` but for printing, on path "exact" (the
+  span at c = 100) and on path "quadrature" (one quadrature per moment, the
+  route every u < 1/64 took before), with how many of its rows print the
+  same digits as the 60-digit run.
 - Start-up: fresh processes of `python -c "import gompertz"` and
   `python -m gompertz.cli identities --max-m 1`, timed from outside
   STARTUP_RUNS times, and the `-X importtime` self and cumulative times of
@@ -101,6 +106,9 @@ GRID_MAX_M = (25, 40)
 THEOREM_U = Fraction(2, 3)
 THEOREM_MAX_M = 200
 THEOREM_DIGITS = 30
+#: `theorem --u 1/100 --max-m 60`: r = 0, c = 1/u = 100
+SMALL_U = Fraction(1, 100)
+SMALL_U_MAX_M = 60
 STARTUP_RUNS = 21
 STARTUP_COMMANDS = (("-c", "import gompertz"),
                     ("-m", "gompertz.cli", "identities", "--max-m", "1"))
@@ -512,6 +520,26 @@ def bench_theorem() -> list:
              "cold": cold}]
 
 
+def bench_small_u() -> list:
+    ctx = PrecisionContext(THEOREM_DIGITS)
+
+    def printed(ctx, path="exact"):
+        return [bigfloat_str(s, THEOREM_DIGITS) for _, s in
+                verify.series_partial_trend(SMALL_U, 0, SMALL_U_MAX_M, ctx,
+                                            path)]
+
+    want = printed(PrecisionContext(2 * THEOREM_DIGITS))
+    row = {"case": f"series_partial_trend(u={SMALL_U}, r=0, "
+                   f"m_max={SMALL_U_MAX_M}) digits={THEOREM_DIGITS}",
+           "rows": len(want)}
+    for path in integrals.LOG_MOMENT_PATHS:
+        row[path] = timed(reset_log_moments, lambda: printed(ctx, path))
+        row[f"{path}_rows_equal_to_2d"] = sum(
+            a == b for a, b in zip(printed(ctx, path), want))
+    row["quadrature_over_exact"] = ratio(row["quadrature"], row["exact"])
+    return [row]
+
+
 def python_process(*argv: str) -> subprocess.CompletedProcess:
     """A fresh interpreter on the gompertz this script imported."""
     src = Path(gompertz.__file__).resolve().parents[1]
@@ -589,6 +617,7 @@ def main() -> None:
         "exact_layer": bench_exact_layer(),
         "identity_grids": bench_identity_grids(),
         "theorem": bench_theorem(),
+        "small_u": bench_small_u(),
         "startup": bench_startup(),
     }
     text = json.dumps(result, indent=2)

@@ -14,11 +14,12 @@ The corpus is every distinct `perfbench.workloads.invocations(w, s)` for
 the three workloads and seeds 1-5, in first-seen order, then EXTRA: cases
 the benchmark does not reach (the 1000-digit cap, the theorem and
 conjecture cases of earlier output checks, the exact span sums at m = 200
-for u = 2/3 and at m = 60 for the digamma series, two family-2 tables
-beyond the workloads' r and m, the csv rows of every identity point at
-m <= 25, the json reports and summary counts of the identity grids at
-m <= 40, one exit-1 and one exit-2 case, and three `--out` targets that
-cannot be written). The list is read from this checkout's perfbench/,
+for u = 2/3 and at m = 60 for the digamma series, the theorem at u = 1/100
+and the digamma series at u = 1000, two family-2 tables beyond the
+workloads' r and m, the csv rows of every identity point at m <= 25, the
+json reports and summary counts of the identity grids at m <= 40, one
+exit-1 and one exit-2 case, and three `--out` targets that cannot be
+written). The list is read from this checkout's perfbench/,
 whichever tree --src names, so two runs compare the same invocations.
 
 Usage: python3 scripts/output_corpus.py --src TREE/src OUTDIR
@@ -47,6 +48,10 @@ EXTRA = (
     # the digamma series at u = 1
     ["theorem", "--u", "2/3", "--max-m", "200"],
     ["conjecture", "--u", "1", "--max-m", "60"],
+    # the span far from c = 1: c = 100 for the theorem, and c = 1000 for
+    # the digamma series
+    ["theorem", "--u", "1/100", "--max-m", "60"],
+    ["conjecture", "--u", "1000", "--max-m", "40"],
     # the approximant integers beyond the workloads' r and m: family 2 at
     # the --max-m cap, and at r = 4
     ["approx", "--corollary", "2", "--r", "1", "--max-m", "200"],

@@ -102,9 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-m", dest="m_max", type=_positive_int, default=20)
     p.add_argument("--path", choices=("exact", "quadrature"), default="exact",
                    help="exact: the k >= 1 log-moments from exact "
-                        "coefficients on one cross-checked G(1/u) per u "
-                        "(quadrature below u = 1/64); quadrature: one "
-                        "quadrature per log-moment, the oracle")
+                        "coefficients on one cross-checked G(1/u) per u, "
+                        "for every u > 0; quadrature: one quadrature per "
+                        "log-moment, the oracle")
     common(p)
 
     p = sub.add_parser("identities", help="exact identity suite")

@@ -12,9 +12,9 @@ c = 1/u = a/b. span_rows holds its rows at every rational c as int pairs
 scaled by powers of b, and span_dot is the one dot product of weights with
 them; g_span_eval evaluates a DeltaLinear, which carries its c, over the
 fixed-value primitive delta_linear_eval. log_moment_sum is the one router of
-log-moments: one span value from integer weights for every rational u with
-1/64 <= u, and by quadrature otherwise (k = 0, smaller u, or on request);
-log_moment is its one-term case.
+log-moments: one span value from integer weights for every rational u > 0 on
+the exact path, and by quadrature for k = 0 or on request; log_moment is its
+one-term case.
 """
 
 from __future__ import annotations
@@ -32,11 +32,6 @@ from .precision import (MAX_DECIMAL_DIGITS, BigFloat, PrecisionContext,
 from .reference import Integrand, exp_e1, quad_semi_infinite
 
 LOG_MOMENT_PATHS = ("exact", "quadrature")
-
-#: Smallest u served from the span of {1, G(1/u)}. Beyond c = 1/u = 64 the
-#: recurrence below cancels more than a digit per moment, while quadrature
-#: stays well conditioned.
-EXACT_MIN_U = Fraction(1, 64)
 
 
 def frac_integral_closed(n: int) -> DeltaLinear:
@@ -135,8 +130,10 @@ def g_span_eval(v: DeltaLinear, ctx: PrecisionContext) -> BigFloat:
     """v.const_part + v.delta_part * G(v.c), rounded to ctx, with the guard
     digits grown to the cancellation. The sum may use a third of
     ctx.guard_digits; when it cancels more, G(c) and the sum are redone with
-    the guard grown by whole multiples of ctx.guard_digits covering the
-    measured loss, so that one G(c) serves a range of moments."""
+    the guard grown to ctx.guard_digits times the next power of two covering
+    the measured loss, so that one G(c) serves a range of moments and a deep
+    cancellation takes few rungs. The last rung is the largest multiple of
+    ctx.guard_digits within MAX_DECIMAL_DIGITS."""
     gctx = ctx
     while True:
         g = exp_e1(v.c, gctx)
@@ -146,11 +143,13 @@ def g_span_eval(v: DeltaLinear, ctx: PrecisionContext) -> BigFloat:
         if lost <= spare:
             return ctx.round(value)
         blocks = 1 + math.ceil(min(lost, gctx.total_digits) / ctx.guard_digits)
-        gctx = PrecisionContext(ctx.decimal_digits, ctx.guard_digits * blocks)
-        if gctx.guard_digits > MAX_DECIMAL_DIGITS:
+        rung = min(1 << (blocks - 1).bit_length(),
+                   MAX_DECIMAL_DIGITS // ctx.guard_digits)
+        if ctx.guard_digits * rung <= gctx.guard_digits:
             raise PrecisionUnreachable(
                 f"A + B G({v.c}) cancels more than "
                 f"{MAX_DECIMAL_DIGITS} digits")
+        gctx = PrecisionContext(ctx.decimal_digits, ctx.guard_digits * rung)
 
 
 def log_moment(k: int, u: Fraction | int, ctx: PrecisionContext,
@@ -166,14 +165,14 @@ def log_moment_sum(weights, r: int, den: int, u: Fraction | int,
     weights = (w_r, ..., w_m) and the int den != 0 of either sign, for
     r >= 0 and u >= 0, rounded once.
 
-    On path "exact" (the default) and for u >= EXACT_MIN_U, the terms with
+    On path "exact" (the default) and for every u > 0, the terms with
     k >= 1 are one span value: with c = 1/u = a/b and the scaled span_rows
     Lhat, sum_k w_k b**(m-k) Lhat_{k-1} over den b**(m-1), one span_dot and
     one g_span_eval, so the guard digits grow with the cancellation of the
     whole sum; G(c) is cross-checked between quadrature and mpmath.e1 once
     per (c, precision). Path "quadrature" integrates each log-moment
-    numerically, as do k = 0 (the integrand x**-1 ln(x*u+1) is integrable)
-    and u < EXACT_MIN_U, each term with its weight over den."""
+    numerically, as does k = 0 (the integrand x**-1 ln(x*u+1) is
+    integrable), each term with its weight over den."""
     if path not in LOG_MOMENT_PATHS:
         raise ValueError(f"unknown path {path!r}")
     if r < 0:
@@ -184,8 +183,7 @@ def log_moment_sum(weights, r: int, den: int, u: Fraction | int,
     if u == 0:
         return ctx.round(mpf(0))
     # the first n terms are quadratures, the rest one span value
-    quadrature = path == "quadrature" or u < EXACT_MIN_U
-    n = len(weights) if quadrature else int(r == 0)
+    n = len(weights) if path == "quadrature" else int(r == 0)
     m = r + len(weights) - 1
     with mp.workprec(ctx.inner_bits):
         total = mpf(0)

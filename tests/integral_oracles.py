@@ -11,7 +11,6 @@ from gompertz import (CrossCheckFailure, DeltaLinear, DomainError, Integrand,
                       PrecisionContext, factorial, frac_integral_closed,
                       g_span_eval, log_integral_closed, log_integral_coeffs,
                       quad_semi_infinite, to_bigfloat)
-from gompertz.integrals import EXACT_MIN_U
 
 
 def frac_integral_recurrence(n: int) -> DeltaLinear:
@@ -54,8 +53,8 @@ def per_term_log_moment_sum(terms, u: Fraction, ctx: PrecisionContext,
     """sum of coeff * log_moment(k, u) over the (k, coeff) pairs of terms,
     by one DeltaLinear per term: coeff * log_integral_coeffs(k-1, 1/u)
     summed in DeltaLinear algebra and evaluated once by g_span_eval, with
-    k = 0, u < EXACT_MIN_U and path "quadrature" integrated term by term,
-    in order, before the span value is added."""
+    k = 0 and path "quadrature" integrated term by term, in order, before
+    the span value is added."""
     u = Fraction(u)
     if u == 0:
         return ctx.round(mpf(0))
@@ -63,7 +62,7 @@ def per_term_log_moment_sum(terms, u: Fraction, ctx: PrecisionContext,
     with mp.workprec(ctx.inner_bits):
         total = mpf(0)
         for k, coeff in terms:
-            if k == 0 or u < EXACT_MIN_U or path == "quadrature":
+            if k == 0 or path == "quadrature":
                 moment = quad_semi_infinite(
                     Integrand(Fraction(k - 1), log_scale=u), ctx)
                 total += to_bigfloat(coeff, ctx) * moment

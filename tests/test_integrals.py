@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -15,10 +15,10 @@ from gompertz import (CrossCheckFailure, DeltaLinear, DomainError, Integrand,
                       frac_integral_closed, log_integral_closed,
                       log_integral_coeffs, PrecisionContext, log_moment,
                       quad_semi_infinite, reference, shifted_log_moment)
+from gompertz import integrals
 from gompertz.approximants import DEFAULT_M_MAX_CAP
-from gompertz.exactmath import alt_factorial_sum, factorial
-from gompertz.integrals import (EXACT_MIN_U, g_span_eval, log_moment_sum,
-                                span_rows)
+from gompertz.exactmath import alt_factorial_sum, factorial, span_weights
+from gompertz.integrals import g_span_eval, log_moment_sum, span_rows
 from integral_oracles import cross_checked_value, frac_integral_recurrence
 
 
@@ -332,16 +332,32 @@ class TestExactSpan:
         finally:
             reference._g_by_method.cache_clear()
 
-    def test_below_exact_min_u_is_quadrature(self, ctx30):
-        u = EXACT_MIN_U / 2
-        assert log_moment(3, u, ctx30) == log_moment(3, u, ctx30,
-                                                      path="quadrature")
+    @pytest.mark.parametrize("r", (0, 1))
+    def test_exact_path_integrates_only_k0_and_g(self, ctx30, monkeypatch, r):
+        # at c = 1/u = 100, m = 60 the span cancels far beyond the guard;
+        # the exact path still integrates only the k = 0 moment itself, and
+        # G(c) inside its cross-check, once per guard rung
+        calls = {integrals: [], reference: []}
+        for mod, seen in calls.items():
+            def spy(integrand, ctx, seen=seen):
+                seen.append(integrand)
+                return quad_semi_infinite(integrand, ctx)
+            monkeypatch.setattr(mod, "quad_semi_infinite", spy)
+        reference._g_by_method.cache_clear()
+        u = Fraction(1, 100)
+        log_moment_sum(span_weights(60, r), r, factorial(60), u, ctx30)
+        g = Integrand(Fraction(0), denom_power=1, denom_scale=u)
+        assert calls[integrals] == [Integrand(Fraction(-1), log_scale=u)][r:]
+        assert calls[reference] and set(calls[reference]) == {g}
 
     @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 25), st.integers(1, 12), st.integers(1, 12),
+    @given(st.integers(0, 25), st.integers(1, 12), st.integers(1, 1000),
            st.sampled_from((10, 20, 30)), st.booleans())
+    @example(25, 1, 1000, 30, False)
     def test_d_digits_agree_with_2d_digits(self, k, p, q, digits, shifted):
-        # the result at D digits, and at 2D digits rounded to D - 1 digits
+        # the result at D digits, and at 2D digits rounded to D - 1 digits;
+        # q up to 1000 puts c = 1/u up to 1000, where the span cancels far
+        # beyond the guard digits (and c down to 1/1000 when shifted)
         fn = shifted_log_moment if shifted else log_moment
         u = Fraction(p, q)
         low = fn(k, u, PrecisionContext(digits))

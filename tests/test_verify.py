@@ -21,7 +21,6 @@ from gompertz import (B1_MINUS_HALF, B1_PLUS_HALF, DegenerateCase,
                       series_partial_trend, to_bigfloat)
 from gompertz.exactmath import bernoulli, stirling1_unsigned, stirling2
 from gompertz import verify
-from gompertz.integrals import EXACT_MIN_U
 from gompertz.verify import (EPS_WINDOW_SAMPLES, EXACT_PASS, FAIL,
                              NUMERIC_PASS, SKIPPED, IdentityReport,
                              _bernoulli_stirling_sum, _compare_pairs)
@@ -388,14 +387,32 @@ class TestSeriesPartialSums:
             per_term_series_trend(u, r, 25, ctx30)
 
     @pytest.mark.parametrize("u, path", ((Fraction(1, 100), "exact"),
-                                         (EXACT_MIN_U, "exact"),
+                                         (Fraction(1, 64), "exact"),
                                          (Fraction(2, 3), "quadrature")))
     def test_quadrature_blocks_equal_the_per_term_route(self, ctx30, u, path):
-        # below EXACT_MIN_U and on path "quadrature" every moment is a
-        # quadrature; at EXACT_MIN_U only k = 0 is
+        # on path "quadrature" every moment is a quadrature; on path "exact"
+        # only k = 0 is, and u = 1/100 and 1/64 sum the rest in the span at
+        # c = 100 and c = 64
         for r in (0, 1):
             assert series_partial_trend(u, r, 10, ctx30, path) == \
                 per_term_series_trend(u, r, 10, ctx30, path)
+
+    def test_small_u_holds_its_digits(self, ctx30, ctx60):
+        # the span at c = 100 cancels about 36 digits by m = 60, beyond the
+        # 15 guard digits; by quadrature per moment four of these rows
+        # printed wrong digits
+        low = series_partial_trend(Fraction(1, 100), 0, 60, ctx30)
+        high = series_partial_trend(Fraction(1, 100), 0, 60, ctx60)
+        assert [(m, bigfloat_str(s, 30)) for m, s in low] == \
+            [(m, bigfloat_str(s, 30)) for m, s in high]
+
+    def test_tiny_u_reaches_u(self, ctx30):
+        # by quadrature per moment the double-exponential rule gave up here
+        u = Fraction(1, 1000)
+        m, last = series_partial_trend(u, 0, 200, ctx30)[-1]
+        assert m == 200
+        assert bigfloat_str(last, 30) == bigfloat_str(to_bigfloat(u, ctx30),
+                                                      30)
 
     def test_zero_u(self, ctx30):
         assert series_partial_trend(0, 0, 6, ctx30)[-1][1] == 0
@@ -505,7 +522,7 @@ class TestDigammaSeries:
     @pytest.mark.parametrize("conv", [B1_MINUS_HALF, B1_PLUS_HALF])
     @pytest.mark.parametrize("u", (Fraction(1), Fraction(3, 2), Fraction(100)))
     def test_rhs_equals_the_per_term_route(self, ctx30, conv, u):
-        # u = 100 puts the moments at 1/u < EXACT_MIN_U, on quadrature
+        # u = 100 puts the moments at 1/u = 1/100, in the span at c = 100
         for m in range(1, 21):
             terms = [(k, digamma_series_coeff(k, m + 1, conv)
                       * Fraction((-1) ** k * comb(m, k),
