@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Time the integer kernels of the precision layer against their mpmath
-equivalents, the quadrature, and the assembly layer's exact routes against
-the code they replaced, and write the medians as JSON. A hand-written kernel
-is worth keeping only while it is the faster one.
+equivalents, the quadrature, and the routes of the exact and assembly
+layers, and write the medians as JSON. A hand-written kernel is worth
+keeping only while it is the faster one. Every case times code the package
+runs; to compare two trees, run this script on each.
 
 - Bernoulli numbers: `bernoulli(j)` for every j <= N, from an empty table,
   against `mpmath.bernfrac(j)` with mpmath's Bernoulli cache emptied.
@@ -12,9 +13,10 @@ is worth keeping only while it is the faster one.
   whether the printed digits are equal.
 - Quadrature: `quad_semi_infinite` for delta at 30, 100, 150, 300 and 1000
   digits, as the log-free integral e**-x / (x+1) that the quadrature side
-  of `delta` integrates, against the by-parts integral ln(x+1) e**-x it
-  replaced, with the integrand evaluations the rule made (a counting
-  wrapper around its factor evaluator, in a separate untimed run).
+  of `delta` integrates, against the log integrand ln(x+1) e**-x of the
+  log-moments' quadrature path, with the integrand evaluations the rule
+  made (a counting wrapper around its factor evaluator, in a separate
+  untimed run).
 - Node table: the two quadratures of `theorem --u 1` at r = 0, the
   cross-checked G(1) and the k = 0 log-moment, at 30, 150 and 1000 digits,
   with the node table emptied between them (cold) and shared.
@@ -23,29 +25,19 @@ is worth keeping only while it is the faster one.
   cross-checked G(1/u)) and on the quadrature route (one quadrature each).
 - Digamma-series coefficients: every `digamma_series_coeff(k, m)` that
   `conjecture --max-m 20` uses, in both conventions (an integer Horner from
-  an empty Stirling table), against the triple sum that recomputes the
-  inner Bernoulli-Stirling sum for every (t, w).
-- Exact layer: the family-2 r = 1 pairs for m <= 100 from `corollary2_pair`
-  (weighted span rows) against the `Fraction` triple sum it replaced, the
-  same pairs to m <= 200 (the `--max-m` cap), the span parts of the 201
-  blocks of `theorem --u 2/3 --max-m 200` (c = 3/2), each one `span_dot`
-  of the integer weights with the scaled span rows, against the per-term
-  route they replaced (one `DeltaLinear` per (m, k) from
-  `log_integral_coeffs`), with whether all blocks are equal.
+  an empty Stirling table).
+- Exact layer: the family-2 r = 1 pairs from `corollary2_pair` (weighted
+  span rows, emptied first) for m <= 100 and m <= 200 (the `--max-m` cap).
 - Identity grids: `gauss_grid`, `gen_binomial_grid` and `int_binomial_grid`
   at m <= 25 (the `tables` workload's `identities --max-m 25`) and m <= 40,
-  each read row by row from integer tables built once per row, against the
-  per-point routes they replaced (each point's left side summed from its
-  own first term by the summand's ratio, and every Gauss point summed
-  again), with whether all reports are equal and, for `gauss_grid`, the
-  distinct instances and the 2F1 sums it made.
+  each read row by row from integer tables built once per row, with, for
+  `gauss_grid`, the distinct instances and the 2F1 sums it made.
 - Theorem: `series_partial_trend(2/3, 0, 200)` at 30 digits, the whole of
   `theorem --u 2/3 --max-m 200` but for printing.
 - Small u: `series_partial_trend(1/100, 0, 60)` at 30 digits, the whole of
   `theorem --u 1/100 --max-m 60` but for printing, on path "exact" (the
-  span at c = 100) and on path "quadrature" (one quadrature per moment, the
-  route every u < 1/64 took before), with how many of its rows print the
-  same digits as the 60-digit run.
+  span at c = 100) and on path "quadrature" (one quadrature per moment),
+  with how many of its rows print the same digits as the 60-digit run.
 - Start-up: fresh processes of `python -c "import gompertz"` and
   `python -m gompertz.cli identities --max-m 1`, timed from outside
   STARTUP_RUNS times, and the `-X importtime` self and cumulative times of
@@ -73,19 +65,15 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import comb, perm, prod
 from pathlib import Path
 
 import mpmath
 import mpmath.libmp.gammazeta as mp_gammazeta
 
 import gompertz
-from gompertz import (DeltaLinear, Integrand, PrecisionContext, bigfloat_str,
-                      exactmath)
+from gompertz import (Integrand, PrecisionContext, bigfloat_str, exactmath)
 from gompertz import approximants, integrals, reference, verify
-from gompertz.exactmath import (BERNOULLI_CONVENTIONS, bernoulli, binom_int,
-                                factorial, span_weights, stirling1_unsigned,
-                                stirling2)
+from gompertz.exactmath import BERNOULLI_CONVENTIONS
 
 RUNS = 5
 BERNOULLI_MAX = (794, 1600)
@@ -99,7 +87,6 @@ LOG_MOMENT_DIGITS = 30
 #: `conjecture --max-m M` uses the coefficients (k, m + 1) for k <= m <= M
 CONJECTURE_MAX_M = 20
 FAMILY2_R = 1
-#: the triple sum is timed at the first size only
 FAMILY2_MAX_M = (100, approximants.DEFAULT_M_MAX_CAP)
 GRID_MAX_M = (25, 40)
 #: `theorem --u 2/3 --max-m 200`: r = 0, c = 1/u = 3/2
@@ -272,18 +259,6 @@ def bench_log_moments() -> list:
     return rows
 
 
-def triple_sum_coeff(k: int, m: int, convention: str) -> Fraction:
-    total = Fraction(0)
-    for t in range(2, m + 1):
-        for w in range(1, t):
-            inner = Fraction(0)
-            for j in range(1, w + 1):
-                term = bernoulli(j, convention) * stirling1_unsigned(w, j)
-                inner += -term if j % 2 else term
-            total += stirling2(m, t) * Fraction(-k) ** (t - w) * inner
-    return total
-
-
 def reset_digamma_coeffs() -> None:
     del exactmath._stirling2_rows[1:]
 
@@ -294,67 +269,9 @@ def bench_digamma_coeffs() -> list:
               for k in range(1, m + 1)]
     horner = timed(reset_digamma_coeffs,
                    lambda: [verify.digamma_series_coeff(*p) for p in points])
-    triple = timed(lambda: None,
-                   lambda: [triple_sum_coeff(*p) for p in points])
     return [{"case": f"{len(points)} coefficients "
                      f"(conjecture --max-m {CONJECTURE_MAX_M})",
-             "horner": horner, "triple_sum": triple,
-             "triple_sum_over_horner": ratio(triple, horner)}]
-
-
-def triple_sum_pair_2(m: int, r: int) -> tuple[int, int]:
-    """The family-2 pair as `corollary2_pair` computed it before the
-    integer recurrences and the weighted span rows: m!-scaled Fraction
-    double/triple sums, checked to reduce to integers."""
-    a = Fraction(0)
-    b = Fraction(0)
-    for k in range(r, m + 1):
-        base = Fraction(binom_int(m, k) * binom_int(k, r), k)
-        jfact = 1
-        for j in range(k):
-            sign_kj = -1 if (k + j) % 2 else 1
-            b += base * Fraction(sign_kj, jfact)
-            inner = 0
-            ifact = 1
-            for i in range(j):
-                # (-1)**(k+j+i+1) * i!
-                inner += -sign_kj * ifact if i % 2 == 0 else sign_kj * ifact
-                ifact *= i + 1
-            a += base * Fraction(inner, jfact)
-            jfact *= j + 1
-    fm = factorial(m)
-    a *= fm
-    b *= fm
-    assert a.denominator == 1 and b.denominator == 1
-    return int(a), int(b)
-
-
-def span_block(m: int, u: Fraction) -> DeltaLinear:
-    """The span part (k >= 1) of block m of the r = 0 double series at u, as
-    `log_moment_sum` builds it: one `span_dot` of w_k b**(m-k) with the
-    scaled rows b**(k-1) L_{k-1} at c = 1/u = a/b, over m! b**(m-1)."""
-    c = 1 / u
-    if m == 0:
-        return DeltaLinear(0, 0, c)
-    b = c.denominator
-    p, q = integrals.span_dot(
-        (w * b ** (m - k) for k, w in enumerate(span_weights(m, 0)[1:],
-                                                 start=1)),
-        integrals.span_rows(m - 1, c)[1])
-    den = factorial(m) * b ** (m - 1)
-    return DeltaLinear(Fraction(p, den), Fraction(q, den), c)
-
-
-def per_term_block(m: int, u: Fraction) -> DeltaLinear:
-    """The same span part by the route `span_block` replaced: one
-    `DeltaLinear` per term, w_k/m! times `log_integral_coeffs(k-1, 1/u)`,
-    summed in `DeltaLinear` algebra."""
-    c = 1 / u
-    total = DeltaLinear(0, 0, c)
-    for k, w in enumerate(span_weights(m, 0)[1:], start=1):
-        total += Fraction(w, factorial(m)) * integrals.log_integral_coeffs(
-            k - 1, c)
-    return total
+             "horner": horner}]
 
 
 def bench_exact_layer() -> list:
@@ -362,109 +279,11 @@ def bench_exact_layer() -> list:
     rows = []
     for m_max in FAMILY2_MAX_M:
         ms = range(FAMILY2_R, m_max + 1)
-        row = {"case": f"family 2 r={FAMILY2_R} pairs m<={m_max}",
-               "span_weighted": timed(integrals._span_tables.clear, lambda: [
-                   approximants.corollary2_pair(m, FAMILY2_R) for m in ms])}
-        if m_max == FAMILY2_MAX_M[0]:
-            row["fraction_triple_sum"] = timed(lambda: None, lambda: [
-                triple_sum_pair_2(m, FAMILY2_R) for m in ms])
-            row["triple_sum_over_span_weighted"] = ratio(
-                row["fraction_triple_sum"], row["span_weighted"])
-            row["pairs_equal"] = all(
-                approximants.corollary2_pair(m, FAMILY2_R)
-                == triple_sum_pair_2(m, FAMILY2_R) for m in ms)
-        rows.append(row)
-    ms = range(THEOREM_MAX_M + 1)
-    row = {"case": f"span parts of {len(ms)} theorem blocks u={THEOREM_U} "
-                   f"m<={THEOREM_MAX_M}",
-           "span_dot": timed(integrals._span_tables.clear, lambda: [
-               span_block(m, THEOREM_U) for m in ms]),
-           "per_term_delta_linear": timed(integrals._span_tables.clear,
-                                          lambda: [per_term_block(m, THEOREM_U)
-                                                   for m in ms])}
-    row["per_term_over_span_dot"] = ratio(row["per_term_delta_linear"],
-                                          row["span_dot"])
-    row["blocks_equal"] = all(span_block(m, THEOREM_U)
-                              == per_term_block(m, THEOREM_U) for m in ms)
-    rows.append(row)
+        pairs = timed(integrals._span_tables.clear, lambda: [
+            approximants.corollary2_pair(m, FAMILY2_R) for m in ms])
+        rows.append({"case": f"family 2 r={FAMILY2_R} pairs m<={m_max}",
+                     "span_weighted": pairs})
     return rows
-
-
-def ratio_sum(num: int, den: int, steps) -> tuple[int, int]:
-    """t_0 + t_1 + ... as an unreduced pair, for t_0 = num/den and
-    t_{k+1} = t_k num_k/den_k over the integer pairs (num_k, den_k)."""
-    total = num
-    for step_num, step_den in steps:
-        num *= step_num
-        den *= step_den
-        total = total * step_den + num
-    return total, den
-
-
-def progression_product(p: int, q: int, start: int, stop: int) -> int:
-    return prod(p + s * q for s in range(start, stop))
-
-
-def per_point_compare(name: str, params: dict, lhs, rhs):
-    """The per-point routes' comparison: a pass reduces the left side."""
-    (ln, ld), (rn, rd) = lhs, rhs
-    if ln * rd == rn * ld:
-        value = Fraction(ln, ld)
-        return verify.IdentityReport(name, params, value, value,
-                                     verify.EXACT_PASS, Fraction(0))
-    left, right = Fraction(ln, ld), Fraction(rn, rd)
-    return verify.IdentityReport(name, params, left, right, verify.FAIL,
-                                 left - right)
-
-
-def per_point_gen_binomial(m: int, i: int, r: int, eps: Fraction):
-    """One point of the generalized-binomial identity, its left side summed
-    from the j = i term by t_{j+1}/t_j = -(m-j)(eps+j)/((eps+j+1-r)(j+1-i))."""
-    p, q = eps.numerator, eps.denominator
-    first = comb(m, i) * q ** i * factorial(i)
-    lhs = ratio_sum(-first if i % 2 else first,
-                    progression_product(p, q, 1 - r, 1 + i - r),
-                    ((-(m - j) * (p + j * q),
-                      (p + (j + 1 - r) * q) * (j + 1 - i))
-                     for j in range(i, m)))
-    n = m - i
-    rn = progression_product(n - r, -1, 0, n) * q ** m * perm(m, i)
-    rhs = (-rn if i % 2 else rn, progression_product(p, q, 1 - r, 1 + m - r))
-    params = {"m": str(m), "i": str(i), "r": str(r), "eps": str(eps)}
-    return per_point_compare("gen_binomial_sum", params, lhs, rhs)
-
-
-def per_point_gen_binomial_grid(m_max: int) -> list:
-    return [per_point_gen_binomial(m, i, r, eps)
-            for m in range(m_max + 1) for i in range(m + 1)
-            for r in range(4) for eps in verify.EPS_WINDOW_SAMPLES]
-
-
-def per_point_int_binomial_grid(m_max: int) -> list:
-    def check(m, j, r):
-        params = {"m": str(m), "j": str(j), "r": str(r)}
-        if m == r:
-            return verify.IdentityReport(
-                "int_binomial_sum", params, None, None, verify.SKIPPED,
-                "right-hand side divides by m - r = 0")
-        lhs = sum(comb(m, k) * comb(k, r) * (-1 if k % 2 else 1)
-                  for k in range(j, m + 1))
-        return per_point_compare("int_binomial_sum", params, (lhs, 1),
-                                 verify._int_binomial_closed_form(m, j, r))
-
-    return [check(m, j, r) for m in range(m_max + 1)
-            for j in range(m + 1) for r in range(j + 1)]
-
-
-def per_point_gauss_grid(m_max: int) -> list:
-    return [per_point_compare("gauss_terminating",
-                              {"a": "1", "b": str(j - m), "c": str(1 + j - r),
-                               "x": "1"},
-                              verify._hypergeom_pair(1, 1, m - j, 1 + j - r,
-                                                     1, 1, 1),
-                              (j - r, m - r))
-            for m in range(1, m_max + 1) for j in range(1, m + 1)
-            for r in range(1, j)]
 
 
 def count_hypergeom_sums(m_max: int) -> int:
@@ -488,21 +307,13 @@ def count_hypergeom_sums(m_max: int) -> int:
 
 def bench_identity_grids() -> list:
     rows = []
-    for grid, per_point in ((verify.gauss_grid, per_point_gauss_grid),
-                            (verify.gen_binomial_grid,
-                             per_point_gen_binomial_grid),
-                            (verify.int_binomial_grid,
-                             per_point_int_binomial_grid)):
+    for grid in (verify.gauss_grid, verify.gen_binomial_grid,
+                 verify.int_binomial_grid):
         for m_max in GRID_MAX_M:
             reports = grid(m_max)
             row = {"case": f"{grid.__name__}(m_max={m_max})",
                    "points": len(reports),
-                   "row_kernels": timed(lambda: None, lambda: grid(m_max)),
-                   "per_point": timed(lambda: None,
-                                      lambda: per_point(m_max))}
-            row["per_point_over_row_kernels"] = ratio(row["per_point"],
-                                                      row["row_kernels"])
-            row["reports_equal"] = reports == per_point(m_max)
+                   "row_kernels": timed(lambda: None, lambda: grid(m_max))}
             if grid is verify.gauss_grid:
                 row["distinct_instances"] = len(
                     {tuple(rep.parameters.items()) for rep in reports})

@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 
 from gompertz import (B1_MINUS_HALF, B1_PLUS_HALF, PrecisionContext,
-                      bigfloat_str, calibrate_bernoulli_convention,
+                      bigfloat_str, calibrated_convention,
                       digamma_series_scan)
 
 
@@ -27,7 +27,7 @@ def main():
             print(f"  {p.convention:14s} m={p.m:3d}  rhs={bigfloat_str(p.rhs, 12)}"
                   f"  psi={bigfloat_str(p.psi, 12)}"
                   f"  residual={bigfloat_str(p.residual, 5)}")
-        best = calibrate_bernoulli_convention(ctx, u, max_m)
+        best = calibrated_convention(p for p in points if p.m == max_m)
         print(f"  smaller residual at m={max_m}: {best}")
 
 

@@ -15,7 +15,8 @@ the three workloads and seeds 1-5, in first-seen order, then EXTRA: cases
 the benchmark does not reach (the 1000-digit cap, the theorem and
 conjecture cases of earlier output checks, the exact span sums at m = 200
 for u = 2/3 and at m = 60 for the digamma series, the theorem at u = 1/100
-and the digamma series at u = 1000, two family-2 tables beyond the
+and at u = 1/1000, where the guard climbs to the 480-digit rung, the
+digamma series at u = 1000, two family-2 tables beyond the
 workloads' r and m, the csv rows of every identity point at m <= 25, the
 json reports and summary counts of the identity grids at m <= 40, one
 exit-1 and one exit-2 case, and three `--out` targets that cannot be
@@ -52,6 +53,9 @@ EXTRA = (
     # the digamma series
     ["theorem", "--u", "1/100", "--max-m", "60"],
     ["conjecture", "--u", "1000", "--max-m", "40"],
+    # c = 1000: the theorem's blocks cancel far enough that the guard
+    # reaches the 480-digit rung
+    ["theorem", "--u", "1/1000", "--max-m", "200"],
     # the approximant integers beyond the workloads' r and m: family 2 at
     # the --max-m cap, and at r = 4
     ["approx", "--corollary", "2", "--r", "1", "--max-m", "200"],

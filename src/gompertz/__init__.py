@@ -10,16 +10,16 @@ from .errors import (CrossCheckFailure, DegenerateCase, DegenerateDenominator,
 from .exactmath import (B1_MINUS_HALF, B1_PLUS_HALF, DeltaLinear,
                         alt_factorial_sum, bernoulli, binom_gen, binom_int,
                         factorial, stirling1_unsigned, stirling2)
-from .integrals import (delta_linear_eval, frac_integral_closed,
-                        g_span_eval, log_integral_closed, log_integral_coeffs,
-                        log_moment, shifted_log_moment)
+from .integrals import (frac_integral_closed, g_span_eval,
+                        log_integral_closed, log_integral_coeffs, log_moment,
+                        shifted_log_moment)
 from .precision import (BigFloat, MAX_DECIMAL_DIGITS, PrecisionContext,
                         bigfloat_str, to_bigfloat)
 from .reference import (Integrand, delta_reference, digamma, euler_gamma,
                         exp_e1, gamma_real, plan_quadrature,
                         quad_semi_infinite)
 from .verify import (DigammaSeriesPoint, HyperGeomParams, IdentityReport,
-                     calibrate_bernoulli_convention, check_gauss_terminating,
+                     calibrated_convention, check_gauss_terminating,
                      check_gen_binomial_sum, check_int_binomial_sum,
                      check_shift_expansion, digamma_series_coeff,
                      digamma_series_rhs, digamma_series_scan, gauss_grid,

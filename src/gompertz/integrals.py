@@ -10,11 +10,10 @@ general log-moment integral(0,inf) x**(k-1) e**-x ln(x*u+1) dx lies, for
 k >= 1, in the rational span of {1, G(c)}, where G(c) = e**c E1(c) and
 c = 1/u = a/b. span_rows holds its rows at every rational c as int pairs
 scaled by powers of b, and span_dot is the one dot product of weights with
-them; g_span_eval evaluates a DeltaLinear, which carries its c, over the
-fixed-value primitive delta_linear_eval. log_moment_sum is the one router of
-log-moments: one span value from integer weights for every rational u > 0 on
-the exact path, and by quadrature for k = 0 or on request; log_moment is its
-one-term case.
+them; g_span_eval is the one evaluator of a span value, a DeltaLinear, which
+carries its c, at G(c). log_moment_sum is the one router of log-moments: one
+span value from integer weights for every rational u > 0 on the exact path,
+and by quadrature for k = 0 or on request; log_moment is its one-term case.
 """
 
 from __future__ import annotations
@@ -99,46 +98,34 @@ def log_integral_coeffs(n: int, c: Fraction | int) -> DeltaLinear:
     return DeltaLinear(*(Fraction(v, scale) for v in span_rows(n, c)[1][n]), c)
 
 
-def _lost_digits(v: DeltaLinear, g: BigFloat, value: BigFloat) -> float:
-    """Decimal digits the sum v.const_part + v.delta_part * g cancels away,
-    plus those G < 1 has already lost to the quadrature's absolute error."""
-    with mp.workprec(53):
-        a, b = (mpf(q.numerator) / q.denominator
-                for q in (v.const_part, v.delta_part))
-        size = max(abs(a), abs(b * g))
-        if size == 0:
-            return 0.0
-        if value == 0:
-            return math.inf
-        return float(mpmath.log10(size / abs(value))
-                     + max(0, -mpmath.log10(g)))
-
-
-def delta_linear_eval(v: DeltaLinear, delta_value: BigFloat,
-                      ctx: PrecisionContext) -> BigFloat:
-    """const_part + delta_part * delta_value, rounded at ctx precision, for
-    a G(v.c) value delta_value the caller already holds; the one fixed-value
-    primitive under g_span_eval, which supplies G(v.c) itself."""
-    with mp.workprec(ctx.inner_bits):
-        c = mpf(v.const_part.numerator) / v.const_part.denominator
-        d = mpf(v.delta_part.numerator) / v.delta_part.denominator
-        out = c + d * mpf(delta_value)
-    return ctx.round(out)
-
-
 def g_span_eval(v: DeltaLinear, ctx: PrecisionContext) -> BigFloat:
     """v.const_part + v.delta_part * G(v.c), rounded to ctx, with the guard
-    digits grown to the cancellation. The sum may use a third of
-    ctx.guard_digits; when it cancels more, G(c) and the sum are redone with
-    the guard grown to ctx.guard_digits times the next power of two covering
-    the measured loss, so that one G(c) serves a range of moments and a deep
-    cancellation takes few rungs. The last rung is the largest multiple of
-    ctx.guard_digits within MAX_DECIMAL_DIGITS."""
+    digits grown to the cancellation. Each pass converts the two parts once,
+    forms a = A and bg = B G(c) at working precision, and measures the
+    digits the sum cancels from those same terms, log10(max(|a|, |bg|) /
+    |a + bg|), plus those G < 1 has already lost to the quadrature's
+    absolute error. The sum may use a third of ctx.guard_digits; when it
+    cancels more, G(c) and the sum are redone with the guard grown to
+    ctx.guard_digits times the next power of two covering the measured loss,
+    so that one G(c) serves a range of moments and a deep cancellation takes
+    few rungs. The last rung is the largest multiple of ctx.guard_digits
+    within MAX_DECIMAL_DIGITS."""
     gctx = ctx
     while True:
         g = exp_e1(v.c, gctx)
-        value = delta_linear_eval(v, g, gctx)
-        lost = _lost_digits(v, g, value)
+        with mp.workprec(gctx.inner_bits):
+            a = mpf(v.const_part.numerator) / v.const_part.denominator
+            bg = mpf(v.delta_part.numerator) / v.delta_part.denominator * g
+            value = gctx.round(a + bg)
+        with mp.workprec(53):
+            size = max(abs(a), abs(bg))
+            if size == 0:
+                lost = 0.0
+            elif value == 0:
+                lost = math.inf
+            else:
+                lost = float(mpmath.log10(size / abs(value))
+                             + max(0, -mpmath.log10(g)))
         spare = gctx.guard_digits - ctx.guard_digits + ctx.guard_digits // 3
         if lost <= spare:
             return ctx.round(value)

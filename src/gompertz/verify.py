@@ -353,9 +353,7 @@ def _bernoulli_stirling_sum(w: int, convention: str) -> tuple[int, int]:
     sum_j s(w, j) B_j with signed Stirling numbers s, and
     sum_{n,j} s(n, j) B_j t**n / n! = sum_j B_j ln(1+t)**j / j! = ln(1+t)/t,
     so h(w) = w!/(w+1) with B_1 = -1/2. B_1 = +1/2 moves the j = 1 term,
-    S1u(w, 1) = (w-1)!, by -(w-1)!."""
-    if convention not in BERNOULLI_CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
+    S1u(w, 1) = (w-1)!, by -(w-1)!; the caller checks the convention."""
     num = factorial(w)
     if convention == B1_PLUS_HALF:
         num -= factorial(w - 1) * (w + 1)
@@ -429,10 +427,3 @@ def calibrated_convention(points) -> str:
                           "calibration point is degenerate")
     return B1_MINUS_HALF if minus < plus else B1_PLUS_HALF
 
-
-def calibrate_bernoulli_convention(ctx: PrecisionContext, u: Fraction = Fraction(1),
-                                   m: int = 20) -> str:
-    """The convention whose residual at (u, m) is smaller becomes the
-    calibrated default for reporting."""
-    return calibrated_convention(digamma_series_rhs(u, m, conv, ctx)
-                                 for conv in BERNOULLI_CONVENTIONS)

@@ -8,10 +8,10 @@ from mpmath import mp, mpf
 
 from conftest import absdiff
 from gompertz import (B1_MINUS_HALF, B1_PLUS_HALF, PrecisionContext,
-                      approx_table, bigfloat_str, calibrate_bernoulli_convention,
+                      approx_table, bigfloat_str, calibrated_convention,
                       check_shift_expansion, corollary1_pair, corollary2_pair,
-                      delta_linear_eval, delta_reference, digamma,
-                      digamma_series_scan, euler_gamma, frac_integral_closed,
+                      delta_reference, digamma, digamma_series_scan,
+                      euler_gamma, frac_integral_closed, g_span_eval,
                       gauss_grid, gen_binomial_grid, int_binomial_grid,
                       log_integral_closed, log_moment, norm_log_moment,
                       norm_log_moment_deriv, series_partial_trend)
@@ -49,10 +49,9 @@ def test_01_exact_identity_suite():
 def test_02_integral_family_oracles():
     closed_ok = all(frac_integral_closed(n) == frac_integral_recurrence(n)
                     for n in range(41))
-    d = delta_reference(CTX30)
     worst = mpf(0)
     for n in range(16):
-        exact = delta_linear_eval(log_integral_closed(n), d, CTX30)
+        exact = g_span_eval(log_integral_closed(n), CTX30)
         numeric = log_moment(n + 1, 1, CTX30, path="quadrature")
         worst = max(worst, absdiff(exact, numeric))
     report("integral family oracles",
@@ -151,7 +150,8 @@ def test_09_digamma_series_harness():
         completed &= len(points) == 40
         at_20 = {p.convention: p.residual for p in points if p.m == 20}
         differ &= at_20[B1_MINUS_HALF] != at_20[B1_PLUS_HALF]
-    calibrated = calibrate_bernoulli_convention(CTX30)
+    calibrated = calibrated_convention(
+        digamma_series_scan(1, [20], conventions, CTX30))
     report("digamma-series harness",
            completed and differ and calibrated in conventions,
            f"calibrated convention: {calibrated}")

@@ -11,14 +11,15 @@ from mpmath import mp, mpf
 from conftest import absdiff
 from gompertz import (CrossCheckFailure, DeltaLinear, DomainError, Integrand,
                       bigfloat_str, corollary1_pair, corollary2_pair,
-                      delta_linear_eval, delta_reference, exp_e1,
-                      frac_integral_closed, log_integral_closed,
-                      log_integral_coeffs, PrecisionContext, log_moment,
-                      quad_semi_infinite, reference, shifted_log_moment)
+                      delta_reference, exp_e1, frac_integral_closed,
+                      log_integral_closed, log_integral_coeffs,
+                      PrecisionContext, log_moment, quad_semi_infinite,
+                      reference, shifted_log_moment)
 from gompertz import integrals
 from gompertz.approximants import DEFAULT_M_MAX_CAP
 from gompertz.exactmath import alt_factorial_sum, factorial, span_weights
 from gompertz.integrals import g_span_eval, log_moment_sum, span_rows
+from gompertz.verify import series_partial_trend
 from integral_oracles import cross_checked_value, frac_integral_recurrence
 
 
@@ -40,9 +41,8 @@ class TestFracFamily:
             assert frac_integral_closed(n) == frac_integral_recurrence(n)
 
     def test_quadrature_agreement(self, ctx30):
-        d = delta_reference(ctx30)
         for n in range(6):
-            exact = delta_linear_eval(frac_integral_closed(n), d, ctx30)
+            exact = g_span_eval(frac_integral_closed(n), ctx30)
             numeric = quad_semi_infinite(Integrand(Fraction(n), denom_power=1),
                                          ctx30)
             assert absdiff(exact, numeric) < mpf(10) ** -25
@@ -96,9 +96,8 @@ class TestLogFamily:
         assert v.const_part == expected_const
 
     def test_quadrature_agreement_up_to_five(self, ctx30):
-        d = delta_reference(ctx30)
         for n in range(6):
-            exact = delta_linear_eval(log_integral_closed(n), d, ctx30)
+            exact = g_span_eval(log_integral_closed(n), ctx30)
             numeric = quad_semi_infinite(Integrand(Fraction(n),
                                                    log_scale=Fraction(1)), ctx30)
             assert absdiff(exact, numeric) < mpf(10) ** -25
@@ -349,6 +348,24 @@ class TestExactSpan:
         g = Integrand(Fraction(0), denom_power=1, denom_scale=u)
         assert calls[integrals] == [Integrand(Fraction(-1), log_scale=u)][r:]
         assert calls[reference] and set(calls[reference]) == {g}
+
+    @pytest.mark.parametrize("u, r, m_max, rungs", (
+        (Fraction(1, 100), 0, 60, {15, 30, 60}),
+        (Fraction(2, 3), 0, 200, {15, 30}),
+        (Fraction(1, 10000), 1, 40, {15, 30, 60, 120, 240})))
+    def test_guard_rungs_are_pinned(self, ctx30, monkeypatch, u, r, m_max,
+                                    rungs):
+        # the guard digits of every G(c) that g_span_eval asks for: 15 and
+        # its power-of-two multiples, as far as each sum's cancellation needs
+        seen = set()
+
+        def spy(c, ctx):
+            seen.add(ctx.guard_digits)
+            return exp_e1(c, ctx)
+
+        monkeypatch.setattr(integrals, "exp_e1", spy)
+        series_partial_trend(u, r, m_max, ctx30)
+        assert seen == rungs
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 25), st.integers(1, 12), st.integers(1, 1000),

@@ -10,16 +10,17 @@ from mpmath import mp, mpf
 from conftest import absdiff
 from gompertz import (B1_MINUS_HALF, B1_PLUS_HALF, DegenerateCase,
                       DegenerateDenominator, DomainError, HyperGeomParams,
-                      ZeroDenominator, bigfloat_str,
-                      calibrate_bernoulli_convention, check_gauss_terminating,
-                      check_gen_binomial_sum, check_int_binomial_sum,
-                      check_shift_expansion, delta_reference, digamma,
-                      digamma_series_coeff, digamma_series_rhs,
-                      digamma_series_scan, gauss_grid, gen_binomial_grid,
-                      hypergeom_terminating, int_binomial_grid,
-                      norm_log_moment, norm_log_moment_deriv,
-                      series_partial_trend, to_bigfloat)
-from gompertz.exactmath import bernoulli, stirling1_unsigned, stirling2
+                      ZeroDenominator, bigfloat_str, calibrated_convention,
+                      check_gauss_terminating, check_gen_binomial_sum,
+                      check_int_binomial_sum, check_shift_expansion,
+                      delta_reference, digamma, digamma_series_coeff,
+                      digamma_series_rhs, digamma_series_scan, gauss_grid,
+                      gen_binomial_grid, hypergeom_terminating,
+                      int_binomial_grid, norm_log_moment,
+                      norm_log_moment_deriv, series_partial_trend,
+                      to_bigfloat)
+from gompertz.exactmath import (BERNOULLI_CONVENTIONS, bernoulli,
+                                stirling1_unsigned, stirling2)
 from gompertz import verify
 from gompertz.verify import (EPS_WINDOW_SAMPLES, EXACT_PASS, FAIL,
                              NUMERIC_PASS, SKIPPED, IdentityReport,
@@ -509,8 +510,9 @@ class TestDigammaSeries:
                              * stirling1_unsigned(w, j)
                              for j in range(1, w + 1))
                 assert Fraction(*_bernoulli_stirling_sum(w, conv)) == direct
+        # the convention is checked by the one caller
         with pytest.raises(ValueError):
-            _bernoulli_stirling_sum(3, "B1_zero")
+            digamma_series_coeff(1, 4, "B1_zero")
 
     def test_coeff_horner_matches_triple_sum(self):
         for conv in (B1_MINUS_HALF, B1_PLUS_HALF):
@@ -581,7 +583,8 @@ class TestDigammaSeries:
 
     def test_calibration_regression(self, ctx30):
         # frozen from the calibration run at (u=1, m=20)
-        assert calibrate_bernoulli_convention(ctx30) == B1_PLUS_HALF
+        assert calibrated_convention(digamma_series_scan(
+            1, [20], BERNOULLI_CONVENTIONS, ctx30)) == B1_PLUS_HALF
 
     def test_domain(self, ctx30):
         with pytest.raises(DomainError):
