@@ -7,9 +7,9 @@ from .approximants import (ApproximantRow, DecayReport, approx_table,
 from .errors import (CrossCheckFailure, DegenerateCase, DegenerateDenominator,
                      DomainError, GompertzError, NonIntegrable, PoleError,
                      PrecisionUnreachable, ZeroDenominator)
-from .exactmath import (B1_MINUS_HALF, B1_PLUS_HALF, DeltaLinear,
-                        alt_factorial_sum, bernoulli, binom_gen, binom_int,
-                        factorial, stirling1_unsigned, stirling2)
+from .exactmath import (B1_MINUS_HALF, B1_PLUS_HALF, alt_factorial_sum,
+                        bernoulli, binom_gen, binom_int, factorial,
+                        stirling1_unsigned, stirling2)
 from .integrals import (frac_integral_closed, g_span_eval,
                         log_integral_closed, log_integral_coeffs, log_moment,
                         shifted_log_moment)

@@ -1,7 +1,6 @@
 """Exact integer/rational combinatorics: binomials (integer and generalized),
 factorials, Stirling numbers of both kinds, Bernoulli numbers, alternating
-factorial sums, the approximants' binomial weights, and elements of the
-rational span of {1, G(c)}, with G(c) = e**c E1(c) and G(1) = delta.
+factorial sums and the approximants' binomial weights.
 
 Everything here is exact (Python int / Fraction). The Stirling and
 Bernoulli memo tables only ever grow, by appending rows in order. The
@@ -160,57 +159,3 @@ def span_weights(m: int, r: int) -> list[int]:
         weights.append(-weights[-1] * (m - k + 1) // (k * (k - r)))
     return weights
 
-
-class DeltaLinear:
-    """Element p + q*G(c) of the rational span of {1, G(c)}, where
-    G(c) = e**c E1(c) and c > 0 is rational; G(1) = delta, so
-    DeltaLinear(p, q) is p + q*delta. Values in different spans do not
-    add. Immutable, and not a tuple, whose operators would repeat and
-    order it."""
-
-    __slots__ = ("const_part", "delta_part", "c")
-
-    def __init__(self, const_part: Fraction, delta_part: Fraction,
-                 c: Fraction = Fraction(1)) -> None:
-        for name, value in zip(self.__slots__, (const_part, delta_part, c)):
-            object.__setattr__(self, name, Fraction(value))
-
-    def _frozen(self, name: str, *value) -> None:
-        raise AttributeError(f"cannot assign or delete field {name!r}")
-
-    __setattr__ = __delattr__ = _frozen
-
-    def _key(self) -> tuple[Fraction, Fraction, Fraction]:
-        return self.const_part, self.delta_part, self.c
-
-    def __eq__(self, other):
-        if type(other) is not DeltaLinear:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return ("DeltaLinear(const_part={!r}, delta_part={!r}, c={!r})"
-                .format(*self._key()))
-
-    def __add__(self, other: "DeltaLinear") -> "DeltaLinear":
-        if self.c != other.c:
-            raise ValueError(f"cannot add values in the spans of G({self.c}) "
-                             f"and G({other.c})")
-        return DeltaLinear(self.const_part + other.const_part,
-                           self.delta_part + other.delta_part, self.c)
-
-    def __sub__(self, other: "DeltaLinear") -> "DeltaLinear":
-        return self + -other
-
-    def __neg__(self) -> "DeltaLinear":
-        return self.scaled(-1)
-
-    def scaled(self, q: Fraction | int) -> "DeltaLinear":
-        q = Fraction(q)
-        return DeltaLinear(q * self.const_part, q * self.delta_part, self.c)
-
-    def __rmul__(self, q: Fraction | int) -> "DeltaLinear":
-        return self.scaled(q)

@@ -8,12 +8,14 @@ Each family has a closed form here; the independent recurrence and the
 quadrature cross-check that test them live in tests/integral_oracles.py. The
 general log-moment integral(0,inf) x**(k-1) e**-x ln(x*u+1) dx lies, for
 k >= 1, in the rational span of {1, G(c)}, where G(c) = e**c E1(c) and
-c = 1/u = a/b. span_rows holds its rows at every rational c as int pairs
-scaled by powers of b, and span_dot is the one dot product of weights with
-them; g_span_eval is the one evaluator of a span value, a DeltaLinear, which
-carries its c, at G(c). log_moment_sum is the one router of log-moments: one
-span value from integer weights for every rational u > 0 on the exact path,
-and by quadrature for k = 0 or on request; log_moment is its one-term case.
+c = 1/u = a/b. A span value is held in integers only: a pair (p, q) means
+p + q G(c), and a triple (p, q, den) means (p + q G(c))/den. span_rows holds
+the rows at every rational c as int pairs scaled by powers of b, and
+span_dot is the one dot product of weights with them; g_span_eval is the
+one evaluator of a triple at G(c). log_moment_sum is the one router of
+log-moments: one span triple from integer weights for every rational u > 0
+on the exact path, and by quadrature for k = 0 or on request; log_moment is
+its one-term case.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import mpmath
 from mpmath import mp, mpf
 
 from .errors import DomainError, PrecisionUnreachable
-from .exactmath import DeltaLinear, alt_factorial_sum, factorial
+from .exactmath import alt_factorial_sum, factorial
 from .precision import (MAX_DECIMAL_DIGITS, BigFloat, PrecisionContext,
                         to_bigfloat)
 from .reference import Integrand, exp_e1, quad_semi_infinite
@@ -33,23 +35,23 @@ from .reference import Integrand, exp_e1, quad_semi_infinite
 LOG_MOMENT_PATHS = ("exact", "quadrature")
 
 
-def frac_integral_closed(n: int) -> DeltaLinear:
-    """Closed form of the frac family:
+def frac_integral_closed(n: int) -> tuple[int, int]:
+    """Closed form of the frac family, the pair (p, q) meaning p + q delta:
     (-1)**n * (-alt_factorial_sum(n) + delta)."""
     if n < 0:
         raise DomainError("n must be nonnegative")
     sign = -1 if n % 2 else 1
-    return DeltaLinear(Fraction(-sign * alt_factorial_sum(n)), Fraction(sign))
+    return -sign * alt_factorial_sum(n), sign
 
 
-def log_integral_closed(n: int) -> DeltaLinear:
-    """Closed form of the log family:
+def log_integral_closed(n: int) -> tuple[int, int]:
+    """Closed form of the log family, the pair (p, q) meaning p + q delta:
     sum_{j=0}^{n} n!/j! (-1)**j (-alt_factorial_sum(j) + delta)."""
     if n < 0:
         raise DomainError("n must be nonnegative")
     weights = [(-1) ** j * math.perm(n, n - j) for j in range(n + 1)]
-    return DeltaLinear(-sum(w * alt_factorial_sum(j)
-                            for j, w in enumerate(weights)), sum(weights))
+    return (-sum(w * alt_factorial_sum(j) for j, w in enumerate(weights)),
+            sum(weights))
 
 
 #: Per c, the scaled span rows (frac, log) as lists of int pairs (p, q).
@@ -87,35 +89,35 @@ def span_dot(weights, rows) -> tuple[int, int]:
     return p, q
 
 
-def log_integral_coeffs(n: int, c: Fraction | int) -> DeltaLinear:
-    """Exact (A_n, B_n) with integral(0,inf) x**n ln(x/c + 1) e**-x dx
-    = A_n + B_n G(c): span_rows' L_n over b**n. At c = 1 it is
-    log_integral_closed(n)."""
+def log_integral_coeffs(n: int, c: Fraction | int) -> tuple[int, int, int]:
+    """The triple (p, q, b**n) with integral(0,inf) x**n ln(x/c + 1) e**-x dx
+    = (p + q G(c))/b**n: span_rows' L_n and its scale, as g_span_eval takes
+    them. At c = 1 it is log_integral_closed(n) over 1."""
     if n < 0:
         raise DomainError("n must be nonnegative")
     c = Fraction(c)
-    scale = c.denominator ** n
-    return DeltaLinear(*(Fraction(v, scale) for v in span_rows(n, c)[1][n]), c)
+    return (*span_rows(n, c)[1][n], c.denominator ** n)
 
 
-def g_span_eval(v: DeltaLinear, ctx: PrecisionContext) -> BigFloat:
-    """v.const_part + v.delta_part * G(v.c), rounded to ctx, with the guard
-    digits grown to the cancellation. Each pass converts the two parts once,
-    forms a = A and bg = B G(c) at working precision, and measures the
-    digits the sum cancels from those same terms, log10(max(|a|, |bg|) /
-    |a + bg|), plus those G < 1 has already lost to the quadrature's
-    absolute error. The sum may use a third of ctx.guard_digits; when it
-    cancels more, G(c) and the sum are redone with the guard grown to
-    ctx.guard_digits times the next power of two covering the measured loss,
-    so that one G(c) serves a range of moments and a deep cancellation takes
-    few rungs. The last rung is the largest multiple of ctx.guard_digits
-    within MAX_DECIMAL_DIGITS."""
+def g_span_eval(p: int, q: int, den: int, c: Fraction | int,
+                ctx: PrecisionContext) -> BigFloat:
+    """(p + q G(c))/den for ints p, q and den != 0 of either sign, and
+    rational c > 0, rounded to ctx, with the guard digits grown to the
+    cancellation. Each pass forms a = p/den and bg = q/den G(c) at working
+    precision, and measures the digits the sum cancels from those same
+    terms, log10(max(|a|, |bg|) / |a + bg|), plus those G < 1 has already
+    lost to the quadrature's absolute error. The sum may use a third of
+    ctx.guard_digits; when it cancels more, G(c) and the sum are redone with
+    the guard grown to ctx.guard_digits times the next power of two covering
+    the measured loss, so that one G(c) serves a range of moments and a deep
+    cancellation takes few rungs. The last rung is the largest multiple of
+    ctx.guard_digits within MAX_DECIMAL_DIGITS."""
     gctx = ctx
     while True:
-        g = exp_e1(v.c, gctx)
+        g = exp_e1(c, gctx)
         with mp.workprec(gctx.inner_bits):
-            a = mpf(v.const_part.numerator) / v.const_part.denominator
-            bg = mpf(v.delta_part.numerator) / v.delta_part.denominator * g
+            a = mpf(p) / den
+            bg = mpf(q) / den * g
             value = gctx.round(a + bg)
         with mp.workprec(53):
             size = max(abs(a), abs(bg))
@@ -134,7 +136,7 @@ def g_span_eval(v: DeltaLinear, ctx: PrecisionContext) -> BigFloat:
                    MAX_DECIMAL_DIGITS // ctx.guard_digits)
         if ctx.guard_digits * rung <= gctx.guard_digits:
             raise PrecisionUnreachable(
-                f"A + B G({v.c}) cancels more than "
+                f"A + B G({c}) cancels more than "
                 f"{MAX_DECIMAL_DIGITS} digits")
         gctx = PrecisionContext(ctx.decimal_digits, ctx.guard_digits * rung)
 
@@ -155,11 +157,11 @@ def log_moment_sum(weights, r: int, den: int, u: Fraction | int,
     On path "exact" (the default) and for every u > 0, the terms with
     k >= 1 are one span value: with c = 1/u = a/b and the scaled span_rows
     Lhat, sum_k w_k b**(m-k) Lhat_{k-1} over den b**(m-1), one span_dot and
-    one g_span_eval, so the guard digits grow with the cancellation of the
-    whole sum; G(c) is cross-checked between quadrature and mpmath.e1 once
-    per (c, precision). Path "quadrature" integrates each log-moment
-    numerically, as does k = 0 (the integrand x**-1 ln(x*u+1) is
-    integrable), each term with its weight over den."""
+    one g_span_eval of that triple, never reduced, so the guard digits grow
+    with the cancellation of the whole sum; G(c) is cross-checked between
+    quadrature and mpmath.e1 once per (c, precision). Path "quadrature"
+    integrates each log-moment numerically, as does k = 0 (the integrand
+    x**-1 ln(x*u+1) is integrable), each term with its weight over den."""
     if path not in LOG_MOMENT_PATHS:
         raise ValueError(f"unknown path {path!r}")
     if r < 0:
@@ -183,9 +185,7 @@ def log_moment_sum(weights, r: int, den: int, u: Fraction | int,
             p, q = span_dot((w * b ** (m - k) for k, w in
                              enumerate(weights[n:], start=r + n)),
                             span_rows(m - 1, c)[1][r + n - 1:])
-            scale = den * b ** (m - 1)
-            total += g_span_eval(DeltaLinear(Fraction(p, scale),
-                                             Fraction(q, scale), c), ctx)
+            total += g_span_eval(p, q, den * b ** (m - 1), c, ctx)
     return ctx.round(total)
 
 

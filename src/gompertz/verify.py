@@ -161,9 +161,9 @@ def check_gen_binomial_sum(m: int, i: int, r: int,
     (j-i)!). With A_j = (-1)**j C(m,j) j! E_j D_m/D_j it is the pair
     (q**i sum_{j>=i} A_j (m-i)!/(j-i)!, E_i D_m (m-i)!): one integer dot
     product per i with the row of A_j of (m, r, eps)."""
-    point = _gen_binomial_row(m, r, eps, _factorial_ratios(m))
     if not (0 <= i <= m) or r < 0:
         raise DomainError(f"need 0 <= i <= m and r >= 0, got m={m} i={i} r={r}")
+    point = _gen_binomial_row(m, r, eps, _factorial_ratios(m))
     return point(i, {"m": str(m), "i": str(i), "r": str(r),
                      "eps": str(Fraction(eps))})
 

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import absdiff
-from gompertz import (B1_MINUS_HALF, B1_PLUS_HALF, DeltaLinear,
-                      alt_factorial_sum, bernoulli, binom_gen, binom_int,
-                      delta_reference, factorial, g_span_eval,
+from gompertz import (B1_MINUS_HALF, B1_PLUS_HALF, alt_factorial_sum,
+                      bernoulli, binom_gen, binom_int, delta_reference,
+                      factorial, g_span_eval, log_integral_coeffs,
                       stirling1_unsigned, stirling2)
 from gompertz import exactmath
 
@@ -240,64 +240,40 @@ class TestSpanWeights:
             exactmath.span_weights(2, -1)
 
 
-class TestDeltaLinear:
-    def test_componentwise_algebra(self):
-        a = DeltaLinear(Fraction(1, 2), Fraction(3))
-        b = DeltaLinear(Fraction(1), Fraction(-1, 3))
-        assert a + b == DeltaLinear(Fraction(3, 2), Fraction(8, 3))
-        assert a - b == DeltaLinear(Fraction(-1, 2), Fraction(10, 3))
-        assert -a == DeltaLinear(Fraction(-1, 2), Fraction(-3))
-        assert Fraction(2, 5) * a == DeltaLinear(Fraction(1, 5), Fraction(6, 5))
-
-    def test_default_span_is_delta(self):
-        assert DeltaLinear(1, 2).c == 1
-        assert DeltaLinear(1, 2) == DeltaLinear(1, 2, 1)
-
-    def test_mixed_spans_refused(self):
-        a = DeltaLinear(1, 0)
-        b = DeltaLinear(0, 1, Fraction(3, 2))
-        with pytest.raises(ValueError):
-            a + b
-        with pytest.raises(ValueError):
-            a - b
-        with pytest.raises(ValueError):
-            b - a
-
-    def test_span_survives_algebra(self):
-        c = Fraction(3, 2)
-        a = DeltaLinear(Fraction(1, 2), 3, c)
-        b = DeltaLinear(1, Fraction(-1, 3), c)
-        assert a + b == DeltaLinear(Fraction(3, 2), Fraction(8, 3), c)
-        assert a - b == DeltaLinear(Fraction(-1, 2), Fraction(10, 3), c)
-        assert -a == DeltaLinear(Fraction(-1, 2), -3, c)
-        assert a.scaled(2) == DeltaLinear(1, 6, c)
-        assert Fraction(2, 5) * a == DeltaLinear(Fraction(1, 5),
-                                                 Fraction(6, 5), c)
-
+class TestGSpanEval:
     def test_eval_identity_coefficient(self, ctx10):
-        v = DeltaLinear(Fraction(0), Fraction(1))
-        assert g_span_eval(v, ctx10) == delta_reference(ctx10)
+        assert g_span_eval(0, 1, 1, 1, ctx10) == delta_reference(ctx10)
 
     def test_eval_one_minus_delta(self, ctx30):
         d = delta_reference(ctx30)
-        v = DeltaLinear(Fraction(1), Fraction(-1))
-        got = g_span_eval(v, ctx30)
+        got = g_span_eval(1, -1, 1, 1, ctx30)
         with mp.workprec(600):
             expected = 1 - mpf(d)
         assert absdiff(got, expected) < ctx30.target_tolerance()
 
     def test_eval_zero(self, ctx10):
-        v = DeltaLinear(Fraction(0), Fraction(0))
-        assert g_span_eval(v, ctx10) == 0
+        assert g_span_eval(0, 0, 1, 1, ctx10) == 0
 
     def test_eval_distributes(self, ctx30):
-        # evaluate is ring-compatible: linear over + and scaling
-        a = DeltaLinear(Fraction(2, 7), Fraction(-5, 3))
-        b = DeltaLinear(Fraction(-1, 2), Fraction(4))
-        lhs = g_span_eval(a + b, ctx30)
+        # linear over +: 2/7 - 5/3 delta plus -1/2 + 4 delta, over 42
+        lhs = g_span_eval(12 - 21, -70 + 168, 42, 1, ctx30)
         with mp.workprec(600):
-            rhs = mpf(g_span_eval(a, ctx30)) + g_span_eval(b, ctx30)
+            rhs = mpf(g_span_eval(6, -35, 21, 1, ctx30)) \
+                + g_span_eval(-1, 8, 2, 1, ctx30)
         assert absdiff(lhs, rhs) < ctx30.internal_tolerance() * 10
+
+    @pytest.mark.parametrize("c", (Fraction(1), Fraction(2, 3),
+                                   Fraction(100)))
+    def test_unreduced_and_negative_den(self, ctx30, c):
+        # log_moment_sum passes its triple unreduced, with den of either
+        # sign: a common factor changes no bit, and -den negates exactly
+        for n in (0, 5, 12):
+            p, q, den = log_integral_coeffs(n, c)
+            value = g_span_eval(p, q, den, c, ctx30)
+            for k in (2, 3, -1, -6):
+                assert g_span_eval(k * p, k * q, k * den, c, ctx30) == value
+            with mp.workprec(ctx30.inner_bits):
+                assert g_span_eval(p, q, -den, c, ctx30) == -value
 
 
 @st.composite
@@ -305,18 +281,6 @@ def rationals(draw):
     num = draw(st.integers(-10 ** 12, 10 ** 12))
     den = draw(st.integers(1, 10 ** 9))
     return Fraction(num, den)
-
-
-class TestDeltaLinearAlgebra:
-    @given(rationals(), rationals(), rationals(), rationals(), rationals())
-    def test_componentwise_laws(self, p, q, s, t, c):
-        a = DeltaLinear(p, q)
-        b = DeltaLinear(s, t)
-        assert a + b == b + a
-        assert (a + b).const_part == p + s
-        assert (a + b).delta_part == q + t
-        assert c * (a + b) == c * a + c * b
-        assert a - b == a + (-b)
 
 
 class TestBigRatNormalization:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from conftest import absdiff
-from gompertz import (CrossCheckFailure, DeltaLinear, DomainError, Integrand,
+from gompertz import (CrossCheckFailure, DomainError, Integrand,
                       bigfloat_str, corollary1_pair, corollary2_pair,
                       delta_reference, exp_e1, frac_integral_closed,
                       log_integral_closed, log_integral_coeffs,
@@ -23,18 +23,14 @@ from gompertz.verify import series_partial_trend
 from integral_oracles import cross_checked_value, frac_integral_recurrence
 
 
-def D(c, d):
-    return DeltaLinear(Fraction(c), Fraction(d))
-
-
 class TestFracFamily:
     def test_frozen_small_values(self):
         # recurrence oracle, unrolled: value(0)=delta, value(n)=(n-1)!-value(n-1)
-        assert frac_integral_closed(0) == D(0, 1)
-        assert frac_integral_closed(1) == D(1, -1)
-        assert frac_integral_closed(2) == D(0, 1)
-        assert frac_integral_closed(3) == D(2, -1)
-        assert frac_integral_closed(5) == D(20, -1)
+        assert frac_integral_closed(0) == (0, 1)
+        assert frac_integral_closed(1) == (1, -1)
+        assert frac_integral_closed(2) == (0, 1)
+        assert frac_integral_closed(3) == (2, -1)
+        assert frac_integral_closed(5) == (20, -1)
 
     def test_closed_equals_recurrence_exactly(self):
         for n in range(41):
@@ -42,7 +38,7 @@ class TestFracFamily:
 
     def test_quadrature_agreement(self, ctx30):
         for n in range(6):
-            exact = g_span_eval(frac_integral_closed(n), ctx30)
+            exact = g_span_eval(*frac_integral_closed(n), 1, 1, ctx30)
             numeric = quad_semi_infinite(Integrand(Fraction(n), denom_power=1),
                                          ctx30)
             assert absdiff(exact, numeric) < mpf(10) ** -25
@@ -54,18 +50,18 @@ class TestFracFamily:
 
 class TestLogFamily:
     def test_frozen_small_values(self):
-        assert log_integral_closed(0) == D(0, 1)
-        assert log_integral_closed(1) == D(1, 0)   # integration by parts
-        assert log_integral_closed(2) == D(2, 1)
+        assert log_integral_closed(0) == (0, 1)
+        assert log_integral_closed(1) == (1, 0)   # integration by parts
+        assert log_integral_closed(2) == (2, 1)
 
     def test_parts_identity_exact(self):
         # J_n = n J_{n-1} + (n-1)! - I_{n-1}; verified numerically below
         # before being relied on here
         for n in range(1, 41):
-            lhs = log_integral_closed(n)
-            rhs = (n * log_integral_closed(n - 1)
-                   + D(factorial(n - 1), 0) - frac_integral_closed(n - 1))
-            assert lhs == rhs
+            p, q = log_integral_closed(n - 1)
+            fp, fq = frac_integral_closed(n - 1)
+            assert log_integral_closed(n) == (n * p + factorial(n - 1) - fp,
+                                              n * q - fq)
 
     def test_parts_identity_numerically(self, ctx30):
         # independent numeric confirmation at n = 1..3 via quadrature only
@@ -85,19 +81,15 @@ class TestLogFamily:
 
     def test_exact_components_stay_rational(self):
         # cancellation audit: the const part grows like n! and must remain an
-        # exact integer-valued rational, never a floating intermediate
-        v = log_integral_closed(20)
-        assert isinstance(v.const_part, Fraction)
-        assert isinstance(v.delta_part, Fraction)
-        assert v.const_part.denominator == 1
-        expected_const = sum(
-            Fraction(factorial(20), factorial(j)) * (-1) ** j
-            * (-alt_factorial_sum(j)) for j in range(21))
-        assert v.const_part == expected_const
+        # exact integer, never a floating intermediate
+        p, q = log_integral_closed(20)
+        assert type(p) is int and type(q) is int
+        assert p == sum(factorial(20) // factorial(j) * (-1) ** j
+                        * (-alt_factorial_sum(j)) for j in range(21))
 
     def test_quadrature_agreement_up_to_five(self, ctx30):
         for n in range(6):
-            exact = g_span_eval(log_integral_closed(n), ctx30)
+            exact = g_span_eval(*log_integral_closed(n), 1, 1, ctx30)
             numeric = quad_semi_infinite(Integrand(Fraction(n),
                                                    log_scale=Fraction(1)), ctx30)
             assert absdiff(exact, numeric) < mpf(10) ** -25
@@ -221,7 +213,7 @@ class TestIntegralValue:
     def test_corrupted_closed_form_trips(self, ctx30, monkeypatch):
         import integral_oracles as mod
         monkeypatch.setattr(mod, "frac_integral_recurrence",
-                            lambda n: D(999, 1))
+                            lambda n: (999, 1))
         with pytest.raises(CrossCheckFailure):
             cross_checked_value("frac", 4, ctx30)
 
@@ -269,37 +261,29 @@ class TestExactSpan:
 
     def test_coeffs_at_c1_are_the_closed_form(self):
         for n in range(DEFAULT_M_MAX_CAP + 1):
-            assert log_integral_coeffs(n, 1) == log_integral_closed(n)
+            assert log_integral_coeffs(n, 1) == (*log_integral_closed(n), 1)
 
     def test_coeffs_small_values(self):
-        c = Fraction(3)
+        c = 3
         # L_0 = G, L_1 = L_0 + I_1 = G + 1 - c G, L_2 = 2 L_1 + I_2
-        assert log_integral_coeffs(0, c) == DeltaLinear(0, 1, c)
-        assert log_integral_coeffs(1, c) == DeltaLinear(1, 1 - c, c)
-        assert log_integral_coeffs(2, c) == DeltaLinear(2 + 1 - c,
-                                                        2 * (1 - c) + c * c, c)
+        assert log_integral_coeffs(0, c) == (0, 1, 1)
+        assert log_integral_coeffs(1, c) == (1, 1 - c, 1)
+        assert log_integral_coeffs(2, c) == (2 + 1 - c, 2 * (1 - c) + c * c, 1)
+        # at c = 3/2, b**n L_n: 2 L_1 = 2 + (2 - 3) G
+        assert log_integral_coeffs(1, Fraction(3, 2)) == (2, -1, 2)
 
     def test_first_call_beyond_the_recursion_limit(self):
         # the rows of a new c grow in a loop, not by recursion
         n = sys.getrecursionlimit() + 10
         c = Fraction(5)
-        top = log_integral_coeffs(n, c)
-        assert top.c == c and top.const_part.denominator == 1
+        _, q, den = log_integral_coeffs(n, c)
+        assert den == 1
         # the G parts: I_n has (-c)**n, so B_n = n B_{n-1} + (-c)**n
-        below = log_integral_coeffs(n - 1, c)
-        assert top.delta_part == n * below.delta_part + (-c) ** n
-
-    def test_coeffs_carry_their_c(self):
-        for c in (Fraction(1, 3), Fraction(1), Fraction(7, 2)):
-            for n in (0, 1, 5):
-                assert log_integral_coeffs(n, c).c == c
-        # the exact-route values of different u live in different spans
-        with pytest.raises(ValueError):
-            log_integral_coeffs(2, 2) + log_integral_coeffs(2, 3)
+        assert q == n * log_integral_coeffs(n - 1, c)[1] + (-c) ** n
 
     def test_g_span_eval_takes_c_from_the_value(self, ctx30):
         for c in (Fraction(1, 3), Fraction(2), Fraction(50)):
-            assert g_span_eval(DeltaLinear(0, 1, c), ctx30) == exp_e1(c, ctx30)
+            assert g_span_eval(0, 1, 1, c, ctx30) == exp_e1(c, ctx30)
 
     def test_exp_e1_matches_mpmath(self, ctx60):
         for c in (Fraction(1, 3), Fraction(1), Fraction(7, 2), Fraction(50)):

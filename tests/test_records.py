@@ -1,18 +1,17 @@
-"""The package's nine records: field names, order and defaults, the checks
+"""The package's eight records: field names, order and defaults, the checks
 and coercions made on construction (and again by `_replace`), immutability,
 and equal values hashing equal (PrecisionContext and Integrand are
 `lru_cache` keys). The records are named tuples, but for the reference
-rule's mutable `_Level` and for DeltaLinear, whose operators are its span
-algebra alone: a tuple would repeat under `v * 3` and order under `<`."""
+rule's mutable `_Level`."""
 
 from fractions import Fraction
 
 import pytest
 from mpmath import mpf
 
-from gompertz import (ApproximantRow, DecayReport, DeltaLinear,
-                      DigammaSeriesPoint, HyperGeomParams, IdentityReport,
-                      Integrand, PrecisionContext, quad_semi_infinite)
+from gompertz import (ApproximantRow, DecayReport, DigammaSeriesPoint,
+                      HyperGeomParams, IdentityReport, Integrand,
+                      PrecisionContext, quad_semi_infinite)
 from gompertz.reference import _Level
 from gompertz.verify import EXACT_PASS
 
@@ -25,8 +24,6 @@ RECORDS = {
                 (Fraction(1, 2),),
                 {"log_scale": None, "denom_power": 0,
                  "denom_scale": Fraction(1)}),
-    DeltaLinear: (("const_part", "delta_part", "c"),
-                  (Fraction(1, 2), Fraction(-3)), {"c": Fraction(1)}),
     ApproximantRow: (("m", "r", "corollary", "a", "b", "ratio", "abs_error",
                       "target_sign"),
                      (2, 0, 1, -4, 7, mpf(4) / 7, mpf("0.025"), "+"), {}),
@@ -53,14 +50,10 @@ def sample(record):
     return record(*values)
 
 
-def field_names(record) -> tuple:
-    return getattr(record, "_fields", None) or record.__slots__
-
-
 @pytest.mark.parametrize("record", RECORDS, ids=IDS)
 def test_fields_order_and_defaults(record):
     names, values, defaults = RECORDS[record]
-    assert tuple(field_names(record)) == names
+    assert record._fields == names
     value = record(*values)
     expected = dict(zip(names, values), **defaults)
     assert {name: getattr(value, name) for name in names} == expected
@@ -70,7 +63,7 @@ def test_fields_order_and_defaults(record):
 @pytest.mark.parametrize("record", RECORDS, ids=IDS)
 def test_fields_cannot_be_assigned(record):
     value = sample(record)
-    for name in (*field_names(record), "extra"):
+    for name in (*record._fields, "extra"):
         with pytest.raises(AttributeError):
             setattr(value, name, 1)
 
@@ -152,39 +145,6 @@ class TestHyperGeomParams:
         assert type(value._replace(a=2).a) is Fraction
         with pytest.raises(ValueError):
             HyperGeomParams("one", 0, 1, 1)
-
-
-class TestDeltaLinear:
-    def test_rationals_coerced(self):
-        v = DeltaLinear(1, "2/3", 2)
-        assert [type(x) for x in (v.const_part, v.delta_part, v.c)] == \
-            [Fraction] * 3
-        with pytest.raises(ValueError):
-            DeltaLinear("one", 0)
-
-    def test_operators_are_the_span_algebra(self):
-        v = DeltaLinear(Fraction(1, 2), 3)
-        w = DeltaLinear(1, Fraction(-1, 3))
-        assert 3 * v == DeltaLinear(Fraction(3, 2), 9)
-        assert v + w == DeltaLinear(Fraction(3, 2), Fraction(8, 3))
-        with pytest.raises(ValueError):
-            v + DeltaLinear(0, 1, Fraction(3, 2))
-        with pytest.raises(TypeError):
-            v * 3  # not a tuple repeated
-        with pytest.raises(TypeError):
-            v < w  # not a tuple ordered
-        assert v != (Fraction(1, 2), Fraction(3), Fraction(1))
-
-    def test_fields_cannot_be_deleted(self):
-        v = DeltaLinear(1, 2)
-        with pytest.raises(AttributeError):
-            del v.c
-        assert v.c == 1
-
-    def test_repr(self):
-        assert repr(DeltaLinear(1, 2)) == (
-            "DeltaLinear(const_part=Fraction(1, 1), "
-            "delta_part=Fraction(2, 1), c=Fraction(1, 1))")
 
 
 class TestLevel:

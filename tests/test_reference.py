@@ -121,14 +121,12 @@ def oracle_bits(ctx):
     return 2 * ctx.inner_bits + 64
 
 
-def span_value(v, c, bits):
-    """A + B G(c) for an exact span value, with G(c) = e**c E1(c) from
+def span_value(p, q, den, c, bits):
+    """(p + q G(c))/den for an exact span triple, with G(c) = e**c E1(c) from
     mpmath, so that the oracle does not touch the package's quadrature."""
     with mp.workprec(bits):
-        a, b = (mpf(q.numerator) / q.denominator
-                for q in (v.const_part, v.delta_part))
         x = mpf(c.numerator) / c.denominator
-        return a + b * mpmath.exp(x) * mpmath.e1(x)
+        return (p + q * mpmath.exp(x) * mpmath.e1(x)) / den
 
 
 #: (integrand, digits, evaluations with and without the predicted-error
@@ -168,7 +166,7 @@ class TestHalfLineEnds:
         # A + B G(2) from the span recurrence, with G(2) from mpmath's E1
         got = quad_semi_infinite(Integrand(Fraction(29),
                                            log_scale=Fraction(1, 2)), ctx30)
-        want = span_value(log_integral_coeffs(29, 2), Fraction(2),
+        want = span_value(*log_integral_coeffs(29, 2), Fraction(2),
                           oracle_bits(ctx30))
         assert relerr(got, want) < 100 * ctx30.internal_tolerance()
 
@@ -184,7 +182,7 @@ class TestHalfLineEnds:
         # integral x**n ln(x/c + 1) e**-x = A + B G(c), exactly
         ctx = PrecisionContext(digits)
         got = quad_semi_infinite(Integrand(Fraction(n), log_scale=1 / c), ctx)
-        want = span_value(log_integral_coeffs(n, c), c, oracle_bits(ctx))
+        want = span_value(*log_integral_coeffs(n, c), c, oracle_bits(ctx))
         assert relerr(got, want) < 100 * ctx.internal_tolerance()
 
     @pytest.mark.parametrize("digits", [30, 60])
@@ -193,7 +191,7 @@ class TestHalfLineEnds:
         # integral x**n e**-x / (x + 1) = (-1)**n (delta - alt_factorial_sum(n))
         ctx = PrecisionContext(digits)
         got = quad_semi_infinite(Integrand(Fraction(n), denom_power=1), ctx)
-        want = span_value(frac_integral_closed(n), Fraction(1),
+        want = span_value(*frac_integral_closed(n), 1, Fraction(1),
                           oracle_bits(ctx))
         assert relerr(got, want) < 100 * ctx.internal_tolerance()
 

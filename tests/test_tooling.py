@@ -1,7 +1,8 @@
-"""The benchmark tracer (perfbench/tracer.py) and the scripts under scripts/
-bind package names, private ones included. A name they use that is deleted or
-renamed must fail here, not first in a traced benchmark run or a script run
-(neither is part of this suite)."""
+"""The benchmark tracer (perfbench/tracer.py), the scripts under scripts/ and
+README's library example bind package names, private ones included. A name
+they use that is deleted or renamed must fail here, not first in a traced
+benchmark run, a script run (neither is part of this suite) or a reader's
+session."""
 
 import ast
 import importlib
@@ -85,3 +86,12 @@ def test_script_check_catches_stale_names():
         "gompertz.no_such_function", "gompertz.verify._no_such_helper",
         "gompertz.verify._no_such_cache",
         "gompertz.verify.digamma_series_rhs.cache_clear"]
+
+
+def test_readme_library_example_runs(capsys):
+    # the block a reader copies first: a removed or renamed export fails here
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library example\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("0.596347362323")

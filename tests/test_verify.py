@@ -124,6 +124,16 @@ class TestGenBinomialSum:
         with pytest.raises(DomainError):
             check_gen_binomial_sum(2, 0, 0, Fraction(-1))
 
+    def test_out_of_range_refused_before_any_table(self, monkeypatch):
+        # at m = 10**5 the n!/k! table alone would be 5e9 big ints
+        def no_table(top):
+            raise AssertionError(f"table built for m = {top}")
+
+        monkeypatch.setattr(verify, "_factorial_ratios", no_table)
+        for m, i, r in ((10 ** 5, -1, 0), (3, 4, 0), (3, 1, -1)):
+            with pytest.raises(DomainError):
+                check_gen_binomial_sum(m, i, r, Fraction(-3, 4))
+
     def test_corrupted_closed_form_fails(self, monkeypatch):
         # m!/(m-i)! is a factor of the closed form only
         monkeypatch.setattr(verify, "perm", lambda m, i: perm(m, i) + 1)
