@@ -105,13 +105,16 @@ def g_span_eval(p: int, q: int, den: int, c: Fraction | int,
     rational c > 0, rounded to ctx, with the guard digits grown to the
     cancellation. Each pass forms a = p/den and bg = q/den G(c) at working
     precision, and measures the digits the sum cancels from those same
-    terms, log10(max(|a|, |bg|) / |a + bg|), plus those G < 1 has already
-    lost to the quadrature's absolute error. The sum may use a third of
-    ctx.guard_digits; when it cancels more, G(c) and the sum are redone with
-    the guard grown to ctx.guard_digits times the next power of two covering
-    the measured loss, so that one G(c) serves a range of moments and a deep
-    cancellation takes few rungs. The last rung is the largest multiple of
-    ctx.guard_digits within MAX_DECIMAL_DIGITS."""
+    terms, log10(max(|a|, |bg|) / |a + bg|), plus max(0, -log10 G): the
+    digits G < 1 would lose to an absolute error in G of 10**-(D+g). The
+    quadrature that checks G bounds the error of c G(c), not of G, so for
+    c > 1 that term over-counts by about log10 c digits; it stays until the
+    error columns are computed in the exact span. The sum may use a third
+    of ctx.guard_digits; when it cancels more, G(c) and the sum are redone
+    with the guard grown to ctx.guard_digits times the next power of two
+    covering the measured loss, so that one G(c) serves a range of moments
+    and a deep cancellation takes few rungs. The last rung is the largest
+    multiple of ctx.guard_digits within MAX_DECIMAL_DIGITS."""
     gctx = ctx
     while True:
         g = exp_e1(c, gctx)
@@ -158,8 +161,8 @@ def log_moment_sum(weights, r: int, den: int, u: Fraction | int,
     k >= 1 are one span value: with c = 1/u = a/b and the scaled span_rows
     Lhat, sum_k w_k b**(m-k) Lhat_{k-1} over den b**(m-1), one span_dot and
     one g_span_eval of that triple, never reduced, so the guard digits grow
-    with the cancellation of the whole sum; G(c) is cross-checked between
-    quadrature and mpmath.e1 once per (c, precision). Path "quadrature"
+    with the cancellation of the whole sum; G(c) is mpmath.e1's value,
+    checked by quadrature once per (c, precision). Path "quadrature"
     integrates each log-moment numerically, as does k = 0 (the integrand
     x**-1 ln(x*u+1) is integrable), each term with its weight over den."""
     if path not in LOG_MOMENT_PATHS:

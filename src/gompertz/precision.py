@@ -29,7 +29,9 @@ class PrecisionContext(namedtuple("PrecisionContext",
     working_bits = ceil((decimal_digits + guard_digits) * log2(10)); all
     internal tolerances are 10**-(decimal_digits + guard_digits). The one
     slack rule: an intermediate value is carried at inner_bits, 16 bits past
-    working_bits, and rounded once to working_bits at the end.
+    working_bits, and rounded once to working_bits at the end. A context
+    above MAX_DECIMAL_DIGITS cannot be built, by the constructor or by
+    _replace, so no evaluator checks the cap itself.
     """
 
     __slots__ = ()
@@ -39,6 +41,10 @@ class PrecisionContext(namedtuple("PrecisionContext",
             raise ValueError("decimal_digits must be positive")
         if guard_digits < 5:
             raise ValueError("guard_digits must be at least 5")
+        if decimal_digits > MAX_DECIMAL_DIGITS:
+            raise PrecisionUnreachable(
+                f"requested {decimal_digits} digits exceeds the "
+                f"{MAX_DECIMAL_DIGITS}-digit cap")
         return super().__new__(cls, decimal_digits, guard_digits)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
@@ -60,12 +66,6 @@ class PrecisionContext(namedtuple("PrecisionContext",
         evaluator, before its one rounding to working_bits."""
         return self.working_bits + 16
 
-    def check_cap(self) -> None:
-        if self.decimal_digits > MAX_DECIMAL_DIGITS:
-            raise PrecisionUnreachable(
-                f"requested {self.decimal_digits} digits exceeds the "
-                f"{MAX_DECIMAL_DIGITS}-digit cap")
-
     def internal_tolerance(self) -> BigFloat:
         """10**-(decimal_digits + guard_digits), at working precision."""
         with mp.workprec(self.working_bits):
@@ -78,9 +78,10 @@ class PrecisionContext(namedtuple("PrecisionContext",
 
     def agrees(self, a: BigFloat, b: BigFloat) -> bool:
         """|a - b| < 10**-decimal_digits * max(1, |a|): agreement to the
-        target digits, relative once |a| exceeds 1. The one tolerance of the
-        package's cross-checks; an absolute 10**-D would false-fail on large
-        values that agree to the last working bit."""
+        target digits, relative once |a| exceeds 1, as the tests compare
+        evaluators; an absolute 10**-D would false-fail on large values that
+        agree to the last working bit. G(c)'s own cross-check in reference
+        is tighter: the quadrature's error bound, not the printed digits."""
         with mp.workprec(self.working_bits):
             a = mpf(a)
             return abs(a - b) < self.target_tolerance() * max(1, abs(a))

@@ -116,15 +116,14 @@ def check_gauss_terminating(p: HyperGeomParams,
                           Fraction(closed_form).as_integer_ratio())
 
 
-def _factorial_ratios(top: int) -> list[list[int]]:
-    """n!/k! at [n][k], for k <= n <= top."""
-    return [[factorial(n) // factorial(k) for k in range(n + 1)]
-            for n in range(top + 1)]
+def _factorial_ratios(n: int) -> list[int]:
+    """n!/k! at [k], for k <= n."""
+    return [factorial(n) // factorial(k) for k in range(n + 1)]
 
 
-def _gen_binomial_row(m: int, r: int, eps: Fraction, ratios):
-    """check_gen_binomial_sum at (m, r, eps) as a function of (i, params),
-    over tables A_j, E_j, D_m built once and _factorial_ratios(m) or more."""
+def _gen_binomial_row(m: int, r: int, eps: Fraction):
+    """check_gen_binomial_sum at (m, r, eps) as a function of (i, params,
+    _factorial_ratios(m - i)), over tables A_j, E_j, D_m built once."""
     p, q = Fraction(eps).as_integer_ratio()
     if q == 1:  # else a factor p + s*q could vanish
         raise DomainError("eps must be a non-integer rational")
@@ -136,10 +135,10 @@ def _gen_binomial_row(m: int, r: int, eps: Fraction, ratios):
     d_m = dens[-1]
     terms = [head * (d_m // den) for head, den in zip(heads, dens)]
 
-    def point(i: int, params: dict) -> IdentityReport:
+    def point(i: int, params: dict, ratios: list[int]) -> IdentityReport:
         n = m - i
-        lhs = (q ** i * sum(map(mul, terms[i:], ratios[n])),
-               starts[i] * d_m * ratios[n][0])
+        lhs = (q ** i * sum(map(mul, terms[i:], ratios)),
+               starts[i] * d_m * ratios[0])
         # the integer binomial's (m-i)! cancels the inverted one's m!
         rn = prod(range(1 - r, n + 1 - r)) * q ** m * perm(m, i)
         return _compare_pairs("gen_binomial_sum", params, lhs,
@@ -163,9 +162,9 @@ def check_gen_binomial_sum(m: int, i: int, r: int,
     product per i with the row of A_j of (m, r, eps)."""
     if not (0 <= i <= m) or r < 0:
         raise DomainError(f"need 0 <= i <= m and r >= 0, got m={m} i={i} r={r}")
-    point = _gen_binomial_row(m, r, eps, _factorial_ratios(m))
+    point = _gen_binomial_row(m, r, eps)  # refuses an integer eps first
     return point(i, {"m": str(m), "i": str(i), "r": str(r),
-                     "eps": str(Fraction(eps))})
+                     "eps": str(Fraction(eps))}, _factorial_ratios(m - i))
 
 
 def _int_binomial_row(m: int, r: int) -> list[int]:
@@ -209,18 +208,18 @@ def gauss_grid(m_max: int = 15) -> list[IdentityReport]:
             for j in range(1, m + 1) for r in range(1, j)]
 
 
-def gen_binomial_grid(m_max: int = 12, r_max: int = 3,
-                      eps_list=EPS_WINDOW_SAMPLES) -> list[IdentityReport]:
-    """check_gen_binomial_sum over i <= m <= m_max, r <= r_max and eps,
-    nested in that order, from one _gen_binomial_row per (m, r, eps)."""
-    eps_names = [(eps, str(Fraction(eps))) for eps in eps_list]
-    names = [str(k) for k in range(max(m_max, r_max) + 1)]
-    ratios, out = _factorial_ratios(m_max), []
+def gen_binomial_grid(m_max: int = 12) -> list[IdentityReport]:
+    """check_gen_binomial_sum over i <= m <= m_max, r <= 3 and eps in
+    EPS_WINDOW_SAMPLES, nested in that order, from one _gen_binomial_row
+    per (m, r, eps) and one _factorial_ratios row per m - i."""
+    names = [str(k) for k in range(max(m_max, 3) + 1)]
+    ratios = [_factorial_ratios(n) for n in range(m_max + 1)]
+    out = []
     for m in range(m_max + 1):
-        rows = [(names[r], _gen_binomial_row(m, r, eps, ratios), eps_name)
-                for r in range(r_max + 1) for eps, eps_name in eps_names]
+        rows = [(names[r], _gen_binomial_row(m, r, eps), str(eps))
+                for r in range(4) for eps in EPS_WINDOW_SAMPLES]
         out += [point(i, {"m": names[m], "i": names[i], "r": r_name,
-                          "eps": eps_name})
+                          "eps": eps_name}, ratios[m - i])
                 for i in range(m + 1) for r_name, point, eps_name in rows]
     return out
 
@@ -392,11 +391,10 @@ def digamma_series_rhs(u: Fraction, m: int, convention: str,
     u = Fraction(u)
     if u <= 0:
         raise DomainError("u must be positive")
-    if convention not in BERNOULLI_CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
     # coeff(k, m+1) C(m,k) (-1)**k/(k! m!) is L coeff(k, m+1) w_k/(L m!**2)
     # with the span_weights(m, 0), where L = lcm(1..m+1) makes L coeff an
-    # integer; shifted log-moments at u are the log-moments at 1/u
+    # integer; shifted log-moments at u are the log-moments at 1/u. The
+    # coefficient refuses an unknown convention
     scale = lcm(*range(1, m + 2))
     weights = [int(digamma_series_coeff(k, m + 1, convention) * scale) * w
                for k, w in enumerate(span_weights(m, 0)) if k]

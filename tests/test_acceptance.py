@@ -30,7 +30,7 @@ def report(name, ok, detail=""):
 
 def test_01_exact_identity_suite():
     start = time.monotonic()
-    gen = gen_binomial_grid(m_max=12, r_max=3)
+    gen = gen_binomial_grid(m_max=12)
     intb = int_binomial_grid(m_max=20)
     gauss = gauss_grid(m_max=15)
     elapsed = time.monotonic() - start

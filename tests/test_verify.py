@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import comb, factorial, perm
 
@@ -238,6 +239,18 @@ class TestGridsByRow:
     def test_gen_binomial_grid_is_the_point_check(self):
         assert gen_binomial_grid(12) == [check_gen_binomial_sum(*point)
                                          for point in gen_points(12)]
+
+    # one point builds one row of its m, never the (m+1)**2 table, and an
+    # integer eps is refused before any row is built
+    def test_one_point_at_large_m_is_cheap(self):
+        start = time.monotonic()
+        with pytest.raises(DomainError):
+            check_gen_binomial_sum(1000, 0, 0, Fraction(-1))
+        assert time.monotonic() - start < 1
+        start = time.monotonic()
+        report = check_gen_binomial_sum(1000, 1000, 0, Fraction(-3, 4))
+        assert time.monotonic() - start < 1
+        assert report.verdict == EXACT_PASS
 
     def test_int_binomial_grid_is_the_point_check(self):
         assert int_binomial_grid(20) == [int_point_report(*point)
