@@ -37,7 +37,11 @@ runs; to compare two trees, run this script on each.
 - Small u: `series_partial_trend(1/100, 0, 60)` at 30 digits, the whole of
   `theorem --u 1/100 --max-m 60` but for printing, on path "exact" (the
   span at c = 100) and on path "quadrature" (one quadrature per moment),
-  with how many of its rows print the same digits as the 60-digit run.
+  and `series_partial_trend(1/10000, 1, 100)` (`theorem --u 1/10000 --r 1
+  --max-m 100`, the span at c = 10**4) on path "exact", each with how
+  many of its rows print the same digits as the 60-digit run and the
+  guard digits of every G(c) it asked for (a wrapper around the
+  `integrals.exp_e1` that `g_span_eval` calls, in a separate untimed run).
 - Start-up: fresh processes of `python -c "import gompertz"` and
   `python -m gompertz.cli identities --max-m 1`, timed from outside
   STARTUP_RUNS times, and the `-X importtime` self and cumulative times of
@@ -93,9 +97,10 @@ GRID_MAX_M = (25, 40)
 THEOREM_U = Fraction(2, 3)
 THEOREM_MAX_M = 200
 THEOREM_DIGITS = 30
-#: `theorem --u 1/100 --max-m 60`: r = 0, c = 1/u = 100
-SMALL_U = Fraction(1, 100)
-SMALL_U_MAX_M = 60
+#: (u, r, m_max, paths) of `theorem --u U --r R --max-m M`: c = 1/u = 100
+#: on both paths, and c = 10**4 on the CLI's default path only
+SMALL_U_CASES = ((Fraction(1, 100), 0, 60, integrals.LOG_MOMENT_PATHS),
+                 (Fraction(1, 10000), 1, 100, ("exact",)))
 STARTUP_RUNS = 21
 STARTUP_COMMANDS = (("-c", "import gompertz"),
                     ("-m", "gompertz.cli", "identities", "--max-m", "1"))
@@ -331,24 +336,47 @@ def bench_theorem() -> list:
              "cold": cold}]
 
 
+def guard_rungs(u: Fraction, r: int, m_max: int,
+                ctx: PrecisionContext) -> list:
+    """The guard digits of every G(c) that `g_span_eval` asks for in one
+    `series_partial_trend(u, r, m_max, ctx)`, by a wrapper around the
+    `integrals.exp_e1` it calls, in a separate untimed run."""
+    exp_e1 = integrals.exp_e1
+    rungs = set()
+
+    def spied(c, gctx):
+        rungs.add(gctx.guard_digits)
+        return exp_e1(c, gctx)
+
+    integrals.exp_e1 = spied
+    try:
+        verify.series_partial_trend(u, r, m_max, ctx)
+    finally:
+        integrals.exp_e1 = exp_e1
+    return sorted(rungs)
+
+
 def bench_small_u() -> list:
     ctx = PrecisionContext(THEOREM_DIGITS)
+    rows = []
+    for u, r, m_max, paths in SMALL_U_CASES:
+        def printed(ctx, path="exact", u=u, r=r, m_max=m_max):
+            return [bigfloat_str(s, THEOREM_DIGITS) for _, s in
+                    verify.series_partial_trend(u, r, m_max, ctx, path)]
 
-    def printed(ctx, path="exact"):
-        return [bigfloat_str(s, THEOREM_DIGITS) for _, s in
-                verify.series_partial_trend(SMALL_U, 0, SMALL_U_MAX_M, ctx,
-                                            path)]
-
-    want = printed(PrecisionContext(2 * THEOREM_DIGITS))
-    row = {"case": f"series_partial_trend(u={SMALL_U}, r=0, "
-                   f"m_max={SMALL_U_MAX_M}) digits={THEOREM_DIGITS}",
-           "rows": len(want)}
-    for path in integrals.LOG_MOMENT_PATHS:
-        row[path] = timed(reset_log_moments, lambda: printed(ctx, path))
-        row[f"{path}_rows_equal_to_2d"] = sum(
-            a == b for a, b in zip(printed(ctx, path), want))
-    row["quadrature_over_exact"] = ratio(row["quadrature"], row["exact"])
-    return [row]
+        want = printed(PrecisionContext(2 * THEOREM_DIGITS))
+        row = {"case": f"series_partial_trend(u={u}, r={r}, "
+                       f"m_max={m_max}) digits={THEOREM_DIGITS}",
+               "rows": len(want), "guard_rungs": guard_rungs(u, r, m_max, ctx)}
+        for path in paths:
+            row[path] = timed(reset_log_moments, lambda: printed(ctx, path))
+            row[f"{path}_rows_equal_to_2d"] = sum(
+                a == b for a, b in zip(printed(ctx, path), want))
+        if "quadrature" in paths:
+            row["quadrature_over_exact"] = ratio(row["quadrature"],
+                                                 row["exact"])
+        rows.append(row)
+    return rows
 
 
 def python_process(*argv: str) -> subprocess.CompletedProcess:

@@ -19,8 +19,9 @@ and at u = 1/1000, where the guard climbs to the 480-digit rung, the
 digamma series at u = 1000, two family-2 tables beyond the
 workloads' r and m, the csv rows of every identity point at m <= 25, the
 json reports and summary counts of the identity grids at m <= 40, one
-exit-1 and one exit-2 case, and three `--out` targets that cannot be
-written). The list is read from this checkout's perfbench/,
+exit-1 and one exit-2 case, three `--out` targets that cannot be
+written, and the theorem at r = 1, u = 1/10000 and at r = 3,
+u = 1/1000000). The list is read from this checkout's perfbench/,
 whichever tree --src names, so two runs compare the same invocations.
 
 Usage: python3 scripts/output_corpus.py --src TREE/src OUTDIR
@@ -74,6 +75,10 @@ EXTRA = (
     ["delta", "--digits", "10", "--out", "missing/report.txt"],
     ["delta", "--digits", "10", "--out", "taken"],
     ["delta", "--digits", "10", "--out", "."],
+    # r >= 1 at small u: c = 10**4, and c = 10**6 at the --max-m cap,
+    # where a row cancels up to 825 digits and the guard climbs to 960
+    ["theorem", "--u", "1/10000", "--r", "1", "--max-m", "100"],
+    ["theorem", "--u", "1/1000000", "--r", "3", "--max-m", "200"],
 )
 
 

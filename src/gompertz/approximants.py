@@ -12,6 +12,11 @@ A + B*delta = sum w_k I_k, so b*delta - a = <Q x/(x+1)>.
 Family 1 as printed converges to +delta even though the source states -delta
 (direct evaluation at m = 1..3 gives ratios 0.5, 0.571, 0.588); the table
 carries an explicit target_sign so the discrepancy stays visible downstream.
+At r = 0 the sign is known: a_m and b_m both satisfy
+y_m = 2m y_{m-1} - (m-1)**2 y_{m-2}, so a_m/b_m is the m-th convergent of the
+Laguerre continued fraction delta = 1/(2 - 1**2/(4 - 2**2/(6 - ...))), and
+the convergents rise to +delta, as a_{m+1} b_m - a_m b_{m+1} = (m!)**2 > 0
+and every b_m > 0.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .approximants import approx_table
+from .approximants import DEFAULT_M_MAX_CAP, approx_table
 from .errors import CrossCheckFailure, DomainError, GompertzError
 from .exactmath import B1_MINUS_HALF, B1_PLUS_HALF
 from .precision import (MAX_DECIMAL_DIGITS, PrecisionContext, bigfloat_str,
@@ -209,6 +209,8 @@ def _run_theorem(args: argparse.Namespace) -> tuple[str, int]:
     if args.m_max < args.r:
         raise DomainError(
             f"--max-m must be >= --r, got {args.m_max} < {args.r}")
+    if args.m_max > DEFAULT_M_MAX_CAP:
+        raise DomainError(f"--max-m capped at {DEFAULT_M_MAX_CAP}")
     trend = series_partial_trend(args.u, args.r, args.m_max, ctx,
                                  path=args.path)
     with mp.workprec(ctx.working_bits):
@@ -268,6 +270,8 @@ def _run_identities(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _run_conjecture(args: argparse.Namespace) -> tuple[str, int]:
+    if args.m_max > DEFAULT_M_MAX_CAP:
+        raise DomainError(f"--max-m capped at {DEFAULT_M_MAX_CAP}")
     ctx = PrecisionContext(args.digits)
     conventions = ([_CONVENTIONS[args.convention]]
                    if args.convention != "both"

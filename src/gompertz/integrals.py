@@ -81,7 +81,7 @@ def span_rows(n: int, c: Fraction | int = 1) -> tuple[list, list]:
 
 def span_dot(weights, rows) -> tuple[int, int]:
     """sum_k w_k (p_k, q_k) over the weights and the rows they meet, for the
-    approximant families, the theorem's blocks and the digamma series."""
+    approximant families, the theorem's rows and the digamma series."""
     p = q = 0
     for w, (row_p, row_q) in zip(weights, rows):
         p += w * row_p

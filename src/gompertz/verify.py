@@ -328,19 +328,18 @@ def check_shift_expansion(j: int, eps: Fraction, r: int, u: Fraction,
 def series_partial_trend(u: Fraction, r: int, m_max: int,
                          ctx: PrecisionContext,
                          path: str = "exact") -> list[tuple[int, BigFloat]]:
-    """All partial sums S_r..S_m_max in one pass, as (M, S_M) pairs, where
-    S_M = sum_{m=r}^{M} sum_{k=r}^{m} C(m,k) C(k,r) (-1)**(k+r)/k! times the
-    k-th log-moment at u; S_M converges to u as M grows. Block m is one
-    log_moment_sum of the span_weights(m, r) over (-1)**r m!."""
+    """(M, S_M) for r <= M <= m_max, S_M = sum_{m=r}^{M} sum_{k=r}^{m} C(m,k)
+    C(k,r) (-1)**(k+r)/k! L_k -> u with L_k the k-th log-moment at u. By the
+    hockey stick S_M = <P_M(x) ln(x*u+1)>, <f> = integral(0,inf) f e**-x dx:
+    one log_moment_sum of (-1)**r M! P_M(x)'s x**(k-1) coefficients W_k =
+    (-1)**k C(k,r) C(M+1,k+1) M!/k!, by W <- M W + span_weights(M, r)."""
     if r < 0 or m_max < r:
         raise DomainError(f"need 0 <= r <= m_max, got r={r} m_max={m_max}")
-    out = []
-    with mp.workprec(ctx.inner_bits):
-        total = mpf(0)
-        for m in range(r, m_max + 1):
-            den = -factorial(m) if r % 2 else factorial(m)
-            total += log_moment_sum(span_weights(m, r), r, den, u, ctx, path)
-            out.append((m, ctx.round(total)))
+    out, coeffs = [], []
+    for m in range(r, m_max + 1):
+        coeffs = [m * w + s for w, s in zip(coeffs + [0], span_weights(m, r))]
+        den = -factorial(m) if r % 2 else factorial(m)
+        out.append((m, log_moment_sum(coeffs, r, den, u, ctx, path)))
     return out
 
 

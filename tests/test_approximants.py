@@ -151,6 +151,54 @@ class TestPairs:
             corollary1_pair(2, -1)
 
 
+def casoratians(pair, r, m_min):
+    """W_m = a_{m+1} b_m - a_m b_{m+1} of pair(m, r) for m_min <= m <= 200."""
+    ab = [pair(m, r) for m in range(m_min, DEFAULT_M_MAX_CAP + 2)]
+    return [a1 * b0 - a0 * b1 for (a0, b0), (a1, b1) in zip(ab, ab[1:])]
+
+
+def laguerre_residuals(ys, lead):
+    """y_m - lead(m) y_{m-1} + (m-1)**2 y_{m-2} for 2 <= m < len(ys)."""
+    return [ys[m] - lead(m) * ys[m - 1] + (m - 1) ** 2 * ys[m - 2]
+            for m in range(2, len(ys))]
+
+
+class TestRecurrencesAndCasoratians:
+    """Exact structure of the families on every m <= 200: family 1 at r = 0
+    is delta's Laguerre continued fraction, and family 2 at r <= 2 is a
+    scaled family 1."""
+
+    @pytest.mark.parametrize("part", (0, 1), ids=("a", "b"))
+    def test_family1_r0_laguerre_recurrence(self, part):
+        ys = [corollary1_pair(m, 0)[part] for m in range(DEFAULT_M_MAX_CAP + 1)]
+        assert not any(laguerre_residuals(ys, lambda m: 2 * m))
+        # negative control: 2m + 1 in place of 2m fails at every m
+        assert all(laguerre_residuals(ys, lambda m: 2 * m + 1))
+
+    def test_family1_r0_casoratian(self):
+        assert casoratians(corollary1_pair, 0, 0) == [
+            factorial(m) ** 2 for m in range(DEFAULT_M_MAX_CAP + 1)]
+
+    def test_family1_r1_casoratian(self):
+        assert casoratians(corollary1_pair, 1, 1) == [
+            -factorial(m) * factorial(m + 1)
+            for m in range(1, DEFAULT_M_MAX_CAP + 1)]
+
+    def test_family2_r1_casoratian(self):
+        assert casoratians(corollary2_pair, 1, 1) == [
+            -factorial(m - 1) * factorial(m + 1)
+            for m in range(1, DEFAULT_M_MAX_CAP + 1)]
+
+    @pytest.mark.parametrize("r, holds", ((1, True), (2, True), (3, False)))
+    def test_family2_is_scaled_family1_at_r_up_to_2(self, r, holds):
+        # corollary2_pair(m, r) = C(m, r) (a, -b) of corollary1_pair(m - r,
+        # r - 1) from m = 2r; at r = 3 it fails at every such m
+        for m in range(2 * r, DEFAULT_M_MAX_CAP + 1):
+            a, b = corollary1_pair(m - r, r - 1)
+            scaled = (comb(m, r) * a, -comb(m, r) * b)
+            assert (corollary2_pair(m, r) == scaled) is holds
+
+
 class TestTable:
     def test_family1_rows(self, ctx30):
         rows = approx_table(1, 0, 3, ctx30)

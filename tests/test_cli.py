@@ -270,6 +270,20 @@ class TestUsageErrors:
                              "--max-m", "3", "--threads", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("command, evaluator", (
+        ("theorem", "series_partial_trend"),
+        ("conjecture", "digamma_series_scan")))
+    def test_max_m_above_cap_is_refused_before_evaluation(
+            self, capsys, monkeypatch, command, evaluator):
+        # the series and the digamma harness share approx's cap of 200
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{evaluator} ran above the cap")
+
+        monkeypatch.setattr(cli, evaluator, refuse)
+        code, out, err = run_cli(capsys, command, "--max-m", "201")
+        assert (code, out) == (2, "")
+        assert err == "error: --max-m capped at 200\n"
+
     @pytest.mark.parametrize("argv, message", [
         (("delta", "--digits", "abc"),
          "gompertz delta: error: argument --digits: not an integer: 'abc'"),

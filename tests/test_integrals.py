@@ -336,7 +336,10 @@ class TestExactSpan:
     @pytest.mark.parametrize("u, r, m_max, rungs", (
         (Fraction(1, 100), 0, 60, {15, 30, 60}),
         (Fraction(2, 3), 0, 200, {15, 30}),
-        (Fraction(1, 10000), 1, 40, {15, 30, 60, 120, 240})))
+        (Fraction(1, 10000), 1, 40, {15, 30, 60, 120, 240}),
+        # r = 3 at c = 10**5: the rows' largest loss, about 220 digits,
+        # fits the 240-digit rung
+        (Fraction(1, 100000), 3, 60, {15, 30, 60, 120, 240})))
     def test_guard_rungs_are_pinned(self, ctx30, monkeypatch, u, r, m_max,
                                     rungs):
         # the guard digits of every G(c) that g_span_eval asks for: 15 and

@@ -388,15 +388,26 @@ class TestShiftIdentities:
 
 
 def per_term_series_trend(u, r, m_max, ctx, path="exact"):
-    """series_partial_trend by the per-term route: each block's terms
-    (k, (-1)**(k+r) C(m,k) C(k,r)/k!) summed by per_term_log_moment_sum."""
+    """series_partial_trend by the per-term route: row M is the integral of
+    P_M, its terms (k, (-1)**(k+r) C(k,r) C(M+1,k+1)/k!) summed once by
+    per_term_log_moment_sum."""
+    return [(m, per_term_log_moment_sum(
+        [(k, Fraction((-1) ** (k + r) * comb(k, r) * comb(m + 1, k + 1),
+                      factorial(k))) for k in range(r, m + 1)], u, ctx, path))
+        for m in range(r, m_max + 1)]
+
+
+def block_sum_trend(u, r, m_max, ctx):
+    """The partial sums as a running total of rounded blocks: block m's
+    terms (k, (-1)**(k+r) C(m,k) C(k,r)/k!) summed by
+    per_term_log_moment_sum, and the blocks added at working precision."""
     out = []
     with mp.workprec(ctx.inner_bits):
         total = mpf(0)
         for m in range(r, m_max + 1):
             terms = [(k, Fraction((-1) ** (k + r) * comb(m, k) * comb(k, r),
                                   factorial(k))) for k in range(r, m + 1)]
-            total += per_term_log_moment_sum(terms, u, ctx, path)
+            total += per_term_log_moment_sum(terms, u, ctx)
             out.append((m, ctx.round(total)))
     return out
 
@@ -406,7 +417,7 @@ class TestSeriesPartialSums:
                                    Fraction(2), Fraction(1, 3)))
     @pytest.mark.parametrize("r", (0, 1, 3))
     def test_blocks_equal_the_per_term_route(self, ctx30, u, r):
-        # odd r puts the blocks over a negative denominator
+        # odd r puts the rows over a negative denominator
         assert series_partial_trend(u, r, 25, ctx30) == \
             per_term_series_trend(u, r, 25, ctx30)
 
@@ -420,6 +431,31 @@ class TestSeriesPartialSums:
         for r in (0, 1):
             assert series_partial_trend(u, r, 10, ctx30, path) == \
                 per_term_series_trend(u, r, 10, ctx30, path)
+
+    @pytest.mark.parametrize("u", (Fraction(2, 3), Fraction(1, 100)))
+    @pytest.mark.parametrize("r", (0, 1, 3))
+    def test_rows_agree_with_the_running_block_sum(self, ctx30, u, r):
+        # the integral of P_M and the sum of blocks 0..M are one value; the
+        # blocks round once each, so they agree to the printed digits only
+        rows = series_partial_trend(u, r, 25, ctx30)
+        blocks = block_sum_trend(u, r, 25, ctx30)
+        assert [m for m, _ in rows] == [m for m, _ in blocks]
+        assert all(ctx30.agrees(s, t) for (_, s), (_, t) in zip(rows, blocks))
+
+    @pytest.mark.parametrize("r", range(5))
+    def test_row_weights_are_the_closed_form(self, ctx30, monkeypatch, r):
+        # each row is one log_moment_sum of W_k = (-1)**k C(k,r) C(M+1,k+1)
+        # M!/k! over (-1)**r M!, which the running W <- M W +
+        # span_weights(M, r) must reproduce for every M
+        calls = []
+        monkeypatch.setattr(verify, "log_moment_sum",
+                            lambda w, k, den, *rest: calls.append((w, k, den)))
+        series_partial_trend(1, r, 60, ctx30)
+        assert calls == [
+            ([(-1) ** k * comb(k, r) * comb(m + 1, k + 1) * factorial(m)
+              // factorial(k) for k in range(r, m + 1)], r,
+             (-1) ** r * factorial(m))
+            for m in range(r, 61)]
 
     def test_small_u_holds_its_digits(self, ctx30, ctx60):
         # the span at c = 100 cancels about 36 digits by m = 60, beyond the
