@@ -13,16 +13,16 @@ runs; to compare two trees, run this script on each.
   whether the printed digits are equal.
 - Quadrature: `quad_semi_infinite` for delta at 30, 100, 150, 300 and 1000
   digits, as the log-free integral e**-x / (x+1) that the quadrature side
-  of `delta` integrates, against the log integrand ln(x+1) e**-x of the
-  log-moments' quadrature path, with the integrand evaluations the rule
-  made (a counting wrapper around its factor evaluator, in a separate
-  untimed run).
+  of `delta` integrates, against the log integrand ln(x+1) e**-x of a
+  log-moment by quadrature, with the integrand evaluations the rule made
+  (a counting wrapper around its factor evaluator, in a separate untimed
+  run).
 - Node table: the two quadratures of `theorem --u 1` at r = 0, the
   cross-checked G(1) and the k = 0 log-moment, at 30, 150 and 1000 digits,
   with the node table emptied between them (cold) and shared.
 - Log-moments: `log_moment(k, u)` for k = 1..20 at 30 digits, u in
-  {2, 2/3, 3/2} (the `series` workload's u), on the exact route (one
-  cross-checked G(1/u)) and on the quadrature route (one quadrature each).
+  {2, 2/3, 3/2} (the `series` workload's u), each u on one cross-checked
+  G(1/u).
 - Digamma-series coefficients: every `digamma_series_coeff(k, m)` that
   `conjecture --max-m 20` uses, in both conventions (an integer Horner from
   an empty Stirling table).
@@ -35,13 +35,12 @@ runs; to compare two trees, run this script on each.
 - Theorem: `series_partial_trend(2/3, 0, 200)` at 30 digits, the whole of
   `theorem --u 2/3 --max-m 200` but for printing.
 - Small u: `series_partial_trend(1/100, 0, 60)` at 30 digits, the whole of
-  `theorem --u 1/100 --max-m 60` but for printing, on path "exact" (the
-  span at c = 100) and on path "quadrature" (one quadrature per moment),
+  `theorem --u 1/100 --max-m 60` but for printing (the span at c = 100),
   and `series_partial_trend(1/10000, 1, 100)` (`theorem --u 1/10000 --r 1
-  --max-m 100`, the span at c = 10**4) on path "exact", each with how
-  many of its rows print the same digits as the 60-digit run and the
-  guard digits of every G(c) it asked for (a wrapper around the
-  `integrals.exp_e1` that `g_span_eval` calls, in a separate untimed run).
+  --max-m 100`, the span at c = 10**4), each with how many of its rows
+  print the same digits as the 60-digit run and the guard digits of every
+  G(c) it asked for (a wrapper around the `integrals.exp_e1` that
+  `g_span_eval` calls, in a separate untimed run).
 - Start-up: fresh processes of `python -c "import gompertz"` and
   `python -m gompertz.cli identities --max-m 1`, timed from outside
   STARTUP_RUNS times, and the `-X importtime` self and cumulative times of
@@ -97,10 +96,9 @@ GRID_MAX_M = (25, 40)
 THEOREM_U = Fraction(2, 3)
 THEOREM_MAX_M = 200
 THEOREM_DIGITS = 30
-#: (u, r, m_max, paths) of `theorem --u U --r R --max-m M`: c = 1/u = 100
-#: on both paths, and c = 10**4 on the CLI's default path only
-SMALL_U_CASES = ((Fraction(1, 100), 0, 60, integrals.LOG_MOMENT_PATHS),
-                 (Fraction(1, 10000), 1, 100, ("exact",)))
+#: (u, r, m_max) of `theorem --u U --r R --max-m M`: c = 1/u = 100 and
+#: c = 10**4
+SMALL_U_CASES = ((Fraction(1, 100), 0, 60), (Fraction(1, 10000), 1, 100))
 STARTUP_RUNS = 21
 STARTUP_COMMANDS = (("-c", "import gompertz"),
                     ("-m", "gompertz.cli", "identities", "--max-m", "1"))
@@ -252,15 +250,12 @@ def bench_log_moments() -> list:
     ctx = PrecisionContext(LOG_MOMENT_DIGITS)
     rows = []
     for u in LOG_MOMENT_U:
-        def moments(path, u=u):
-            return lambda: [integrals.log_moment(k, u, ctx, path=path)
-                            for k in range(1, LOG_MOMENT_K + 1)]
-        exact = timed(reset_log_moments, moments("exact"))
-        quadrature = timed(reset_log_moments, moments("quadrature"))
+        exact = timed(reset_log_moments,
+                      lambda: [integrals.log_moment(k, u, ctx)
+                               for k in range(1, LOG_MOMENT_K + 1)])
         rows.append({"case": f"u={u} k=1..{LOG_MOMENT_K} "
                              f"digits={LOG_MOMENT_DIGITS}",
-                     "exact": exact, "quadrature": quadrature,
-                     "quadrature_over_exact": ratio(quadrature, exact)})
+                     "exact": exact})
     return rows
 
 
@@ -359,23 +354,19 @@ def guard_rungs(u: Fraction, r: int, m_max: int,
 def bench_small_u() -> list:
     ctx = PrecisionContext(THEOREM_DIGITS)
     rows = []
-    for u, r, m_max, paths in SMALL_U_CASES:
-        def printed(ctx, path="exact", u=u, r=r, m_max=m_max):
+    for u, r, m_max in SMALL_U_CASES:
+        def printed(ctx, u=u, r=r, m_max=m_max):
             return [bigfloat_str(s, THEOREM_DIGITS) for _, s in
-                    verify.series_partial_trend(u, r, m_max, ctx, path)]
+                    verify.series_partial_trend(u, r, m_max, ctx)]
 
         want = printed(PrecisionContext(2 * THEOREM_DIGITS))
-        row = {"case": f"series_partial_trend(u={u}, r={r}, "
-                       f"m_max={m_max}) digits={THEOREM_DIGITS}",
-               "rows": len(want), "guard_rungs": guard_rungs(u, r, m_max, ctx)}
-        for path in paths:
-            row[path] = timed(reset_log_moments, lambda: printed(ctx, path))
-            row[f"{path}_rows_equal_to_2d"] = sum(
-                a == b for a, b in zip(printed(ctx, path), want))
-        if "quadrature" in paths:
-            row["quadrature_over_exact"] = ratio(row["quadrature"],
-                                                 row["exact"])
-        rows.append(row)
+        rows.append({"case": f"series_partial_trend(u={u}, r={r}, "
+                             f"m_max={m_max}) digits={THEOREM_DIGITS}",
+                     "rows": len(want),
+                     "guard_rungs": guard_rungs(u, r, m_max, ctx),
+                     "exact": timed(reset_log_moments, lambda: printed(ctx)),
+                     "exact_rows_equal_to_2d": sum(
+                         a == b for a, b in zip(printed(ctx), want))})
     return rows
 
 

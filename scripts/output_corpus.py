@@ -13,16 +13,18 @@ in corpus order) leaves four files in OUTDIR:
 The corpus is every distinct `perfbench.workloads.invocations(w, s)` for
 the three workloads and seeds 1-5, in first-seen order, then EXTRA: cases
 the benchmark does not reach (the 1000-digit cap, the theorem and
-conjecture cases of earlier output checks, the exact span sums at m = 200
-for u = 2/3 and at m = 60 for the digamma series, the theorem at u = 1/100
+conjecture cases of earlier output checks, of which #27, `theorem
+--path quadrature`, now pins that the theorem refuses the option of its
+former second route with exit 2, the exact span sums at m = 200 for
+u = 2/3 and at m = 60 for the digamma series, the theorem at u = 1/100
 and at u = 1/1000, where the guard climbs to the 480-digit rung, the
-digamma series at u = 1000, two family-2 tables beyond the
-workloads' r and m, the csv rows of every identity point at m <= 25, the
-json reports and summary counts of the identity grids at m <= 40, one
-exit-1 and one exit-2 case, three `--out` targets that cannot be
-written, and the theorem at r = 1, u = 1/10000 and at r = 3,
-u = 1/1000000). The list is read from this checkout's perfbench/,
-whichever tree --src names, so two runs compare the same invocations.
+digamma series at u = 1000, two family-2 tables beyond the workloads' r
+and m, the csv rows of every identity point at m <= 25, the json reports
+and summary counts of the identity grids at m <= 40, one exit-1 and one
+exit-2 case, three `--out` targets that cannot be written, and the
+theorem at r = 1, u = 1/10000 and at r = 3, u = 1/1000000). The list is
+read from this checkout's perfbench/, whichever tree --src names, so two
+runs compare the same invocations.
 
 Usage: python3 scripts/output_corpus.py --src TREE/src OUTDIR
 Compare: diff -r OUTDIR_A OUTDIR_B
@@ -44,6 +46,7 @@ SEEDS = range(1, 6)
 EXTRA = (
     ["delta", "--digits", "1000"],
     ["theorem", "--u", "1/100", "--r", "2", "--max-m", "15", "--digits", "40"],
+    # exit 2: the theorem has one route, and no option to choose another
     ["theorem", "--u", "2/3", "--max-m", "12", "--path", "quadrature"],
     ["conjecture", "--u", "1", "--max-m", "29", "--digits", "90"],
     # the exact span sums at large m: the theorem's blocks at u != 1, and

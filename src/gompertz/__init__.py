@@ -21,10 +21,9 @@ from .reference import (Integrand, delta_reference, digamma, euler_gamma,
 from .verify import (DigammaSeriesPoint, HyperGeomParams, IdentityReport,
                      calibrated_convention, check_gauss_terminating,
                      check_gen_binomial_sum, check_int_binomial_sum,
-                     check_shift_expansion, digamma_series_coeff,
-                     digamma_series_rhs, digamma_series_scan, gauss_grid,
-                     gen_binomial_grid, hypergeom_terminating,
-                     int_binomial_grid, norm_log_moment,
-                     norm_log_moment_deriv, series_partial_trend)
+                     digamma_series_coeff, digamma_series_rhs,
+                     digamma_series_scan, gauss_grid, gen_binomial_grid,
+                     hypergeom_terminating, int_binomial_grid,
+                     series_partial_trend)
 
 __version__ = "0.1.0"

@@ -100,11 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=_rational, default=Fraction(1))
     p.add_argument("--r", type=int, default=0)
     p.add_argument("--max-m", dest="m_max", type=_positive_int, default=20)
-    p.add_argument("--path", choices=("exact", "quadrature"), default="exact",
-                   help="exact: the k >= 1 log-moments from exact "
-                        "coefficients on one cross-checked G(1/u) per u, "
-                        "for every u > 0; quadrature: one quadrature per "
-                        "log-moment, the oracle")
     common(p)
 
     p = sub.add_parser("identities", help="exact identity suite")
@@ -211,16 +206,16 @@ def _run_theorem(args: argparse.Namespace) -> tuple[str, int]:
             f"--max-m must be >= --r, got {args.m_max} < {args.r}")
     if args.m_max > DEFAULT_M_MAX_CAP:
         raise DomainError(f"--max-m capped at {DEFAULT_M_MAX_CAP}")
-    trend = series_partial_trend(args.u, args.r, args.m_max, ctx,
-                                 path=args.path)
+    trend = series_partial_trend(args.u, args.r, args.m_max, ctx)
     with mp.workprec(ctx.working_bits):
         target = to_bigfloat(args.u, ctx)
         rows = [[m, bigfloat_str(s, args.digits),
                  bigfloat_str(abs(s - target), args.digits)]
                 for m, s in trend]
     header = ["m", "value", "abs_error"]
+    # the one route the rows take; the key keeps the JSON's schema
     payload = {"command": "theorem", "u": str(args.u), "r": args.r,
-               "digits": args.digits, "path": args.path, "rows": rows}
+               "digits": args.digits, "path": "exact", "rows": rows}
     lines = ([f"# partial sums at u = {args.u}, r = {args.r} (limit: u)"]
              + _table_lines(header, rows))
     return _report(args, payload, header, rows, lines)

@@ -12,10 +12,11 @@ c = 1/u = a/b. A span value is held in integers only: a pair (p, q) means
 p + q G(c), and a triple (p, q, den) means (p + q G(c))/den. span_rows holds
 the rows at every rational c as int pairs scaled by powers of b, and
 span_dot is the one dot product of weights with them; g_span_eval is the
-one evaluator of a triple at G(c). log_moment_sum is the one router of
-log-moments: one span triple from integer weights for every rational u > 0
-on the exact path, and by quadrature for k = 0 or on request; log_moment is
-its one-term case.
+one evaluator of a triple at G(c). log_moment_sum is the one route of
+log-moments: the terms with k >= 1 as one span triple from integer weights
+for every rational u > 0, and the k = 0 term by quadrature; log_moment is
+its one-term case. The per-moment quadrature that checks this route lives
+in tests/integral_oracles.py.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from .exactmath import alt_factorial_sum, factorial
 from .precision import (MAX_DECIMAL_DIGITS, BigFloat, PrecisionContext,
                         to_bigfloat)
 from .reference import Integrand, exp_e1, quad_semi_infinite
-
-LOG_MOMENT_PATHS = ("exact", "quadrature")
 
 
 def frac_integral_closed(n: int) -> tuple[int, int]:
@@ -144,29 +143,26 @@ def g_span_eval(p: int, q: int, den: int, c: Fraction | int,
         gctx = PrecisionContext(ctx.decimal_digits, ctx.guard_digits * rung)
 
 
-def log_moment(k: int, u: Fraction | int, ctx: PrecisionContext,
-               path: str = "exact") -> BigFloat:
+def log_moment(k: int, u: Fraction | int, ctx: PrecisionContext) -> BigFloat:
     """integral(0,inf) x**(k-1) e**-x ln(x*u+1) dx for k >= 0, u >= 0; the
-    one-term log_moment_sum, which picks the route."""
-    return log_moment_sum((1,), k, 1, u, ctx, path)
+    one-term log_moment_sum: a span value for k >= 1, a quadrature at
+    k = 0."""
+    return log_moment_sum((1,), k, 1, u, ctx)
 
 
 def log_moment_sum(weights, r: int, den: int, u: Fraction | int,
-                   ctx: PrecisionContext, path: str = "exact") -> BigFloat:
+                   ctx: PrecisionContext) -> BigFloat:
     """sum_{k=r}^{m} w_k/den * log_moment(k, u) over the int sequence
     weights = (w_r, ..., w_m) and the int den != 0 of either sign, for
     r >= 0 and u >= 0, rounded once.
 
-    On path "exact" (the default) and for every u > 0, the terms with
-    k >= 1 are one span value: with c = 1/u = a/b and the scaled span_rows
-    Lhat, sum_k w_k b**(m-k) Lhat_{k-1} over den b**(m-1), one span_dot and
-    one g_span_eval of that triple, never reduced, so the guard digits grow
-    with the cancellation of the whole sum; G(c) is mpmath.e1's value,
-    checked by quadrature once per (c, precision). Path "quadrature"
-    integrates each log-moment numerically, as does k = 0 (the integrand
-    x**-1 ln(x*u+1) is integrable), each term with its weight over den."""
-    if path not in LOG_MOMENT_PATHS:
-        raise ValueError(f"unknown path {path!r}")
+    For every u > 0 the terms with k >= 1 are one span value: with
+    c = 1/u = a/b and the scaled span_rows Lhat, sum_k w_k b**(m-k)
+    Lhat_{k-1} over den b**(m-1), one span_dot and one g_span_eval of that
+    triple, never reduced, so the guard digits grow with the cancellation
+    of the whole sum; G(c) is mpmath.e1's value, checked by quadrature once
+    per (c, precision). At r = 0 the k = 0 term, whose integrand
+    x**-1 ln(x*u+1) is integrable, is one quadrature times w_0/den."""
     if r < 0:
         raise DomainError("k must be nonnegative")
     u = Fraction(u)
@@ -174,15 +170,14 @@ def log_moment_sum(weights, r: int, den: int, u: Fraction | int,
         raise DomainError("u must be nonnegative")
     if u == 0:
         return ctx.round(mpf(0))
-    # the first n terms are quadratures, the rest one span value
-    n = len(weights) if path == "quadrature" else int(r == 0)
+    n = int(r == 0)  # the span value starts after the k = 0 term
     m = r + len(weights) - 1
     with mp.workprec(ctx.inner_bits):
         total = mpf(0)
-        for k, w in enumerate(weights[:n], start=r):
+        if r == 0 and weights:
             moment = quad_semi_infinite(
-                Integrand(Fraction(k - 1), log_scale=u), ctx)
-            total += to_bigfloat(Fraction(w, den), ctx) * moment
+                Integrand(Fraction(-1), log_scale=u), ctx)
+            total += to_bigfloat(Fraction(weights[0], den), ctx) * moment
         if n < len(weights):
             c, b = 1 / u, u.numerator
             p, q = span_dot((w * b ** (m - k) for k, w in
@@ -192,12 +187,12 @@ def log_moment_sum(weights, r: int, den: int, u: Fraction | int,
     return ctx.round(total)
 
 
-def shifted_log_moment(k: int, u: Fraction | int, ctx: PrecisionContext,
-                       path: str = "exact") -> BigFloat:
+def shifted_log_moment(k: int, u: Fraction | int,
+                       ctx: PrecisionContext) -> BigFloat:
     """integral(0,inf) x**(k-1) e**-x ln((x+u)/u) dx for u > 0; identical to
     log_moment(k, 1/u) because ln((x+u)/u) = ln(x/u + 1)."""
     u = Fraction(u)
     if u <= 0:
         raise DomainError("u must be positive")
-    return log_moment(k, 1 / u, ctx, path=path)
+    return log_moment(k, 1 / u, ctx)
 

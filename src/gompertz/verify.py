@@ -1,11 +1,12 @@
 """Exact and numeric identity verification: terminating hypergeometric sums
 with their Gauss closed forms, the two alternating binomial-sum identities
-(exact over Q), the shift expansion satisfied by the normalized log-moments
-(its one-step case is the shift recurrence), partial sums of the double
-series converging to u, and the digamma-series harness with its convention
-calibration. The identity grids run row by row over integer tables built
-once per row: each point's left side is one integer dot product or suffix
-sum, compared with its closed form by cross-multiplication.
+(exact over Q), partial sums of the double series converging to u, and the
+digamma-series harness with its convention calibration. The identity grids
+run row by row over integer tables built once per row: each point's left
+side is one integer dot product or suffix sum, compared with its closed
+form by cross-multiplication. The numeric half reads only log_moment_sum
+and digamma; the shift expansion of the normalized log-moments, a property
+test of the quadrature, is an oracle in tests/integral_oracles.py.
 """
 
 from __future__ import annotations
@@ -17,15 +18,14 @@ from math import comb, lcm, perm, prod
 from operator import mul
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mp
 
-from .errors import (DegenerateCase, DegenerateDenominator, DomainError,
-                     ZeroDenominator)
+from .errors import DegenerateCase, DomainError, ZeroDenominator
 from .exactmath import (B1_MINUS_HALF, B1_PLUS_HALF, BERNOULLI_CONVENTIONS,
-                        binom_gen, factorial, span_weights, stirling2)
+                        factorial, span_weights, stirling2)
 from .integrals import log_moment_sum
 from .precision import BigFloat, PrecisionContext, to_bigfloat
-from .reference import Integrand, digamma, gamma_real, quad_semi_infinite
+from .reference import digamma
 
 EXACT_PASS = "ExactPass"
 NUMERIC_PASS = "NumericPass"
@@ -242,92 +242,10 @@ def int_binomial_grid(m_max: int = 20) -> list[IdentityReport]:
     return out
 
 
-# --- normalized log-moments and their shift identities -------------------------
-
-def norm_log_moment(q: Fraction, r: int, u: Fraction,
-                    ctx: PrecisionContext) -> BigFloat:
-    """C(q, r) / Gamma(q+1) * integral(0,inf) x**(q-1) e**-x ln(x*u+1) dx
-    for rational q > -1, u >= 0: norm_log_moment_deriv at order 0."""
-    return norm_log_moment_deriv(q, r, u, 0, ctx)
-
-
-def norm_log_moment_deriv(q: Fraction, r: int, u: Fraction, order: int,
-                          ctx: PrecisionContext) -> BigFloat:
-    """order-th u-derivative of norm_log_moment: under the prefactor
-    C(q, r) / Gamma(q+1), the integrand x**(q-1) e**-x ln(x*u+1) at order 0,
-    and above it (-1)**(order-1) (order-1)! x**(q+order-1) e**-x
-    (u*x+1)**-order, which needs u > 0."""
-    if order < 0:
-        raise DomainError("order must be nonnegative")
-    q = Fraction(q)
-    u = Fraction(u)
-    if q <= -1:
-        raise DomainError(f"need q > -1, got {q}")
-    if order and u <= 0:
-        raise DomainError(f"need u > 0 for derivatives, got {u}")
-    if u < 0:
-        raise DomainError(f"need u >= 0, got {u}")
-    if u == 0:
-        return ctx.round(mpf(0))
-    if order == 0:
-        integrand, scale = Integrand(q - 1, log_scale=u), 1
-    else:
-        integrand = Integrand(q + order - 1, denom_power=order, denom_scale=u)
-        scale = (-1) ** (order - 1) * factorial(order - 1)
-    integral = quad_semi_infinite(integrand, ctx)
-    with mp.workprec(ctx.inner_bits):
-        pref = to_bigfloat(binom_gen(q, r), ctx) / gamma_real(q + 1, ctx)
-        out = pref * scale * integral
-    return ctx.round(out)
-
-
-def check_shift_expansion(j: int, eps: Fraction, r: int, u: Fraction,
-                          ctx: PrecisionContext) -> IdentityReport:
-    """j-step shift expansion in u-derivatives:
-    f(eps+j) = C(eps+j-r, j)**-1 sum_{i=0}^{j} C(eps+j-1, j-i) u**i/i! f^(i)(eps),
-    to within the absolute 10**-(decimal_digits - 5). At j = 1 it is the
-    one-step shift recurrence
-    f(eps+1) = eps/(eps+1-r) f(eps) + u/(eps+1-r) f'(eps).
-
-    Absolute is right here because the values are of order one: at 30
-    digits on the grid eps in {-3/4, -2/3}, r in {0, 1}, u in
-    {1/2, 1, 3, 10} and j <= 4, both sides were at most 3.4 and every
-    summand at most 7.3 in size, growing like ln u. With the default 15
-    guard digits, the working accuracy 10**-(decimal_digits + 15) lies 20
-    digits below the bound, which covers that size. On that grid, with
-    eps = -5/9 and u = 0 added, the largest residual of each j = 1..4 was
-    below 10**-(decimal_digits + 13) at both 30 and 60 digits."""
-    if not 1 <= j <= 4:
-        raise DomainError(f"j must be in 1..4, got {j}")
-    eps = Fraction(eps)
-    u = Fraction(u)
-    lead = binom_gen(eps + j - r, j)
-    if lead == 0:
-        raise DegenerateDenominator(f"C({eps}+{j}-{r}, {j}) = 0")
-    lhs = norm_log_moment(eps + j, r, u, ctx)
-    with mp.workprec(ctx.inner_bits):
-        total = mpf(0)
-        for i in range(j + 1):
-            coeff = binom_gen(eps + j - 1, j - i) * u ** i / factorial(i)
-            if coeff == 0:  # u = 0 kills every derivative term
-                continue
-            total += (to_bigfloat(coeff, ctx)
-                      * norm_log_moment_deriv(eps, r, u, i, ctx))
-        rhs = to_bigfloat(1 / lead, ctx) * total
-        residual = abs(lhs - rhs)
-    tol = ctx.target_tolerance(slack_digits=5)
-    params = {"j": str(j), "eps": str(eps), "r": str(r), "u": str(u),
-              "digits": str(ctx.decimal_digits)}
-    verdict = NUMERIC_PASS if residual < tol else FAIL
-    return IdentityReport("shift_expansion", params, lhs, ctx.round(rhs),
-                          verdict, ctx.round(residual), tolerance=tol)
-
-
 # --- partial sums of the double series whose limit is u -------------------------
 
 def series_partial_trend(u: Fraction, r: int, m_max: int,
-                         ctx: PrecisionContext,
-                         path: str = "exact") -> list[tuple[int, BigFloat]]:
+                         ctx: PrecisionContext) -> list[tuple[int, BigFloat]]:
     """(M, S_M) for r <= M <= m_max, S_M = sum_{m=r}^{M} sum_{k=r}^{m} C(m,k)
     C(k,r) (-1)**(k+r)/k! L_k -> u with L_k the k-th log-moment at u. By the
     hockey stick S_M = <P_M(x) ln(x*u+1)>, <f> = integral(0,inf) f e**-x dx:
@@ -339,7 +257,7 @@ def series_partial_trend(u: Fraction, r: int, m_max: int,
     for m in range(r, m_max + 1):
         coeffs = [m * w + s for w, s in zip(coeffs + [0], span_weights(m, r))]
         den = -factorial(m) if r % 2 else factorial(m)
-        out.append((m, log_moment_sum(coeffs, r, den, u, ctx, path)))
+        out.append((m, log_moment_sum(coeffs, r, den, u, ctx)))
     return out
 
 

@@ -1,17 +1,21 @@
 """Test-side oracles for the integral families of gompertz.integrals: an
 independent recurrence for the frac family, a cross-check of either
-family's exact value against quadrature, and the per-term route of a
-weighted log-moment sum."""
+family's exact value against quadrature, one log-moment by quadrature, the
+per-term route of a weighted log-moment sum and of the theorem's partial
+sums, and the shift expansion of the normalized log-moments, a property
+test of the quadrature."""
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from mpmath import mp, mpf
 
-from gompertz import (CrossCheckFailure, DomainError, Integrand,
-                      PrecisionContext, factorial, frac_integral_closed,
-                      g_span_eval, log_integral_closed, log_integral_coeffs,
+from gompertz import (BigFloat, CrossCheckFailure, DegenerateDenominator,
+                      DomainError, Integrand, PrecisionContext, binom_gen,
+                      factorial, frac_integral_closed, g_span_eval,
+                      gamma_real, log_integral_closed, log_integral_coeffs,
                       quad_semi_infinite, to_bigfloat)
+from gompertz.verify import FAIL, NUMERIC_PASS, IdentityReport
 
 
 def frac_integral_recurrence(n: int) -> tuple[int, int]:
@@ -50,6 +54,14 @@ def cross_checked_value(family: str, n: int,
     return exact
 
 
+def quadrature_log_moment(k: int, u: Fraction,
+                          ctx: PrecisionContext) -> BigFloat:
+    """integral(0,inf) x**(k-1) e**-x ln(x*u+1) dx for k >= 0 and u > 0 by
+    one quadrature, the route gompertz.integrals takes only at k = 0."""
+    return quad_semi_infinite(Integrand(Fraction(k - 1),
+                                        log_scale=Fraction(u)), ctx)
+
+
 def per_term_log_moment_sum(terms, u: Fraction, ctx: PrecisionContext,
                             path: str = "exact"):
     """sum of coeff * log_moment(k, u) over the (k, coeff) pairs of terms,
@@ -65,9 +77,8 @@ def per_term_log_moment_sum(terms, u: Fraction, ctx: PrecisionContext,
         total = mpf(0)
         for k, coeff in terms:
             if k == 0 or path == "quadrature":
-                moment = quad_semi_infinite(
-                    Integrand(Fraction(k - 1), log_scale=u), ctx)
-                total += to_bigfloat(coeff, ctx) * moment
+                total += (to_bigfloat(coeff, ctx)
+                          * quadrature_log_moment(k, u, ctx))
             else:
                 p, q, den = log_integral_coeffs(k - 1, 1 / u)
                 a, b = Fraction(coeff * p, den), Fraction(coeff * q, den)
@@ -77,3 +88,94 @@ def per_term_log_moment_sum(terms, u: Fraction, ctx: PrecisionContext,
             den = lcm(a.denominator, b.denominator)
             total += g_span_eval(int(a * den), int(b * den), den, 1 / u, ctx)
     return ctx.round(total)
+
+
+def per_term_series_trend(u, r, m_max, ctx, path="exact"):
+    """series_partial_trend by the per-term route: row M is the integral of
+    P_M, its terms (k, (-1)**(k+r) C(k,r) C(M+1,k+1)/k!) summed once by
+    per_term_log_moment_sum."""
+    return [(m, per_term_log_moment_sum(
+        [(k, Fraction((-1) ** (k + r) * comb(k, r) * comb(m + 1, k + 1),
+                      factorial(k))) for k in range(r, m + 1)], u, ctx, path))
+        for m in range(r, m_max + 1)]
+
+
+# --- normalized log-moments and their shift identities -------------------------
+
+def norm_log_moment(q: Fraction, r: int, u: Fraction,
+                    ctx: PrecisionContext) -> BigFloat:
+    """C(q, r) / Gamma(q+1) * integral(0,inf) x**(q-1) e**-x ln(x*u+1) dx
+    for rational q > -1, u >= 0: norm_log_moment_deriv at order 0."""
+    return norm_log_moment_deriv(q, r, u, 0, ctx)
+
+
+def norm_log_moment_deriv(q: Fraction, r: int, u: Fraction, order: int,
+                          ctx: PrecisionContext) -> BigFloat:
+    """order-th u-derivative of norm_log_moment: under the prefactor
+    C(q, r) / Gamma(q+1), the integrand x**(q-1) e**-x ln(x*u+1) at order 0,
+    and above it (-1)**(order-1) (order-1)! x**(q+order-1) e**-x
+    (u*x+1)**-order, which needs u > 0."""
+    if order < 0:
+        raise DomainError("order must be nonnegative")
+    q = Fraction(q)
+    u = Fraction(u)
+    if q <= -1:
+        raise DomainError(f"need q > -1, got {q}")
+    if order and u <= 0:
+        raise DomainError(f"need u > 0 for derivatives, got {u}")
+    if u < 0:
+        raise DomainError(f"need u >= 0, got {u}")
+    if u == 0:
+        return ctx.round(mpf(0))
+    if order == 0:
+        integrand, scale = Integrand(q - 1, log_scale=u), 1
+    else:
+        integrand = Integrand(q + order - 1, denom_power=order, denom_scale=u)
+        scale = (-1) ** (order - 1) * factorial(order - 1)
+    integral = quad_semi_infinite(integrand, ctx)
+    with mp.workprec(ctx.inner_bits):
+        pref = to_bigfloat(binom_gen(q, r), ctx) / gamma_real(q + 1, ctx)
+        out = pref * scale * integral
+    return ctx.round(out)
+
+
+def check_shift_expansion(j: int, eps: Fraction, r: int, u: Fraction,
+                          ctx: PrecisionContext) -> IdentityReport:
+    """j-step shift expansion in u-derivatives:
+    f(eps+j) = C(eps+j-r, j)**-1 sum_{i=0}^{j} C(eps+j-1, j-i) u**i/i! f^(i)(eps),
+    to within the absolute 10**-(decimal_digits - 5). At j = 1 it is the
+    one-step shift recurrence
+    f(eps+1) = eps/(eps+1-r) f(eps) + u/(eps+1-r) f'(eps).
+
+    Absolute is right here because the values are of order one: at 30
+    digits on the grid eps in {-3/4, -2/3}, r in {0, 1}, u in
+    {1/2, 1, 3, 10} and j <= 4, both sides were at most 3.4 and every
+    summand at most 7.3 in size, growing like ln u. With the default 15
+    guard digits, the working accuracy 10**-(decimal_digits + 15) lies 20
+    digits below the bound, which covers that size. On that grid, with
+    eps = -5/9 and u = 0 added, the largest residual of each j = 1..4 was
+    below 10**-(decimal_digits + 13) at both 30 and 60 digits."""
+    if not 1 <= j <= 4:
+        raise DomainError(f"j must be in 1..4, got {j}")
+    eps = Fraction(eps)
+    u = Fraction(u)
+    lead = binom_gen(eps + j - r, j)
+    if lead == 0:
+        raise DegenerateDenominator(f"C({eps}+{j}-{r}, {j}) = 0")
+    lhs = norm_log_moment(eps + j, r, u, ctx)
+    with mp.workprec(ctx.inner_bits):
+        total = mpf(0)
+        for i in range(j + 1):
+            coeff = binom_gen(eps + j - 1, j - i) * u ** i / factorial(i)
+            if coeff == 0:  # u = 0 kills every derivative term
+                continue
+            total += (to_bigfloat(coeff, ctx)
+                      * norm_log_moment_deriv(eps, r, u, i, ctx))
+        rhs = to_bigfloat(1 / lead, ctx) * total
+        residual = abs(lhs - rhs)
+    tol = ctx.target_tolerance(slack_digits=5)
+    params = {"j": str(j), "eps": str(eps), "r": str(r), "u": str(u),
+              "digits": str(ctx.decimal_digits)}
+    verdict = NUMERIC_PASS if residual < tol else FAIL
+    return IdentityReport("shift_expansion", params, lhs, ctx.round(rhs),
+                          verdict, ctx.round(residual), tolerance=tol)

@@ -9,15 +9,16 @@ from mpmath import mp, mpf
 from conftest import absdiff
 from gompertz import (B1_MINUS_HALF, B1_PLUS_HALF, PrecisionContext,
                       approx_table, bigfloat_str, calibrated_convention,
-                      check_shift_expansion, corollary1_pair, corollary2_pair,
-                      delta_reference, digamma, digamma_series_scan,
-                      euler_gamma, frac_integral_closed, g_span_eval,
-                      gauss_grid, gen_binomial_grid, int_binomial_grid,
-                      log_integral_closed, log_moment, norm_log_moment,
-                      norm_log_moment_deriv, series_partial_trend)
+                      corollary1_pair, corollary2_pair, delta_reference,
+                      digamma, digamma_series_scan, euler_gamma,
+                      frac_integral_closed, g_span_eval, gauss_grid,
+                      gen_binomial_grid, int_binomial_grid,
+                      log_integral_closed, series_partial_trend)
 from gompertz.cli import main as cli_main
 from gompertz.verify import EXACT_PASS, NUMERIC_PASS, SKIPPED
-from integral_oracles import frac_integral_recurrence
+from integral_oracles import (check_shift_expansion, frac_integral_recurrence,
+                              norm_log_moment, norm_log_moment_deriv,
+                              per_term_series_trend, quadrature_log_moment)
 
 CTX30 = PrecisionContext(30)
 CTX60 = PrecisionContext(60)
@@ -52,7 +53,7 @@ def test_02_integral_family_oracles():
     worst = mpf(0)
     for n in range(16):
         exact = g_span_eval(*log_integral_closed(n), 1, 1, CTX30)
-        numeric = log_moment(n + 1, 1, CTX30, path="quadrature")
+        numeric = quadrature_log_moment(n + 1, 1, CTX30)
         worst = max(worst, absdiff(exact, numeric))
     report("integral family oracles",
            closed_ok and worst < mpf(10) ** -25,
@@ -106,15 +107,15 @@ def test_07_partial_sums_at_u1():
     shrink_ok = True
     details = []
     for r in (0, 1, 2):
-        trend = dict(series_partial_trend(1, r, 30, CTX30, path="exact"))
+        trend = dict(series_partial_trend(1, r, 30, CTX30))
         e5 = absdiff(trend[5], 1)
         e30 = absdiff(trend[30], 1)
         shrink_ok &= e30 < e5 / 10
         details.append(f"r={r}: {bigfloat_str(e5, 2)}->{bigfloat_str(e30, 2)}")
     paths_ok = True
     for r in (0, 1, 2):
-        exact = dict(series_partial_trend(1, r, 15, CTX30, path="exact"))
-        quad = dict(series_partial_trend(1, r, 15, CTX30, path="quadrature"))
+        exact = dict(series_partial_trend(1, r, 15, CTX30))
+        quad = dict(per_term_series_trend(1, r, 15, CTX30, "quadrature"))
         for m in exact:
             paths_ok &= absdiff(exact[m], quad[m]) < mpf(10) ** -25
     report("partial sums at u=1", shrink_ok and paths_ok, "; ".join(details))

@@ -2,11 +2,11 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from conftest import absdiff
-from gompertz import (DomainError, approx_table, corollary1_pair,
-                      corollary2_pair, delta_reference,
+from gompertz import (DomainError, PrecisionContext, approx_table,
+                      corollary1_pair, corollary2_pair, delta_reference,
                       error_decay_report, frac_integral_closed,
                       log_integral_coeffs)
 from gompertz.approximants import DEFAULT_M_MAX_CAP
@@ -188,6 +188,24 @@ class TestRecurrencesAndCasoratians:
         assert casoratians(corollary2_pair, 1, 1) == [
             -factorial(m - 1) * factorial(m + 1)
             for m in range(1, DEFAULT_M_MAX_CAP + 1)]
+
+    def test_family1_r0_error_is_its_positive_tail(self):
+        # by the Casoratian, delta - a_m/b_m = sum_{k>=m} (k!)**2/(b_k
+        # b_{k+1}), with every term positive; the terms fall like
+        # e**(-4 sqrt(k)), so stopping at k = 2100 leaves a tail below
+        # 1e-55 of m = 200's error. b_k comes from the Laguerre recurrence
+        m, top = DEFAULT_M_MAX_CAP, 2100
+        b = [1, 2]
+        for k in range(2, top + 2):
+            b.append(2 * k * b[-1] - (k - 1) ** 2 * b[-2])
+        with mp.workprec(300):
+            tail, square = mpf(0), factorial(m) ** 2
+            for k in range(m, top + 1):
+                tail += square / (mpf(b[k]) * b[k + 1])
+                square *= (k + 1) ** 2
+        row = approx_table(1, 0, m, PrecisionContext(60))[-1]
+        assert (row.m, row.b) == (m, b[m])
+        assert abs(row.abs_error - tail) < mpf(10) ** -45 * tail
 
     @pytest.mark.parametrize("r, holds", ((1, True), (2, True), (3, False)))
     def test_family2_is_scaled_family1_at_r_up_to_2(self, r, holds):

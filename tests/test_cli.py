@@ -270,6 +270,13 @@ class TestUsageErrors:
                              "--max-m", "3", "--threads", "2")
         assert code == 2
 
+    def test_path_option_rejected(self, capsys):
+        # the theorem has one route; the option that chose another is gone
+        code, out, err = run_cli(capsys, "theorem", "--u", "2/3", "--max-m",
+                                 "12", "--path", "quadrature")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --path quadrature" in err
+
     @pytest.mark.parametrize("command, evaluator", (
         ("theorem", "series_partial_trend"),
         ("conjecture", "digamma_series_scan")))

@@ -13,20 +13,20 @@ from gompertz import (B1_MINUS_HALF, B1_PLUS_HALF, DegenerateCase,
                       DegenerateDenominator, DomainError, HyperGeomParams,
                       ZeroDenominator, bigfloat_str, calibrated_convention,
                       check_gauss_terminating, check_gen_binomial_sum,
-                      check_int_binomial_sum, check_shift_expansion,
-                      delta_reference, digamma, digamma_series_coeff,
-                      digamma_series_rhs, digamma_series_scan, gauss_grid,
-                      gen_binomial_grid, hypergeom_terminating,
-                      int_binomial_grid, norm_log_moment,
-                      norm_log_moment_deriv, series_partial_trend,
-                      to_bigfloat)
+                      check_int_binomial_sum, delta_reference, digamma,
+                      digamma_series_coeff, digamma_series_rhs,
+                      digamma_series_scan, gauss_grid, gen_binomial_grid,
+                      hypergeom_terminating, int_binomial_grid,
+                      series_partial_trend, to_bigfloat)
 from gompertz.exactmath import (BERNOULLI_CONVENTIONS, bernoulli,
                                 stirling1_unsigned, stirling2)
 from gompertz import verify
 from gompertz.verify import (EPS_WINDOW_SAMPLES, EXACT_PASS, FAIL,
                              NUMERIC_PASS, SKIPPED, IdentityReport,
                              _bernoulli_stirling_sum, _compare_pairs)
-from integral_oracles import per_term_log_moment_sum
+from integral_oracles import (check_shift_expansion, norm_log_moment,
+                              norm_log_moment_deriv, per_term_log_moment_sum,
+                              per_term_series_trend)
 
 
 def H(a, b, c, x=1):
@@ -387,16 +387,6 @@ class TestShiftIdentities:
             check_shift_expansion(5, Fraction(-3, 4), 0, 1, ctx30)
 
 
-def per_term_series_trend(u, r, m_max, ctx, path="exact"):
-    """series_partial_trend by the per-term route: row M is the integral of
-    P_M, its terms (k, (-1)**(k+r) C(k,r) C(M+1,k+1)/k!) summed once by
-    per_term_log_moment_sum."""
-    return [(m, per_term_log_moment_sum(
-        [(k, Fraction((-1) ** (k + r) * comb(k, r) * comb(m + 1, k + 1),
-                      factorial(k))) for k in range(r, m + 1)], u, ctx, path))
-        for m in range(r, m_max + 1)]
-
-
 def block_sum_trend(u, r, m_max, ctx):
     """The partial sums as a running total of rounded blocks: block m's
     terms (k, (-1)**(k+r) C(m,k) C(k,r)/k!) summed by
@@ -422,14 +412,13 @@ class TestSeriesPartialSums:
             per_term_series_trend(u, r, 25, ctx30)
 
     @pytest.mark.parametrize("u, path", ((Fraction(1, 100), "exact"),
-                                         (Fraction(1, 64), "exact"),
-                                         (Fraction(2, 3), "quadrature")))
+                                         (Fraction(1, 64), "exact")))
     def test_quadrature_blocks_equal_the_per_term_route(self, ctx30, u, path):
-        # on path "quadrature" every moment is a quadrature; on path "exact"
-        # only k = 0 is, and u = 1/100 and 1/64 sum the rest in the span at
+        # path is the oracle's route: on "exact" only k = 0 is a
+        # quadrature, and u = 1/100 and 1/64 sum the rest in the span at
         # c = 100 and c = 64
         for r in (0, 1):
-            assert series_partial_trend(u, r, 10, ctx30, path) == \
+            assert series_partial_trend(u, r, 10, ctx30) == \
                 per_term_series_trend(u, r, 10, ctx30, path)
 
     @pytest.mark.parametrize("u", (Fraction(2, 3), Fraction(1, 100)))
@@ -479,9 +468,8 @@ class TestSeriesPartialSums:
 
     def test_paths_agree(self, ctx30):
         for r in (0, 1):
-            exact = series_partial_trend(1, r, 8, ctx30, path="exact")[-1][1]
-            quad = series_partial_trend(1, r, 8, ctx30,
-                                        path="quadrature")[-1][1]
+            exact = series_partial_trend(1, r, 8, ctx30)[-1][1]
+            quad = per_term_series_trend(1, r, 8, ctx30, "quadrature")[-1][1]
             assert absdiff(exact, quad) < mpf(10) ** -25
 
     def test_trend_toward_u(self, ctx30):
@@ -493,8 +481,6 @@ class TestSeriesPartialSums:
             series_partial_trend(1, 2, 1, ctx30)
         with pytest.raises(DomainError):
             series_partial_trend(-1, 0, 5, ctx30)
-        with pytest.raises(ValueError):
-            series_partial_trend(1, 0, 5, ctx30, path="fast")
 
 
 def oracle_series_coeff(k, m, b1):
