@@ -13,16 +13,13 @@ runs; to compare two trees, run this script on each.
   whether the printed digits are equal.
 - Quadrature: `quad_semi_infinite` for delta at 30, 100, 150, 300 and 1000
   digits, as the log-free integral e**-x / (x+1) that the quadrature side
-  of `delta` integrates, against the log integrand ln(x+1) e**-x of a
-  log-moment by quadrature, with the integrand evaluations the rule made
-  (a counting wrapper around its factor evaluator, in a separate untimed
-  run).
-- Node table: the two quadratures of `theorem --u 1` at r = 0, the
-  cross-checked G(1) and the k = 0 log-moment, at 30, 150 and 1000 digits,
-  with the node table emptied between them (cold) and shared.
+  of `delta` integrates, the package's only quadrature, with the integrand
+  evaluations the rule made (a counting wrapper around its factor
+  evaluator, in a separate untimed run).
 - Log-moments: `log_moment(k, u)` for k = 1..20 at 30 digits, u in
   {2, 2/3, 3/2} (the `series` workload's u), each u on one cross-checked
-  G(1/u).
+  G(1/u); and `log_moment(0, u)`, the k = 0 moment's series, at 30, 300
+  and 1000 digits for u in {1, 1/100, 1/1000}.
 - Digamma-series coefficients: every `digamma_series_coeff(k, m)` that
   `conjecture --max-m 20` uses, in both conventions (an integer Horner from
   an empty Stirling table).
@@ -74,7 +71,7 @@ import mpmath
 import mpmath.libmp.gammazeta as mp_gammazeta
 
 import gompertz
-from gompertz import (Integrand, PrecisionContext, bigfloat_str, exactmath)
+from gompertz import Integrand, PrecisionContext, bigfloat_str, exactmath
 from gompertz import approximants, integrals, reference, verify
 from gompertz.exactmath import BERNOULLI_CONVENTIONS
 
@@ -83,10 +80,11 @@ BERNOULLI_MAX = (794, 1600)
 DIGAMMA_DIGITS = (30, 300, 1000)
 DIGAMMA_U = (Fraction(1), Fraction(2, 3))
 QUADRATURE_DIGITS = (30, 100, 150, 300, 1000)
-NODE_TABLE_DIGITS = (30, 150, 1000)
 LOG_MOMENT_U = (Fraction(2), Fraction(2, 3), Fraction(3, 2))
 LOG_MOMENT_K = 20
 LOG_MOMENT_DIGITS = 30
+K0_DIGITS = (30, 300, 1000)
+K0_U = (Fraction(1), Fraction(1, 100), Fraction(1, 1000))
 #: `conjecture --max-m M` uses the coefficients (k, m + 1) for k <= m <= M
 CONJECTURE_MAX_M = 20
 FAMILY2_R = 1
@@ -201,49 +199,23 @@ def reset_quadrature() -> None:
 
 
 def bench_quadrature() -> list:
-    integrands = {"log_free": Integrand(Fraction(0), denom_power=1),
-                  "log_integrand": Integrand(Fraction(0),
-                                             log_scale=Fraction(1))}
+    integrand = Integrand(Fraction(0), denom_power=1)
     rows = []
     for digits in QUADRATURE_DIGITS:
         ctx = PrecisionContext(digits)
-        row = {"case": f"delta digits={digits}"}
-        for name, integrand in integrands.items():
-            row[name] = timed(reset_quadrature,
-                              lambda: reference.quad_semi_infinite(
-                                  integrand, ctx))
-        row["log_integrand_over_log_free"] = ratio(row["log_integrand"],
-                                                   row["log_free"])
-        row["evaluations"] = {name: count_evaluations(integrand, ctx)
-                              for name, integrand in integrands.items()}
-        rows.append(row)
+        rows.append({"case": f"delta digits={digits}",
+                     "log_free": timed(reset_quadrature,
+                                       lambda: reference.quad_semi_infinite(
+                                           integrand, ctx)),
+                     "evaluations": count_evaluations(integrand, ctx)})
     return rows
 
 
 def reset_log_moments() -> None:
     reset_quadrature()
     reference._g_by_method.cache_clear()
+    reference.k0_log_moment.cache_clear()
     integrals._span_tables.clear()
-
-
-def bench_node_table() -> list:
-    rows = []
-    for digits in NODE_TABLE_DIGITS:
-        ctx = PrecisionContext(digits)
-
-        def theorem_quadratures(between):
-            reference.exp_e1(1, ctx)
-            between()
-            integrals.log_moment(0, 1, ctx)
-
-        cold = timed(reset_log_moments,
-                     lambda: theorem_quadratures(reference._NODE_TABLES.clear))
-        shared = timed(reset_log_moments,
-                       lambda: theorem_quadratures(lambda: None))
-        rows.append({"case": f"G(1) and k=0 moment digits={digits}",
-                     "cold": cold, "shared": shared,
-                     "cold_over_shared": ratio(cold, shared)})
-    return rows
 
 
 def bench_log_moments() -> list:
@@ -256,6 +228,13 @@ def bench_log_moments() -> list:
         rows.append({"case": f"u={u} k=1..{LOG_MOMENT_K} "
                              f"digits={LOG_MOMENT_DIGITS}",
                      "exact": exact})
+    for digits in K0_DIGITS:
+        ctx = PrecisionContext(digits)
+        for u in K0_U:
+            rows.append({"case": f"u={u} k=0 digits={digits}",
+                         "series": timed(reset_log_moments,
+                                         lambda: integrals.log_moment(
+                                             0, u, ctx))})
     return rows
 
 
@@ -441,7 +420,6 @@ def main() -> None:
         "bernoulli": bench_bernoulli(),
         "digamma": bench_digamma(),
         "quadrature": bench_quadrature(),
-        "node_table": bench_node_table(),
         "log_moments": bench_log_moments(),
         "digamma_series_coeff": bench_digamma_coeffs(),
         "exact_layer": bench_exact_layer(),

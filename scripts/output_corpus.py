@@ -21,8 +21,10 @@ and at u = 1/1000, where the guard climbs to the 480-digit rung, the
 digamma series at u = 1000, two family-2 tables beyond the workloads' r
 and m, the csv rows of every identity point at m <= 25, the json reports
 and summary counts of the identity grids at m <= 40, one exit-1 and one
-exit-2 case, three `--out` targets that cannot be written, and the
-theorem at r = 1, u = 1/10000 and at r = 3, u = 1/1000000). The list is
+exit-2 case, three `--out` targets that cannot be written, the theorem at
+r = 1, u = 1/10000 and at r = 3, u = 1/1000000, and the theorem at u = 1
+and 1000 digits, whose k = 0 log-moment is the r = 0 rows' one term
+outside the span). The list is
 read from this checkout's perfbench/, whichever tree --src names, so two
 runs compare the same invocations.
 
@@ -82,6 +84,8 @@ EXTRA = (
     # where a row cancels up to 825 digits and the guard climbs to 960
     ["theorem", "--u", "1/10000", "--r", "1", "--max-m", "100"],
     ["theorem", "--u", "1/1000000", "--r", "3", "--max-m", "200"],
+    # the k = 0 log-moment's series at the digit cap
+    ["theorem", "--u", "1", "--max-m", "60", "--digits", "1000"],
 )
 
 

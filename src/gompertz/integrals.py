@@ -14,9 +14,10 @@ the rows at every rational c as int pairs scaled by powers of b, and
 span_dot is the one dot product of weights with them; g_span_eval is the
 one evaluator of a triple at G(c). log_moment_sum is the one route of
 log-moments: the terms with k >= 1 as one span triple from integer weights
-for every rational u > 0, and the k = 0 term by quadrature; log_moment is
-its one-term case. The per-moment quadrature that checks this route lives
-in tests/integral_oracles.py.
+for every rational u > 0, and the k = 0 term, which lies outside the span,
+from its own series (reference.k0_log_moment); log_moment is its one-term
+case. No log-moment is integrated numerically here: the per-moment
+quadrature that checks this route lives in tests/integral_oracles.py.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import DomainError, PrecisionUnreachable
 from .exactmath import alt_factorial_sum, factorial
 from .precision import (MAX_DECIMAL_DIGITS, BigFloat, PrecisionContext,
                         to_bigfloat)
-from .reference import Integrand, exp_e1, quad_semi_infinite
+from .reference import exp_e1, k0_log_moment
 
 
 def frac_integral_closed(n: int) -> tuple[int, int]:
@@ -145,8 +146,8 @@ def g_span_eval(p: int, q: int, den: int, c: Fraction | int,
 
 def log_moment(k: int, u: Fraction | int, ctx: PrecisionContext) -> BigFloat:
     """integral(0,inf) x**(k-1) e**-x ln(x*u+1) dx for k >= 0, u >= 0; the
-    one-term log_moment_sum: a span value for k >= 1, a quadrature at
-    k = 0."""
+    one-term log_moment_sum: a span value for k >= 1, and k0_log_moment's
+    series at k = 0."""
     return log_moment_sum((1,), k, 1, u, ctx)
 
 
@@ -161,8 +162,9 @@ def log_moment_sum(weights, r: int, den: int, u: Fraction | int,
     Lhat_{k-1} over den b**(m-1), one span_dot and one g_span_eval of that
     triple, never reduced, so the guard digits grow with the cancellation
     of the whole sum; G(c) is mpmath.e1's value, checked by quadrature once
-    per (c, precision). At r = 0 the k = 0 term, whose integrand
-    x**-1 ln(x*u+1) is integrable, is one quadrature times w_0/den."""
+    per (c, precision). At r = 0 the k = 0 term, integral(0,inf) x**-1
+    e**-x ln(x*u+1) dx, is reference.k0_log_moment's series value times
+    w_0/den."""
     if r < 0:
         raise DomainError("k must be nonnegative")
     u = Fraction(u)
@@ -175,9 +177,8 @@ def log_moment_sum(weights, r: int, den: int, u: Fraction | int,
     with mp.workprec(ctx.inner_bits):
         total = mpf(0)
         if r == 0 and weights:
-            moment = quad_semi_infinite(
-                Integrand(Fraction(-1), log_scale=u), ctx)
-            total += to_bigfloat(Fraction(weights[0], den), ctx) * moment
+            total += (to_bigfloat(Fraction(weights[0], den), ctx)
+                      * k0_log_moment(u, ctx))
         if n < len(weights):
             c, b = 1 / u, u.numerator
             p, q = span_dot((w * b ** (m - k) for k, w in

@@ -107,23 +107,3 @@ def bigfloat_str(x: BigFloat, digits: int) -> str:
     """
     return mpmath.nstr(x, digits, strip_zeros=False)
 
-
-def log1p(y: BigFloat) -> BigFloat:
-    """ln(1+y) at full relative precision, y >= 0 possibly far below eps.
-
-    Kept over mpmath.log1p, which was slower on the quadrature rule's own
-    nodes x = exp(t - e**-t), |t| <= 6.25 (2 vCPUs, Python 3.11.7, mpmath
-    1.3.0 pure-Python backend): 21 against 13 us per call at 166 bits, 31
-    against 19 us at 570 bits, and faster only at 1730 bits, 181 against
-    213 us."""
-    if y == 0:
-        return mpf(0)
-    mag = mpmath.mag(y)  # ceil(log2 |y|)
-    if mag >= -10:
-        return mpmath.log(1 + y)
-    if mag < -(mp.prec // 2):
-        # |y**3/3| < 2**(-1.5*prec): two series terms suffice
-        return y * (1 - y / 2)
-    with mp.workprec(mp.prec - mag + 10):
-        v = mpmath.log(1 + y)
-    return +v

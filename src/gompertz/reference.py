@@ -1,11 +1,18 @@
 """Arbitrary-precision reference evaluation: semi-infinite quadrature for the
 exp(-x)-weighted integrand family, the Gamma and digamma functions, Euler's
-constant, and G(c) = e**c E1(c) = integral(0,inf) e**-x / (x + c) dx, whose
+constant, G(c) = e**c E1(c) = integral(0,inf) e**-x / (x + c) dx, whose
 value at c = 1 is the Euler-Gompertz constant delta: mpmath.e1's value,
-checked by an independent quadrature of that log-free integral.
+checked by an independent quadrature of that log-free integral, and the
+k = 0 log-moment F(u) = integral(0,inf) x**-1 e**-x ln(x*u+1) dx, summed
+from its own series (k0_log_moment).
 Gamma, Euler's constant and E1 come from mpmath (mpmath.gamma, mpmath.euler,
 mpmath.e1); digamma is summed here from the package's exact Bernoulli
 numbers.
+
+The quadrature only checks G(c), and evaluates delta itself for
+`delta --method quadrature`; no other value the package prints comes from
+it. The tests integrate other members of the family with it, log
+integrands included, as oracles.
 
 Quadrature is one double-exponential rule for the whole half-line: the map
 x = exp(t - e**-t) absorbs the algebraic endpoint singularity at 0 and turns
@@ -29,7 +36,7 @@ from mpmath import mp, mpf
 from .errors import (CrossCheckFailure, DomainError, NonIntegrable, PoleError,
                      PrecisionUnreachable)
 from .exactmath import bernoulli
-from .precision import BigFloat, PrecisionContext, log1p, to_bigfloat
+from .precision import BigFloat, PrecisionContext, to_bigfloat
 
 _DE_MAX_LEVEL = 12
 _DE_T_CAP = 16.0
@@ -99,7 +106,7 @@ def _make_eval(integrand: Integrand):
     def f(x: BigFloat) -> BigFloat:
         v = x ** a if a else mpf(1)
         if b is not None:
-            v *= log1p(b * x)
+            v *= mpmath.log1p(b * x)
         if p:
             v /= (s * x + 1) ** p
         return v
@@ -346,6 +353,55 @@ def _g_series(c: Fraction, ctx: PrecisionContext) -> BigFloat:
         x = mpf(c.numerator) / c.denominator
         value = mpmath.exp(x) * mpmath.e1(x)
     return ctx.round(value)
+
+
+@lru_cache(maxsize=None)
+def k0_log_moment(u: Fraction, ctx: PrecisionContext) -> BigFloat:
+    """F(u) = integral(0,inf) x**-1 e**-x ln(x*u+1) dx for rational u > 0:
+    the k = 0 log-moment, the one term of a theorem row outside the span of
+    {1, G(1/u)}. In p = 1/u, F'(p) = -G(p)/p, and E1's series integrates to
+    the two series summed here. Once p > (D+g) ln 10 + 10, the alternating
+    asymptotic series sum_{k>=1} (-1)**(k+1) (k-1)!/(k p**k) at
+    ctx.inner_bits, up to its smallest term, which e**-p bounds; F is a
+    Stieltjes function, so the error is below the first omitted term.
+    Otherwise the convergent series
+    pi**2/4 + L**2/2 + sum_{n>=1} p**n/(n n!) (L - 1/n - H_n), with
+    L = gamma + ln p and H_n the n-th harmonic number, whose terms grow to
+    about e**p before they fall, at p log2(e) + 20 bits past inner_bits.
+    Rounded once; cached by (u, ctx)."""
+    u = Fraction(u)
+    if u <= 0:
+        raise DomainError(f"k0_log_moment requires u > 0, got {u}")
+    p = 1 / u
+    if p > ctx.total_digits * math.log(10) + 10:
+        with mp.workprec(ctx.inner_bits):
+            x = mpf(p.numerator) / p.denominator
+            eps = mpmath.ldexp(1 / x, -ctx.inner_bits)
+            total = mpf(0)
+            a = 1 / x  # (k-1)!/p**k
+            for k in range(1, math.ceil(p)):  # the terms fall while k < p
+                term = a / k
+                if term < eps:
+                    break
+                total += term if k % 2 else -term
+                a *= k / x
+        return ctx.round(total)
+    with mp.workprec(ctx.inner_bits + math.ceil(p * math.log2(math.e)) + 20):
+        x = mpf(p.numerator) / p.denominator
+        ell = mpmath.euler + mpmath.log(x)  # L
+        eps = mpmath.ldexp(1, -ctx.inner_bits - 20)
+        total = mpmath.pi ** 2 / 4 + ell ** 2 / 2
+        power, harmonic = mpf(1), mpf(0)  # p**n/n! and H_n
+        n = 0
+        while True:
+            n += 1
+            power = power * x / n
+            harmonic += mpf(1) / n
+            term = power / n * (ell - mpf(1) / n - harmonic)
+            total += term
+            if n > x and abs(term) < eps * abs(total):
+                break
+    return ctx.round(total)
 
 
 def exp_e1(c: Fraction | int, ctx: PrecisionContext,

@@ -157,23 +157,60 @@ def casoratians(pair, r, m_min):
     return [a1 * b0 - a0 * b1 for (a0, b0), (a1, b1) in zip(ab, ab[1:])]
 
 
-def laguerre_residuals(ys, lead):
-    """y_m - lead(m) y_{m-1} + (m-1)**2 y_{m-2} for 2 <= m < len(ys)."""
-    return [ys[m] - lead(m) * ys[m - 1] + (m - 1) ** 2 * ys[m - 2]
-            for m in range(2, len(ys))]
+def recurrence_residuals(ys, coeffs, m_min):
+    """c0(m) y_m + c1(m) y_{m-1} + c2(m) y_{m-2} for m_min + 2 <= m <= 200,
+    where ys[i] is the value at m = m_min + i."""
+    c0, c1, c2 = coeffs
+    return [c0(m) * ys[m - m_min] + c1(m) * ys[m - m_min - 1]
+            + c2(m) * ys[m - m_min - 2]
+            for m in range(m_min + 2, DEFAULT_M_MAX_CAP + 1)]
+
+
+#: delta's Laguerre continued fraction, y_m = 2m y_{m-1} - (m-1)**2 y_{m-2}
+LAGUERRE = (lambda m: 1, lambda m: -2 * m, lambda m: (m - 1) ** 2)
+
+#: (family, r) -> (c0, c1, c2): the order-2 recurrence c0(m) y_m +
+#: c1(m) y_{m-1} + c2(m) y_{m-2} = 0 that a_m and b_m share from the first
+#: m of the family, m = r. Each was found by an exact nullspace over Q on
+#: m <= 60 at the least polynomial degree that has a solution, where the
+#: nullspace is one-dimensional
+ORDER2_RECURRENCES = {
+    (1, 1): (lambda m: m - 1, lambda m: -m * (2 * m - 1),
+             lambda m: m * (m - 1) ** 2),
+    (1, 2): (lambda m: m - 2, lambda m: -2 * m * (m - 1),
+             lambda m: m * (m - 1) ** 2),
+    (2, 1): (lambda m: 1, lambda m: -2 * m, lambda m: m * (m - 2)),
+    (2, 2): (lambda m: m - 3, lambda m: -m * (2 * m - 5),
+             lambda m: m * (m - 3) * (m - 1)),
+}
 
 
 class TestRecurrencesAndCasoratians:
     """Exact structure of the families on every m <= 200: family 1 at r = 0
-    is delta's Laguerre continued fraction, and family 2 at r <= 2 is a
-    scaled family 1."""
+    is delta's Laguerre continued fraction, families 1 and 2 at r = 1 and
+    r = 2 are order-2 recurrences, and family 2 at r <= 2 is a scaled
+    family 1."""
 
     @pytest.mark.parametrize("part", (0, 1), ids=("a", "b"))
     def test_family1_r0_laguerre_recurrence(self, part):
         ys = [corollary1_pair(m, 0)[part] for m in range(DEFAULT_M_MAX_CAP + 1)]
-        assert not any(laguerre_residuals(ys, lambda m: 2 * m))
+        c0, _, c2 = LAGUERRE
+        assert not any(recurrence_residuals(ys, LAGUERRE, 0))
         # negative control: 2m + 1 in place of 2m fails at every m
-        assert all(laguerre_residuals(ys, lambda m: 2 * m + 1))
+        assert all(recurrence_residuals(
+            ys, (c0, lambda m: -2 * m - 1, c2), 0))
+
+    @pytest.mark.parametrize("part", (0, 1), ids=("a", "b"))
+    @pytest.mark.parametrize("family, r", sorted(ORDER2_RECURRENCES))
+    def test_order2_recurrence(self, family, r, part):
+        pair = corollary1_pair if family == 1 else corollary2_pair
+        ys = [pair(m, r)[part] for m in range(r, DEFAULT_M_MAX_CAP + 1)]
+        c0, c1, c2 = ORDER2_RECURRENCES[family, r]
+        assert not any(recurrence_residuals(ys, (c0, c1, c2), r))
+        # negative control: c0(m) + 1 leaves the residual y_m, which is
+        # nonzero at every m the recurrence reaches
+        assert all(recurrence_residuals(
+            ys, (lambda m: c0(m) + 1, c1, c2), r))
 
     def test_family1_r0_casoratian(self):
         assert casoratians(corollary1_pair, 0, 0) == [

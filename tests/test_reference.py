@@ -13,6 +13,8 @@ from gompertz import (CrossCheckFailure, DomainError, Integrand,
                       log_integral_coeffs, plan_quadrature,
                       quad_semi_infinite, series_partial_trend, to_bigfloat)
 from gompertz import cli, reference
+from gompertz.reference import k0_log_moment
+from integral_oracles import quadrature_log_moment
 
 
 class TestPrecisionContext:
@@ -420,3 +422,51 @@ class TestDeltaReference:
                   reference.exp_e1(1, ctx10)}
         assert calls == [(1, ctx10)]
         assert len(values) == 1
+
+
+#: u of the k = 0 log-moment against its quadrature: both sides of u = 1,
+#: the theorem's u = 1/64 and 1/100, and u far from 1 both ways
+K0_U = (Fraction(1), Fraction(2), Fraction(2, 3), Fraction(3, 2),
+        Fraction(1, 3), Fraction(1, 64), Fraction(1, 100), Fraction(1, 1000),
+        Fraction(1, 10 ** 6), Fraction(1000))
+
+
+class TestK0LogMoment:
+    """F(u) = integral(0,inf) x**-1 e**-x ln(x*u+1) dx by its series in
+    p = 1/u, against the quadrature that evaluated it before, bit for bit,
+    and against mpmath's Meijer G."""
+
+    @pytest.mark.parametrize("digits", (30, 100))
+    @pytest.mark.parametrize("u", K0_U, ids=str)
+    def test_equals_the_quadrature(self, u, digits):
+        ctx = PrecisionContext(digits)
+        assert k0_log_moment(u, ctx) == quadrature_log_moment(0, u, ctx)
+
+    @pytest.mark.parametrize("u", (Fraction(1), Fraction(1, 1000)), ids=str)
+    def test_equals_the_quadrature_at_300_digits(self, u):
+        # at 300 digits the asymptotic series starts above p = 735.3, so
+        # u = 1/1000 takes it
+        ctx = PrecisionContext(300)
+        assert k0_log_moment(u, ctx) == quadrature_log_moment(0, u, ctx)
+
+    def test_both_sides_of_the_branch_switch(self, ctx30):
+        # the asymptotic series takes p > (D+g) ln 10 + 10, at 30 digits
+        # p > 113.6: u = 1/113 sums the convergent series, u = 1/114 the
+        # asymptotic one
+        assert 113 < ctx30.total_digits * math.log(10) + 10 < 114
+        for u in (Fraction(1, 113), Fraction(1, 114)):
+            assert k0_log_moment(u, ctx30) == \
+                quadrature_log_moment(0, u, ctx30), u
+
+    @pytest.mark.parametrize("u", (Fraction(1), Fraction(1, 3)), ids=str)
+    def test_meijer_g(self, u, ctx30):
+        # F = G^{3,1}_{2,3}(p | 0; 1 / 0, 0, 0), with p = 1/u
+        with mp.workprec(oracle_bits(ctx30)):
+            want = mpmath.meijerg([[0], [1]], [[0, 0, 0], []],
+                                  mpf(u.denominator) / u.numerator)
+        assert ctx30.agrees(k0_log_moment(u, ctx30), want)
+
+    def test_domain(self, ctx30):
+        for u in (0, Fraction(-1, 2)):
+            with pytest.raises(DomainError):
+                k0_log_moment(u, ctx30)

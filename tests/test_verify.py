@@ -11,9 +11,10 @@ from mpmath import mp, mpf
 from conftest import absdiff
 from gompertz import (B1_MINUS_HALF, B1_PLUS_HALF, DegenerateCase,
                       DegenerateDenominator, DomainError, HyperGeomParams,
-                      ZeroDenominator, bigfloat_str, calibrated_convention,
-                      check_gauss_terminating, check_gen_binomial_sum,
-                      check_int_binomial_sum, delta_reference, digamma,
+                      PrecisionUnreachable, ZeroDenominator, bigfloat_str,
+                      calibrated_convention, check_gauss_terminating,
+                      check_gen_binomial_sum, check_int_binomial_sum,
+                      delta_reference, digamma,
                       digamma_series_coeff, digamma_series_rhs,
                       digamma_series_scan, gauss_grid, gen_binomial_grid,
                       hypergeom_terminating, int_binomial_grid,
@@ -26,7 +27,7 @@ from gompertz.verify import (EPS_WINDOW_SAMPLES, EXACT_PASS, FAIL,
                              _bernoulli_stirling_sum, _compare_pairs)
 from integral_oracles import (check_shift_expansion, norm_log_moment,
                               norm_log_moment_deriv, per_term_log_moment_sum,
-                              per_term_series_trend)
+                              per_term_series_trend, theorem_row_terms)
 
 
 def H(a, b, c, x=1):
@@ -471,6 +472,17 @@ class TestSeriesPartialSums:
             exact = series_partial_trend(1, r, 8, ctx30)[-1][1]
             quad = per_term_series_trend(1, r, 8, ctx30, "quadrature")[-1][1]
             assert absdiff(exact, quad) < mpf(10) ** -25
+
+    def test_per_term_quadrature_refuses_its_cancellation(self, ctx30):
+        # row m = 100 of `theorem --u 1/10000 --r 1`: by quadrature per
+        # moment its terms cancel about 31 digits, and the sum used to
+        # return 0.000100000000000001882273098594249; the span, one term,
+        # cancels inside g_span_eval, which grows its guard to match
+        u, terms = Fraction(1, 10000), theorem_row_terms(100, 1)
+        with pytest.raises(PrecisionUnreachable):
+            per_term_log_moment_sum(terms, u, ctx30, "quadrature")
+        exact = per_term_log_moment_sum(terms, u, ctx30)
+        assert bigfloat_str(exact, 30) == "0.000100000000000000000000000000000"
 
     def test_trend_toward_u(self, ctx30):
         trend = dict(series_partial_trend(1, 1, 10, ctx30))
