@@ -38,6 +38,20 @@ runs; to compare two trees, run this script on each.
   print the same digits as the 60-digit run and the guard digits of every
   G(c) it asked for (a wrapper around the `integrals.exp_e1` that
   `g_span_eval` calls, in a separate untimed run).
+- G(c) checks: `exp_e1(c)` cross-checked and `exp_e1(c, method=
+  "e_times_E1")` alone, cold, at 30 and 1000 digits for c in G_CHECK_C,
+  which covers every check route (the committed digits of delta, the
+  series anchored on them, the J-fraction), each with the route taken;
+  the cross-checked time less e1's alone is the check's. Then every
+  command of G_PROFILE_COMMANDS run once in process, cold, with a wrapper
+  around `reference._g_by_method` that records each G(c) it evaluates
+  (c, guard digits, seconds, for each cache miss): the 1000-digit
+  commands, and the scans of ROADMAP item 2, whose G(c) above the base
+  guard of 15 digits are the guard rungs. On a tree that checks G(c) by
+  quadrature the route reads "quadrature". Last, the 1000-digit commands of
+  G_FRESH_COMMANDS in fresh `python -m gompertz.cli` processes, each
+  started, timed and reaped G_FRESH_RUNS times by a small fresh launcher
+  (FRESH_TIMER), which reads the command's own peak RSS from os.wait4.
 - Start-up: fresh processes of `python -c "import gompertz"` and
   `python -m gompertz.cli identities --max-m 1`, timed from outside
   STARTUP_RUNS times, and the `-X importtime` self and cumulative times of
@@ -57,6 +71,8 @@ Usage: PYTHONPATH=src python3 scripts/bench_layers.py [--out FILE]
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -72,7 +88,7 @@ import mpmath.libmp.gammazeta as mp_gammazeta
 
 import gompertz
 from gompertz import Integrand, PrecisionContext, bigfloat_str, exactmath
-from gompertz import approximants, integrals, reference, verify
+from gompertz import approximants, cli, integrals, reference, verify
 from gompertz.exactmath import BERNOULLI_CONVENTIONS
 
 RUNS = 5
@@ -100,6 +116,31 @@ SMALL_U_CASES = ((Fraction(1, 100), 0, 60), (Fraction(1, 10000), 1, 100))
 STARTUP_RUNS = 21
 STARTUP_COMMANDS = (("-c", "import gompertz"),
                     ("-m", "gompertz.cli", "identities", "--max-m", "1"))
+#: each check route at 30 and at 1000 digits: delta's digits at c = 1, the
+#: anchored series at 1/1000 and 3/2 (and at 100 at 1000 digits), the
+#: J-fraction at 1000 (and at 100 at 30 digits)
+G_CHECK_C = (Fraction(1), Fraction(1, 1000), Fraction(3, 2), Fraction(100),
+             Fraction(1000))
+G_CHECK_DIGITS = (30, 1000)
+#: the advertised corners at 1000 digits, then ROADMAP item 2's scans
+G_PROFILE_COMMANDS = (
+    ("delta", "--digits", "1000"),
+    ("theorem", "--u", "1000", "--max-m", "200", "--digits", "1000"),
+    ("theorem", "--u", "1/100", "--max-m", "200", "--digits", "1000"),
+    ("theorem", "--u", "2/3", "--max-m", "200", "--digits", "1000"),
+    ("theorem", "--u", "1", "--r", "2", "--max-m", "200", "--digits", "1000"),
+    ("theorem", "--u", "1", "--max-m", "60", "--digits", "1000"),
+    ("conjecture", "--u", "2", "--max-m", "20", "--digits", "1000"),
+    ("approx", "--corollary", "1", "--r", "0", "--max-m", "200", "--digits",
+     "1000"),
+    ("theorem", "--u", "2/3", "--max-m", "200"),
+    ("theorem", "--u", "1/1000", "--max-m", "200"),
+    ("conjecture", "--u", "2", "--max-m", "20"),
+    ("theorem", "--u", "1/1000000", "--r", "1", "--max-m", "60"))
+G_FRESH_COMMANDS = G_PROFILE_COMMANDS[:4]
+G_FRESH_RUNS = 3
+#: the guard digits of every G(c) that is not a rung
+BASE_GUARD = 15
 #: besides every gompertz module; dataclasses, json and csv appear only
 #: where a tree still imports them at start-up
 STARTUP_IMPORTS = ("mpmath", "fractions", "argparse", "dataclasses", "json",
@@ -394,6 +435,96 @@ def bench_startup() -> dict:
             "import_gompertz_cli": {"runs": STARTUP_RUNS, "modules": imports}}
 
 
+def check_route(c: Fraction, ctx: PrecisionContext) -> str:
+    """The check exp_e1 runs at (c, ctx); "quadrature" on a tree that
+    checks G(c) by quadrature, which has no `_g_check_route`."""
+    route = getattr(reference, "_g_check_route", None)
+    return route(c, ctx) if route else "quadrature"
+
+
+def g_profile(argv: tuple) -> dict:
+    """One cold in-process run of `gompertz.cli` ARGV, its output
+    discarded, with every G(c) evaluated in it: a wrapper around
+    `reference._g_by_method` records (c, guard digits, seconds) per cache
+    miss."""
+    by_method = reference._g_by_method
+    calls = []
+
+    def timed_g(method, c, ctx):
+        misses = by_method.cache_info().misses
+        start = time.perf_counter()
+        value = by_method(method, c, ctx)
+        if by_method.cache_info().misses > misses:
+            calls.append((c, ctx.guard_digits, time.perf_counter() - start))
+        return value
+
+    reset_log_moments()
+    reference._g_by_method = timed_g
+    try:
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(list(argv))
+        total = time.perf_counter() - start
+    finally:
+        reference._g_by_method = by_method
+    return {"case": " ".join(argv), "exit": code,
+            "in_process_s": round(total, 4),
+            "g_s": round(sum(s for _, _, s in calls), 4),
+            "rung_g_s": round(sum(s for _, guard, s in calls
+                                  if guard > BASE_GUARD), 4),
+            "g_evaluated": [{"c": str(c), "guard": guard, "s": round(s, 4)}
+                            for c, guard, s in calls]}
+
+
+#: Run in a fresh interpreter: starts `python -m gompertz.cli ARGV` and
+#: prints its wall time, exit code and peak RSS as JSON. A child's
+#: ru_maxrss starts from its parent's RSS at the fork, so the command must
+#: not be forked from this script's own, larger, process.
+FRESH_TIMER = """
+import json, os, subprocess, sys, time
+start = time.perf_counter()
+proc = subprocess.Popen([sys.executable, "-m", "gompertz.cli", *sys.argv[1:]],
+                        stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(json.dumps({"s": time.perf_counter() - start,
+                  "exit": os.waitstatus_to_exitcode(status),
+                  "rss_mb": usage.ru_maxrss / 1024}))
+"""
+
+
+def fresh_cli(argv: tuple) -> dict:
+    """`python -m gompertz.cli ARGV` in G_FRESH_RUNS fresh processes, each
+    timed by FRESH_TIMER, which also reads its peak RSS from os.wait4."""
+    samples, rss = [], []
+    for _ in range(G_FRESH_RUNS):
+        run = json.loads(python_process("-c", FRESH_TIMER, *argv).stdout)
+        if run["exit"]:
+            raise SystemExit(f"{' '.join(argv)} exited {run['exit']}")
+        samples.append(run["s"])
+        rss.append(run["rss_mb"])
+    return {"case": " ".join(argv), "fresh_process": summary(samples),
+            "peak_rss_mb": round(max(rss), 1)}
+
+
+def bench_g_check() -> dict:
+    routes = []
+    for digits in G_CHECK_DIGITS:
+        ctx = PrecisionContext(digits)
+        for c in G_CHECK_C:
+            checked = timed(reset_log_moments,
+                            lambda: reference.exp_e1(c, ctx))
+            e1 = timed(reset_log_moments,
+                       lambda: reference.exp_e1(c, ctx, "e_times_E1"))
+            routes.append({"case": f"G({c}) digits={digits}",
+                           "route": check_route(c, ctx),
+                           "cross_validated": checked, "e1_alone": e1,
+                           "check_median_s": round(checked["median_s"]
+                                                   - e1["median_s"], 4)})
+    return {"routes": routes,
+            "in_process": [g_profile(argv) for argv in G_PROFILE_COMMANDS],
+            "fresh": [fresh_cli(argv) for argv in G_FRESH_COMMANDS]}
+
+
 def cpu_model() -> str:
     try:
         with open("/proc/cpuinfo") as f:
@@ -426,6 +557,7 @@ def main() -> None:
         "identity_grids": bench_identity_grids(),
         "theorem": bench_theorem(),
         "small_u": bench_small_u(),
+        "g_check": bench_g_check(),
         "startup": bench_startup(),
     }
     text = json.dumps(result, indent=2)

@@ -107,9 +107,9 @@ def g_span_eval(p: int, q: int, den: int, c: Fraction | int,
     precision, and measures the digits the sum cancels from those same
     terms, log10(max(|a|, |bg|) / |a + bg|), plus max(0, -log10 G): the
     digits G < 1 would lose to an absolute error in G of 10**-(D+g). The
-    quadrature that checks G bounds the error of c G(c), not of G, so for
-    c > 1 that term over-counts by about log10 c digits; it stays until the
-    error columns are computed in the exact span. The sum may use a third
+    check of G in reference.exp_e1 bounds the error of c G(c), not of G, so
+    for c > 1 that term over-counts by about log10 c digits; it stays until
+    the error columns are computed in the exact span. The sum may use a third
     of ctx.guard_digits; when it cancels more, G(c) and the sum are redone
     with the guard grown to ctx.guard_digits times the next power of two
     covering the measured loss, so that one G(c) serves a range of moments
@@ -161,8 +161,9 @@ def log_moment_sum(weights, r: int, den: int, u: Fraction | int,
     c = 1/u = a/b and the scaled span_rows Lhat, sum_k w_k b**(m-k)
     Lhat_{k-1} over den b**(m-1), one span_dot and one g_span_eval of that
     triple, never reduced, so the guard digits grow with the cancellation
-    of the whole sum; G(c) is mpmath.e1's value, checked by quadrature once
-    per (c, precision). At r = 0 the k = 0 term, integral(0,inf) x**-1
+    of the whole sum; G(c) is mpmath.e1's value, checked once per
+    (c, precision) against the committed digits of delta, the series
+    anchored on them, or Laguerre's J-fraction (reference.exp_e1). At r = 0 the k = 0 term, integral(0,inf) x**-1
     e**-x ln(x*u+1) dx, is reference.k0_log_moment's series value times
     w_0/den."""
     if r < 0:

@@ -81,7 +81,8 @@ class PrecisionContext(namedtuple("PrecisionContext",
         target digits, relative once |a| exceeds 1, as the tests compare
         evaluators; an absolute 10**-D would false-fail on large values that
         agree to the last working bit. G(c)'s own cross-check in reference
-        is tighter: the quadrature's error bound, not the printed digits."""
+        is tighter: 1000 units of 10**-(D+g) in c G(c), not the printed
+        digits."""
         with mp.workprec(self.working_bits):
             a = mpf(a)
             return abs(a - b) < self.target_tolerance() * max(1, abs(a))

@@ -1,18 +1,23 @@
 """Arbitrary-precision reference evaluation: semi-infinite quadrature for the
 exp(-x)-weighted integrand family, the Gamma and digamma functions, Euler's
 constant, G(c) = e**c E1(c) = integral(0,inf) e**-x / (x + c) dx, whose
-value at c = 1 is the Euler-Gompertz constant delta: mpmath.e1's value,
-checked by an independent quadrature of that log-free integral, and the
-k = 0 log-moment F(u) = integral(0,inf) x**-1 e**-x ln(x*u+1) dx, summed
-from its own series (k0_log_moment).
+value at c = 1 is the Euler-Gompertz constant delta, and the k = 0
+log-moment F(u) = integral(0,inf) x**-1 e**-x ln(x*u+1) dx, summed from its
+own series (k0_log_moment).
 Gamma, Euler's constant and E1 come from mpmath (mpmath.gamma, mpmath.euler,
 mpmath.e1); digamma is summed here from the package's exact Bernoulli
 numbers.
 
-The quadrature only checks G(c), and evaluates delta itself for
-`delta --method quadrature`; no other value the package prints comes from
-it. The tests integrate other members of the family with it, log
-integrands included, as oracles.
+G(c) is mpmath.e1's value, checked by one of three evaluators independent
+of it, chosen from c and the precision before anything is evaluated: at
+c = 1 the committed digits of delta (delta_digits.txt, which
+scripts/delta_digits.py regenerates from the quadrature and mpmath.e1); at
+moderate c the series of E1(c) - E1(1) anchored on those digits; at large c
+Laguerre's J-fraction, in integers. None of them runs the quadrature.
+
+The quadrature evaluates delta only for `delta --method quadrature`; no
+other value the package prints comes from it. The tests integrate other
+members of the family with it, log integrands included, as oracles.
 
 Quadrature is one double-exponential rule for the whole half-line: the map
 x = exp(t - e**-t) absorbs the algebraic endpoint singularity at 0 and turns
@@ -26,6 +31,7 @@ its own factor of e**-x.
 from __future__ import annotations
 
 import math
+import os
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -256,8 +262,7 @@ def quad_semi_infinite(integrand: Integrand, ctx: PrecisionContext) -> BigFloat:
     changes by less than that, or until the error predicted from its last
     two changes, once they shrink quadratically, is ten digits below it
     (Bailey, Jeyabalan and Li 2005, with the convergence order capped at
-    2; see _double_exponential). That error bound is the tolerance of
-    G(c)'s cross-check in exp_e1. Results are cached by (integrand, ctx)."""
+    2; see _double_exponential). Results are cached by (integrand, ctx)."""
     if integrand.log_scale == 0:
         return ctx.round(mpf(0))  # ln(1) annihilates the integrand
     plan_quadrature(integrand)
@@ -355,6 +360,128 @@ def _g_series(c: Fraction, ctx: PrecisionContext) -> BigFloat:
     return ctx.round(value)
 
 
+# --- the checks of mpmath.e1's G(c): none of them calls e1 or uses gamma ------
+
+#: The committed decimal digits of delta, written by scripts/delta_digits.py
+_DELTA_DIGITS_FILE = os.path.join(os.path.dirname(__file__), "delta_digits.txt")
+
+
+@lru_cache(maxsize=None)
+def _delta_text() -> str:
+    """"0." and the committed decimal places of delta, truncated."""
+    with open(_DELTA_DIGITS_FILE) as f:
+        return f.read().strip()
+
+
+def _delta_digits(places: int) -> BigFloat:
+    """delta from its first `places` committed decimal places, at the
+    ambient precision: the string is cut before the conversion, so the
+    conversion costs what the caller needs."""
+    return mpf(_delta_text()[:2 + places])
+
+
+def _g_check_route(c: Fraction, ctx: PrecisionContext) -> str:
+    """The check of G(c) at (c, ctx), chosen before anything is evaluated:
+    "digits" at c = 1; "J-fraction" when its predicted term count,
+    ((D+g) ln 10)**2 / (16 c), is below e c, the least count of terms the
+    anchored series sums, that is when c > (D+g) ln 10 / (4 sqrt(e)), or
+    when the committed digits do not cover the D + g + ceil(c log10 e) + 10
+    places the anchored series needs; "anchored series" otherwise. c is
+    compared as a Fraction, so no c is too large for a float."""
+    places = len(_delta_text()) - 2
+    if c == 1:
+        if ctx.total_digits + 10 > places:
+            raise PrecisionUnreachable(
+                f"G(1) is checked against {places} committed places of "
+                f"delta; {ctx.total_digits} digits need 10 more")
+        return "digits"
+    if (c > ctx.total_digits * math.log(10) / (4 * math.sqrt(math.e))
+            or _anchor_places(c, ctx) > places):
+        return "J-fraction"
+    return "anchored series"
+
+
+def _anchor_places(c: Fraction, ctx: PrecisionContext) -> int:
+    # the bracket's error in delta is multiplied by e**c in G(c)
+    return ctx.total_digits + math.ceil(c * math.log10(math.e)) + 10
+
+
+def _g_check_digits(c: Fraction, ctx: PrecisionContext) -> BigFloat:
+    # G(1) = delta, to 10 places past D + g
+    with mp.workprec(ctx.inner_bits):
+        value = _delta_digits(ctx.total_digits + 10)
+    return ctx.round(value)
+
+
+def _g_check_anchored(c: Fraction, ctx: PrecisionContext) -> BigFloat:
+    # E1(c) - E1(1) = -ln c - sum_{k>=1} (-1)**k (c**k - 1)/(k k!), from
+    # E1's series, whose gamma cancels; with E1(1) = delta/e,
+    # G(c) = e**c (delta/e - ln c - sum). The bracket equals E1(c), about
+    # e**-c/c, while its terms reach about e**c/c, so it is summed at
+    # 2c log2(e) + 20 bits past inner_bits; delta's error is multiplied by
+    # e**c, so it takes ceil(c log10 e) places more than D + g + 10
+    bits = ctx.inner_bits + math.ceil(2 * c * math.log2(math.e)) + 20
+    with mp.workprec(bits):
+        x = mpf(c.numerator) / c.denominator
+        eps = mpmath.ldexp(1, -bits)
+        total = mpf(0)
+        power, inverse = mpf(1), mpf(1)  # c**k/k! and 1/k!
+        k = 0
+        while True:
+            k += 1
+            power = power * x / k
+            inverse = inverse / k
+            term = (power - inverse) / k
+            total += -term if k % 2 else term
+            if k > x and power < eps and inverse < eps:
+                break
+        bracket = _delta_digits(_anchor_places(c, ctx)) / mpmath.e
+        value = mpmath.exp(x) * (bracket - mpmath.log(x) - total)
+    return ctx.round(value)
+
+
+def _g_check_jfraction(c: Fraction, ctx: PrecisionContext) -> BigFloat:
+    # Laguerre's J-fraction G(c) = 1/(c+1 - 1**2/(c+3 - 2**2/(c+5 - ...)))
+    # (Cuyt et al., Handbook of Continued Fractions for Special Functions,
+    # 2008, ch. 14), in integers: with c = a/b, the convergents A_n/B_n
+    # have A_0 = 0, B_0 = 1, A_1 = b, B_1 = a + b and
+    # y_n = (a + (2n-1) b) y_(n-1) - (b (n-1))**2 y_(n-2). Their Casoratian
+    # K_n = A_n B_(n-1) - A_(n-1) B_n = (b (n-1))**2 K_(n-1) > 0, so the
+    # convergents rise to G(c), and consecutive ones differ by
+    # K_n/(B_n B_(n-1)). The fraction stops once that difference is below
+    # 2**-(inner_bits + 10) relative to A_n/B_n, read off bit lengths; the
+    # differences then fall by a factor of about exp(-2 sqrt(c/n)), so the
+    # rest of the tail is smaller still
+    a, b = c.numerator, c.denominator
+    bits = ctx.inner_bits + 10
+    p0, q0, p1, q1 = 0, 1, b, a + b
+    casoratian = b
+    n = 1
+    while (casoratian.bit_length() + bits
+           > p1.bit_length() + q0.bit_length() - 2):
+        n += 1
+        beta, alpha = a + (2 * n - 1) * b, (b * (n - 1)) ** 2
+        p0, p1 = p1, beta * p1 - alpha * p0
+        q0, q1 = q1, beta * q1 - alpha * q0
+        casoratian *= alpha
+    with mp.workprec(ctx.inner_bits):
+        value = mpf(p1) / q1
+    return ctx.round(value)
+
+
+#: Each check route of _g_check_route, by name
+_G_CHECKS = {"digits": _g_check_digits,
+             "anchored series": _g_check_anchored,
+             "J-fraction": _g_check_jfraction}
+
+
+def _g_check(c: Fraction, ctx: PrecisionContext) -> BigFloat:
+    """G(c) by the route _g_check_route names, independent of mpmath.e1:
+    the committed digits of delta, the series anchored on delta, or
+    Laguerre's J-fraction, each rounded once to ctx."""
+    return _G_CHECKS[_g_check_route(c, ctx)](c, ctx)
+
+
 @lru_cache(maxsize=None)
 def k0_log_moment(u: Fraction, ctx: PrecisionContext) -> BigFloat:
     """F(u) = integral(0,inf) x**-1 e**-x ln(x*u+1) dx for rational u > 0:
@@ -409,10 +536,11 @@ def exp_e1(c: Fraction | int, ctx: PrecisionContext,
     """G(c) = e**c E1(c) = integral(0,inf) e**-x / (x + c) dx for rational
     c > 0, by quadrature of that integral (as c G(c) = integral(0,inf)
     e**-x / (x/c + 1) dx, divided by c), by e**c times mpmath.e1(c), or by
-    both: "cross_validated" returns mpmath.e1's value once the quadrature
-    confirms it within the quadrature's own error bound, c |q - s| <
-    10**(3 - decimal_digits - guard_digits), and raises CrossCheckFailure
-    otherwise. Cached by (method, c, ctx); G(1) is delta."""
+    that value checked: "cross_validated" returns mpmath.e1's value once an
+    evaluator independent of it, the one _g_check_route names for (c, ctx),
+    confirms it within c |check - e1| < 10**(3 - decimal_digits -
+    guard_digits), and raises CrossCheckFailure otherwise; no check runs
+    the quadrature. Cached by (method, c, ctx); G(1) is delta."""
     if method not in DELTA_METHODS:
         raise ValueError(f"unknown method {method!r}")
     c = Fraction(c)
@@ -424,8 +552,8 @@ def exp_e1(c: Fraction | int, ctx: PrecisionContext,
 def delta_reference(ctx: PrecisionContext,
                     method: str = "cross_validated") -> BigFloat:
     """The Euler-Gompertz constant integral(0,inf) ln(x+1) e**-x dx = G(1),
-    by direct quadrature, by e*E1(1), or by e*E1(1) checked by the
-    quadrature, as exp_e1(1)."""
+    by direct quadrature, by e*E1(1), or by e*E1(1) checked against the
+    committed digits of delta, as exp_e1(1)."""
     return exp_e1(1, ctx, method)
 
 
@@ -436,12 +564,14 @@ def _g_by_method(method: str, c: Fraction, ctx: PrecisionContext) -> BigFloat:
         return _g_quadrature(c, ctx)
     if method == "e_times_E1":
         return _g_series(c, ctx)
-    # the rule integrates c G(c) < 1 to an absolute 10**-(D+g), so the two
-    # evaluators of c G(c) agree within that, with a factor 1000 of margin
-    q = _g_quadrature(c, ctx)
+    # every check route carries c G(c) < 1 to well below an absolute
+    # 10**-(D+g), and mpmath.e1's value is rounded at working_bits, so the
+    # two agree within that, with a factor 1000 of margin
+    check = _g_check(c, ctx)
     s = _g_series(c, ctx)
     with mp.workprec(ctx.working_bits):
-        if abs(q - s) * c >= 1000 * ctx.internal_tolerance():
+        if abs(check - s) * c >= 1000 * ctx.internal_tolerance():
             raise CrossCheckFailure(
-                f"G({c}) evaluators disagree: quadrature={q} series={s}")
+                f"G({c}) evaluators disagree: "
+                f"{_g_check_route(c, ctx)}={check} e1={s}")
     return s

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import DELTA_60
-from gompertz import cli, verify
+from gompertz import cli, reference, verify
 from gompertz.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -60,6 +60,43 @@ class TestDelta:
                                    "--method", method)
             assert code == 0
             assert "0.5963473623" in out
+
+
+#: one small run of each command that evaluates G(c): delta by each method,
+#: both approximant families, the theorem at c = 1, 100 and 3/2, and the
+#: digamma series at c = 1/2
+QUADRATURE_SPY_RUNS = (
+    ("delta", "--digits", "30"),
+    ("delta", "--digits", "30", "--method", "e1"),
+    ("delta", "--digits", "30", "--method", "quadrature"),
+    ("approx", "--corollary", "1", "--r", "0", "--max-m", "10"),
+    ("approx", "--corollary", "2", "--r", "1", "--max-m", "10"),
+    ("theorem", "--u", "1", "--max-m", "10"),
+    ("theorem", "--u", "1/100", "--max-m", "20"),
+    ("theorem", "--u", "2/3", "--r", "1", "--max-m", "10"),
+    ("conjecture", "--u", "2", "--max-m", "8"))
+
+
+def test_only_delta_method_quadrature_runs_the_quadrature(capsys,
+                                                          monkeypatch):
+    # G(c)'s cross-check runs no quadrature; the rule evaluates delta for
+    # `delta --method quadrature` alone
+    quad = reference.quad_semi_infinite
+    calls = {}
+
+    def spy(integrand, ctx):
+        calls[command] += 1
+        return quad(integrand, ctx)
+
+    monkeypatch.setattr(reference, "quad_semi_infinite", spy)
+    for argv in QUADRATURE_SPY_RUNS:
+        command = " ".join(argv)
+        calls[command] = 0
+        reference._g_by_method.cache_clear()
+        reference.k0_log_moment.cache_clear()
+        assert run_cli(capsys, *argv)[0] == 0, command
+    assert {command for command, n in calls.items() if n} == {
+        "delta --digits 30 --method quadrature"}
 
 
 class TestApprox:

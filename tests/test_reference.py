@@ -379,8 +379,8 @@ class TestDeltaReference:
 
     # a relative error of 10**-(D+6) in either evaluator never shows in the
     # D printed digits of G, but the theorem's cancelling sums amplify it
-    # into wrong printed digits; the quadrature's bound must catch it
-    @pytest.mark.parametrize("evaluator", ["_g_series", "_g_quadrature"])
+    # into wrong printed digits; the check's tolerance must catch it
+    @pytest.mark.parametrize("evaluator", ["_g_series", "_g_check"])
     @pytest.mark.parametrize("entry", ["series_partial_trend",
                                        "delta_reference", "cli"])
     def test_cross_check_trips_below_the_printed_digits(
@@ -406,15 +406,15 @@ class TestDeltaReference:
 
     def test_method_spellings_share_one_cache_entry(self, ctx10, monkeypatch):
         # default, positional and keyword method: one entry, so the
-        # quadrature side of the cross-check runs once
+        # checking side of the cross-check runs once
         calls = []
-        quadrature = reference._g_quadrature
+        check = reference._g_check
 
         def counted(c, ctx):
             calls.append((c, ctx))
-            return quadrature(c, ctx)
+            return check(c, ctx)
 
-        monkeypatch.setattr(reference, "_g_quadrature", counted)
+        monkeypatch.setattr(reference, "_g_check", counted)
         reference._g_by_method.cache_clear()
         values = {delta_reference(ctx10),
                   delta_reference(ctx10, "cross_validated"),
@@ -422,6 +422,96 @@ class TestDeltaReference:
                   reference.exp_e1(1, ctx10)}
         assert calls == [(1, ctx10)]
         assert len(values) == 1
+
+
+#: The largest context any command builds: 1000 digits and the top guard
+#: rung, the largest multiple of 15 within 1000
+TOP_RUNG = PrecisionContext(1000, 990)
+
+
+class TestGCheck:
+    """The evaluators that check mpmath.e1's G(c), none of which runs the
+    quadrature: the committed digits of delta at c = 1, the series anchored
+    on them at moderate c, and Laguerre's J-fraction at large c."""
+
+    def test_committed_digits_match_the_quadrature(self):
+        # the committed digits are data, so the quadrature re-derives the
+        # first 300 places; scripts/delta_digits.py re-derives them all
+        text = reference._delta_text()
+        assert text.startswith("0.") and text[2:].isdigit()
+        quadrature = reference.exp_e1(1, PrecisionContext(300), "quadrature")
+        assert text[:302] == bigfloat_str(quadrature, 310)[:302]
+
+    def test_no_route_reads_past_the_committed_digits(self, monkeypatch):
+        places = len(reference._delta_text()) - 2
+        asked = []
+        digits = reference._delta_digits
+
+        def spy(n):
+            asked.append(n)
+            return digits(n)
+
+        monkeypatch.setattr(reference, "_delta_digits", spy)
+        routes = {}
+        for c in (1, 64, 100, 1000, 10 ** 6):
+            routes[c] = reference._g_check_route(Fraction(c), TOP_RUNG)
+            reference._g_check(Fraction(c), TOP_RUNG)
+        assert routes == {1: "digits", 64: "anchored series",
+                          100: "anchored series", 1000: "J-fraction",
+                          10 ** 6: "J-fraction"}
+        assert len(asked) == 3 and max(asked) <= places
+
+    def test_beyond_the_committed_digits(self):
+        # only a library caller can ask for these guards: delta has no route
+        # past the committed digits, and the anchored series yields to the
+        # J-fraction where the digits run out
+        places = len(reference._delta_text()) - 2
+        with pytest.raises(PrecisionUnreachable):
+            reference._g_check_route(Fraction(1),
+                                     PrecisionContext(1000, places - 1000))
+        ctx = PrecisionContext(1000, places - 1100)
+        assert reference._anchor_places(Fraction(300), ctx) > places
+        assert reference._g_check_route(Fraction(300), ctx) == "J-fraction"
+
+    def test_c_beyond_float_range(self, ctx30):
+        # the route compares c as a Fraction; float(c) would overflow here
+        for c, route in ((Fraction(10 ** 400), "J-fraction"),
+                         (Fraction(1, 10 ** 400), "anchored series")):
+            assert reference._g_check_route(c, ctx30) == route
+            reference.exp_e1(c, ctx30)  # checked, or CrossCheckFailure
+
+    # the tolerance is 1000 units of 10**-(D+g) in c G(c), so the check
+    # resolves c G(c) to D + g - 3 places; e1's value with the last of
+    # D + g - 4 places of c G(c) changed by one unit must trip every route
+    @pytest.mark.parametrize("digits", (30, 1000))
+    @pytest.mark.parametrize("c", ("1", "1/1000", "3/2", "100", "1000"))
+    def test_a_changed_last_digit_trips_every_route(self, c, digits,
+                                                    monkeypatch):
+        ctx = PrecisionContext(digits)
+        c = Fraction(c)
+        honest = reference._g_series
+
+        def changed(c, ctx):
+            with mp.workprec(ctx.inner_bits):
+                return ctx.round(honest(c, ctx)
+                                 + mpf(10) ** (4 - ctx.total_digits) / c)
+
+        monkeypatch.setattr(reference, "_g_series", changed)
+        reference._g_by_method.cache_clear()
+        route = reference._g_check_route(c, ctx)
+        with pytest.raises(CrossCheckFailure, match=route):
+            reference.exp_e1(c, ctx)
+
+    @pytest.mark.parametrize("c", (64, 100))
+    def test_honest_values_pass_at_the_top_rung(self, c):
+        # the anchored bracket is E1(c), about e**-c/c, while its terms reach
+        # about e**c/c: summed at c log2(e) extra bits instead of 2 c log2(e),
+        # it raised a false CrossCheckFailure on G(100) here
+        c = Fraction(c)
+        reference._g_by_method.cache_clear()
+        assert reference._g_check_route(c, TOP_RUNG) == "anchored series"
+        assert reference.exp_e1(c, TOP_RUNG) == reference._g_series(c,
+                                                                   TOP_RUNG)
 
 
 #: u of the k = 0 log-moment against its quadrature: both sides of u = 1,
