@@ -38,20 +38,21 @@ runs; to compare two trees, run this script on each.
   print the same digits as the 60-digit run and the guard digits of every
   G(c) it asked for (a wrapper around the `integrals.exp_e1` that
   `g_span_eval` calls, in a separate untimed run).
-- G(c) checks: `exp_e1(c)` cross-checked and `exp_e1(c, method=
-  "e_times_E1")` alone, cold, at 30 and 1000 digits for c in G_CHECK_C,
-  which covers every check route (the committed digits of delta, the
-  series anchored on them, the J-fraction), each with the route taken;
-  the cross-checked time less e1's alone is the check's. Then every
-  command of G_PROFILE_COMMANDS run once in process, cold, with a wrapper
-  around `reference._g_by_method` that records each G(c) it evaluates
+- G(c) checks: `exp_e1(c)` cross-checked and `reference._g_series(c)`,
+  e1 alone, cold, at 30 and 1000 digits for c in G_CHECK_C, which covers
+  every check route (the committed digits of delta, the series anchored on
+  them, the J-fraction), each with the route taken; the cross-checked time
+  less e1's alone is the check's. Then every command of G_PROFILE_COMMANDS
+  run once in process, cold, with a wrapper around `exp_e1`, bound in
+  both `reference` and `integrals`, that records each G(c) it evaluates
   (c, guard digits, seconds, for each cache miss): the 1000-digit
   commands, and the scans of ROADMAP item 2, whose G(c) above the base
-  guard of 15 digits are the guard rungs. On a tree that checks G(c) by
-  quadrature the route reads "quadrature". Last, the 1000-digit commands of
-  G_FRESH_COMMANDS in fresh `python -m gompertz.cli` processes, each
-  started, timed and reaped G_FRESH_RUNS times by a small fresh launcher
-  (FRESH_TIMER), which reads the command's own peak RSS from os.wait4.
+  guard of 15 digits are the guard rungs. Last, the commands of
+  G_FRESH_COMMANDS (the 1000-digit ones, and `delta --method quadrature`
+  at 150 and 1000 digits) in fresh `python -m gompertz.cli` processes,
+  each started, timed and reaped G_FRESH_RUNS times by a small fresh
+  launcher (FRESH_TIMER), which reads the command's own peak RSS from
+  os.wait4.
 - Start-up: fresh processes of `python -c "import gompertz"` and
   `python -m gompertz.cli identities --max-m 1`, timed from outside
   STARTUP_RUNS times, and the `-X importtime` self and cumulative times of
@@ -63,9 +64,8 @@ runs; to compare two trees, run this script on each.
   off (sys.flags.dont_write_bytecode), in which case every process
   compiles the package again.
 
-Every case is cold (caches and the quadrature's node table emptied first),
-as in a fresh CLI process, and is timed RUNS times; the median and the
-extremes are reported.
+Every case is cold (caches emptied first), as in a fresh CLI process, and
+is timed RUNS times; the median and the extremes are reported.
 
 Usage: PYTHONPATH=src python3 scripts/bench_layers.py [--out FILE]
 """
@@ -137,7 +137,9 @@ G_PROFILE_COMMANDS = (
     ("theorem", "--u", "1/1000", "--max-m", "200"),
     ("conjecture", "--u", "2", "--max-m", "20"),
     ("theorem", "--u", "1/1000000", "--r", "1", "--max-m", "60"))
-G_FRESH_COMMANDS = G_PROFILE_COMMANDS[:4]
+G_FRESH_COMMANDS = (*G_PROFILE_COMMANDS[:4],
+                    ("delta", "--digits", "150", "--method", "quadrature"),
+                    ("delta", "--digits", "1000", "--method", "quadrature"))
 G_FRESH_RUNS = 3
 #: the guard digits of every G(c) that is not a rung
 BASE_GUARD = 15
@@ -236,7 +238,6 @@ def count_evaluations(integrand: Integrand, ctx: PrecisionContext) -> int:
 
 def reset_quadrature() -> None:
     reference.quad_semi_infinite.cache_clear()
-    reference._NODE_TABLES.clear()
 
 
 def bench_quadrature() -> list:
@@ -254,7 +255,7 @@ def bench_quadrature() -> list:
 
 def reset_log_moments() -> None:
     reset_quadrature()
-    reference._g_by_method.cache_clear()
+    reference.exp_e1.cache_clear()
     reference.k0_log_moment.cache_clear()
     integrals._span_tables.clear()
 
@@ -435,38 +436,32 @@ def bench_startup() -> dict:
             "import_gompertz_cli": {"runs": STARTUP_RUNS, "modules": imports}}
 
 
-def check_route(c: Fraction, ctx: PrecisionContext) -> str:
-    """The check exp_e1 runs at (c, ctx); "quadrature" on a tree that
-    checks G(c) by quadrature, which has no `_g_check_route`."""
-    route = getattr(reference, "_g_check_route", None)
-    return route(c, ctx) if route else "quadrature"
-
-
 def g_profile(argv: tuple) -> dict:
     """One cold in-process run of `gompertz.cli` ARGV, its output
     discarded, with every G(c) evaluated in it: a wrapper around
-    `reference._g_by_method` records (c, guard digits, seconds) per cache
-    miss."""
-    by_method = reference._g_by_method
+    `exp_e1` records (c, guard digits, seconds) per cache miss. It replaces
+    both bindings, `reference.exp_e1` and the `integrals.exp_e1` that
+    `integrals` took at import."""
+    exp_e1 = reference.exp_e1
     calls = []
 
-    def timed_g(method, c, ctx):
-        misses = by_method.cache_info().misses
+    def timed_g(c, ctx):
+        misses = exp_e1.cache_info().misses
         start = time.perf_counter()
-        value = by_method(method, c, ctx)
-        if by_method.cache_info().misses > misses:
+        value = exp_e1(c, ctx)
+        if exp_e1.cache_info().misses > misses:
             calls.append((c, ctx.guard_digits, time.perf_counter() - start))
         return value
 
     reset_log_moments()
-    reference._g_by_method = timed_g
+    reference.exp_e1 = integrals.exp_e1 = timed_g
     try:
         start = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(list(argv))
         total = time.perf_counter() - start
     finally:
-        reference._g_by_method = by_method
+        reference.exp_e1 = integrals.exp_e1 = exp_e1
     return {"case": " ".join(argv), "exit": code,
             "in_process_s": round(total, 4),
             "g_s": round(sum(s for _, _, s in calls), 4),
@@ -514,9 +509,9 @@ def bench_g_check() -> dict:
             checked = timed(reset_log_moments,
                             lambda: reference.exp_e1(c, ctx))
             e1 = timed(reset_log_moments,
-                       lambda: reference.exp_e1(c, ctx, "e_times_E1"))
+                       lambda: reference._g_series(c, ctx))
             routes.append({"case": f"G({c}) digits={digits}",
-                           "route": check_route(c, ctx),
+                           "route": reference._g_check_route(c, ctx),
                            "cross_validated": checked, "e1_alone": e1,
                            "check_median_s": round(checked["median_s"]
                                                    - e1["median_s"], 4)})

@@ -163,9 +163,9 @@ def log_moment_sum(weights, r: int, den: int, u: Fraction | int,
     triple, never reduced, so the guard digits grow with the cancellation
     of the whole sum; G(c) is mpmath.e1's value, checked once per
     (c, precision) against the committed digits of delta, the series
-    anchored on them, or Laguerre's J-fraction (reference.exp_e1). At r = 0 the k = 0 term, integral(0,inf) x**-1
-    e**-x ln(x*u+1) dx, is reference.k0_log_moment's series value times
-    w_0/den."""
+    anchored on them, or Laguerre's J-fraction (reference.exp_e1). At
+    r = 0 the k = 0 term, integral(0,inf) x**-1 e**-x ln(x*u+1) dx, is
+    reference.k0_log_moment's series value times w_0/den."""
     if r < 0:
         raise DomainError("k must be nonnegative")
     u = Fraction(u)

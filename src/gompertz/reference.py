@@ -22,10 +22,8 @@ members of the family with it, log integrands included, as oracles.
 Quadrature is one double-exponential rule for the whole half-line: the map
 x = exp(t - e**-t) absorbs the algebraic endpoint singularity at 0 and turns
 the exp(-x) decay at infinity into double-exponential decay in t, so no
-split point and no truncation point are needed. Its nodes, with e**-x folded
-into their weights, form one table per working precision that every
-quadrature at that precision reads and extends; an integrand evaluates only
-its own factor of e**-x.
+split point and no truncation point are needed. Its weights carry e**-x, so
+an integrand evaluates only its own factor of e**-x.
 """
 
 from __future__ import annotations
@@ -99,7 +97,7 @@ def plan_quadrature(integrand: Integrand) -> None:
 def _make_eval(integrand: Integrand):
     """Pointwise evaluator of the integrand's factor of exp(-x), x**power
     times its log or denominator factor, at the ambient working precision;
-    the rule's node table carries exp(-x) in the weights."""
+    the rule's weights carry exp(-x)."""
     power = integrand.power
     a = (int(power) if power.denominator == 1
          else mpf(power.numerator) / power.denominator)
@@ -125,60 +123,6 @@ def _log10(v: BigFloat) -> float:
         return float(mpmath.log10(v))
 
 
-#: The double-exponential nodes walked so far, per mp.prec; see _Level.
-_NODE_TABLES: dict[int, list[_Level]] = {}
-
-
-class _Level:
-    """The nodes of one refinement level at one precision, in walk order:
-    nodes[i] is ((x, w e**-x) at t, (x, w e**-x) at -t or None at t = 0) for
-    the i-th t = k h of the walk, and e is e**-t at the last of them, from
-    which the next walk extends the level. A node depends only on (mp.prec,
-    level, i), so a node read back equals the one a cold walk computes."""
-
-    __slots__ = ("h", "ratio", "nodes", "e")
-
-    def __init__(self, h: BigFloat, ratio: BigFloat) -> None:
-        self.h, self.ratio, self.nodes, self.e = h, ratio, [], None
-
-
-def _k(n: int, i: int) -> int:
-    """The i-th node of level n is at t = k 2**-n: level 0 walks every
-    k >= 0, a finer level only the odd k, the nodes it adds."""
-    return i if n == 0 else 2 * i + 1
-
-
-def _level(n: int) -> _Level:
-    """Level n of the node table at the ambient precision, created empty:
-    step h = 2**-n, and e**-t steps by e**-(2 h) along it (e**-h on level
-    0)."""
-    levels = _NODE_TABLES.setdefault(mp.prec, [])
-    while len(levels) <= n:
-        h = mpmath.ldexp(mpf(1), -len(levels))
-        step = 2 if levels else 1
-        levels.append(_Level(h, mpmath.exp(-step * h)))
-    return levels[n]
-
-
-def _grow(level: _Level, n: int) -> None:
-    """Append the level's next node pair: x = exp(t - e), dx/dt = x (1 + e)
-    with e = e**-t, and at -t the same with e**t = 1 / e, each weight times
-    e**-x."""
-    i = len(level.nodes)
-    t = _k(n, i) * level.h
-    if i % _DE_REFRESH_STEPS == 0:
-        e = mpmath.exp(-t)
-    else:
-        e = level.e * level.ratio
-    level.e = e
-
-    def node(t, e):
-        x = mpmath.exp(t - e)
-        return x, x * (1 + e) * mpmath.exp(-x)
-
-    level.nodes.append((node(t, e), node(-t, 1 / e) if _k(n, i) else None))
-
-
 def _double_exponential(f, tol: BigFloat) -> BigFloat:
     """integral(0, inf) of f(x) e**-x via the double-exponential transform
     x = exp(t - e**-t) (Takahasi and Mori 1974, Mori 1985): as t -> -inf, x
@@ -198,44 +142,49 @@ def _double_exponential(f, tol: BigFloat) -> BigFloat:
     log10 of |I_n - I_(n-2)|) predicts 1e-125 at level 3 for
     x**7 ln(x/100 + 1) e**-x at 30 digits, whose true error there is 1e-24.
 
-    The nodes and their weights times e**-x come from the node table at the
-    ambient precision, which every quadrature at that precision shares and
-    which grows as far as a walk goes. Along a level, e**-t is a geometric
-    progression in e**-(step h), and the node at -t takes e**t = 1 / e**-t,
-    so a new node pair costs four exp calls; the progression restarts from
-    a direct exp every _DE_REFRESH_STEPS nodes to bound its accumulated
-    rounding."""
+    Level n walks t = k h, h = 2**-n: level 0 every k >= 0, a finer level
+    only the odd k, the nodes it adds. The node at t has x = exp(t - e)
+    and dx/dt = x (1 + e) with e = e**-t, and its weight carries e**-x.
+    Along a level, e**-t is a geometric progression in e**-(step h), and
+    the node at -t takes e**t = 1 / e**-t, so a node pair costs four exp
+    calls; the progression restarts from a direct exp every
+    _DE_REFRESH_STEPS nodes to bound its accumulated rounding."""
+
+    def node(t, e):
+        x = mpmath.exp(t - e)
+        return x * (1 + e) * mpmath.exp(-x) * f(x)
+
     results: list[BigFloat] = []
     l_prev = None  # log10 of the previous level difference
     running = mpf(0)
     for n in range(_DE_MAX_LEVEL + 1):
-        level = _level(n)
+        h = mpmath.ldexp(mpf(1), -n)
+        step = 2 if n else 1
+        ratio = mpmath.exp(-step * h)
         new = mpf(0)
         scale = max(mpf(1), abs(results[-1])) if results else mpf(1)
         cutoff = tol * scale / 100
         small_run = 0
-        i = 0
+        i, k = 0, step - 1
         while True:
-            if i == len(level.nodes):
-                _grow(level, n)
-            (x, w), minus = level.nodes[i]
-            contrib = w * f(x)
-            if minus is not None:
-                xm, wm = minus
-                contrib += wm * f(xm)
+            t = k * h
+            e = mpmath.exp(-t) if i % _DE_REFRESH_STEPS == 0 else e * ratio
+            contrib = node(t, e)
+            if k:
+                contrib += node(-t, 1 / e)
             new += contrib
-            if math.ldexp(_k(n, i), -n) > 3 and abs(contrib) < cutoff:
+            if math.ldexp(k, -n) > 3 and abs(contrib) < cutoff:
                 small_run += 1
                 if small_run >= 2:
                     break
             else:
                 small_run = 0
-            i += 1
-            if math.ldexp(_k(n, i), -n) > _DE_T_CAP:
+            i, k = i + 1, k + step
+            if math.ldexp(k, -n) > _DE_T_CAP:
                 raise PrecisionUnreachable(
                     "double-exponential window exhausted before terms decayed")
         running += new
-        value = running * level.h
+        value = running * h
         results.append(value)
         if n > 0:
             diff = abs(value - results[-2])
@@ -332,11 +281,6 @@ def euler_gamma(ctx: PrecisionContext) -> BigFloat:
 
 
 # --- G(c) = e**c E1(c), and the Euler-Gompertz constant delta = G(1) --------
-
-#: Evaluators of G(c) and of delta: quadrature, e**c times mpmath.e1(c), or
-#: both with a mandatory agreement check.
-DELTA_METHODS = ("quadrature", "e_times_E1", "cross_validated")
-
 
 def _g_quadrature(c: Fraction, ctx: PrecisionContext) -> BigFloat:
     # G(c) = integral(0,inf) e**-x / (x + c) dx, and the rule integrates
@@ -531,39 +475,17 @@ def k0_log_moment(u: Fraction, ctx: PrecisionContext) -> BigFloat:
     return ctx.round(total)
 
 
-def exp_e1(c: Fraction | int, ctx: PrecisionContext,
-           method: str = "cross_validated") -> BigFloat:
+@lru_cache(maxsize=None)
+def exp_e1(c: Fraction | int, ctx: PrecisionContext) -> BigFloat:
     """G(c) = e**c E1(c) = integral(0,inf) e**-x / (x + c) dx for rational
-    c > 0, by quadrature of that integral (as c G(c) = integral(0,inf)
-    e**-x / (x/c + 1) dx, divided by c), by e**c times mpmath.e1(c), or by
-    that value checked: "cross_validated" returns mpmath.e1's value once an
-    evaluator independent of it, the one _g_check_route names for (c, ctx),
-    confirms it within c |check - e1| < 10**(3 - decimal_digits -
-    guard_digits), and raises CrossCheckFailure otherwise; no check runs
-    the quadrature. Cached by (method, c, ctx); G(1) is delta."""
-    if method not in DELTA_METHODS:
-        raise ValueError(f"unknown method {method!r}")
+    c > 0: e**c times mpmath.e1(c), returned once an evaluator independent
+    of it, the one _g_check_route names for (c, ctx), confirms it within
+    c |check - e1| < 10**(3 - decimal_digits - guard_digits); raises
+    CrossCheckFailure otherwise. No check runs the quadrature. Cached by
+    (c, ctx), and 1 and Fraction(1) are one entry; G(1) is delta."""
     c = Fraction(c)
     if c <= 0:
         raise DomainError(f"exp_e1 requires c > 0, got {c}")
-    return _g_by_method(method, c, ctx)
-
-
-def delta_reference(ctx: PrecisionContext,
-                    method: str = "cross_validated") -> BigFloat:
-    """The Euler-Gompertz constant integral(0,inf) ln(x+1) e**-x dx = G(1),
-    by direct quadrature, by e*E1(1), or by e*E1(1) checked against the
-    committed digits of delta, as exp_e1(1)."""
-    return exp_e1(1, ctx, method)
-
-
-@lru_cache(maxsize=None)
-def _g_by_method(method: str, c: Fraction, ctx: PrecisionContext) -> BigFloat:
-    # one cache entry per (method, c, ctx), however the caller spelled them
-    if method == "quadrature":
-        return _g_quadrature(c, ctx)
-    if method == "e_times_E1":
-        return _g_series(c, ctx)
     # every check route carries c G(c) < 1 to well below an absolute
     # 10**-(D+g), and mpmath.e1's value is rounded at working_bits, so the
     # two agree within that, with a factor 1000 of margin
@@ -575,3 +497,18 @@ def _g_by_method(method: str, c: Fraction, ctx: PrecisionContext) -> BigFloat:
                 f"G({c}) evaluators disagree: "
                 f"{_g_check_route(c, ctx)}={check} e1={s}")
     return s
+
+
+def delta_reference(ctx: PrecisionContext,
+                    method: str = "cross_validated") -> BigFloat:
+    """The Euler-Gompertz constant integral(0,inf) ln(x+1) e**-x dx = G(1):
+    "quadrature" integrates e**-x / (x + 1), "e_times_E1" is e*E1(1) alone,
+    and "cross_validated" is exp_e1(1), e*E1(1) checked against the
+    committed digits of delta."""
+    if method == "quadrature":
+        return _g_quadrature(Fraction(1), ctx)
+    if method == "e_times_E1":
+        return _g_series(Fraction(1), ctx)
+    if method == "cross_validated":
+        return exp_e1(1, ctx)
+    raise ValueError(f"unknown method {method!r}")

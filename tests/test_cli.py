@@ -92,7 +92,7 @@ def test_only_delta_method_quadrature_runs_the_quadrature(capsys,
     for argv in QUADRATURE_SPY_RUNS:
         command = " ".join(argv)
         calls[command] = 0
-        reference._g_by_method.cache_clear()
+        reference.exp_e1.cache_clear()
         reference.k0_log_moment.cache_clear()
         assert run_cli(capsys, *argv)[0] == 0, command
     assert {command for command, n in calls.items() if n} == {

@@ -309,12 +309,12 @@ class TestExactSpan:
     def test_corrupted_g_evaluator_trips(self, ctx10, monkeypatch):
         wrong = PrecisionContext(10).round(mpf(1) / 3)
         monkeypatch.setattr(reference, "_g_series", lambda c, ctx: wrong)
-        reference._g_by_method.cache_clear()
+        reference.exp_e1.cache_clear()
         try:
             with pytest.raises(CrossCheckFailure):
                 log_moment(3, Fraction(2, 3), ctx10)
         finally:
-            reference._g_by_method.cache_clear()
+            reference.exp_e1.cache_clear()
 
     @pytest.mark.parametrize("r", (0, 1))
     def test_exact_path_runs_no_quadrature(self, ctx30, monkeypatch, r):
@@ -330,7 +330,7 @@ class TestExactSpan:
             return quad_semi_infinite(integrand, ctx)
 
         monkeypatch.setattr(reference, "quad_semi_infinite", spy)
-        reference._g_by_method.cache_clear()
+        reference.exp_e1.cache_clear()
         reference.k0_log_moment.cache_clear()
         u = Fraction(1, 100)
         log_moment_sum(span_weights(60, r), r, factorial(60), u, ctx30)

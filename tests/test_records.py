@@ -1,8 +1,7 @@
-"""The package's eight records: field names, order and defaults, the checks
-and coercions made on construction (and again by `_replace`), immutability,
-and equal values hashing equal (PrecisionContext and Integrand are
-`lru_cache` keys). The records are named tuples, but for the reference
-rule's mutable `_Level`."""
+"""The package's seven records, all named tuples: field names, order and
+defaults, the checks and coercions made on construction (and again by
+`_replace`), immutability, and equal values hashing equal (PrecisionContext
+and Integrand are `lru_cache` keys)."""
 
 from fractions import Fraction
 
@@ -12,7 +11,6 @@ from mpmath import mpf
 from gompertz import (ApproximantRow, DecayReport, DigammaSeriesPoint,
                       HyperGeomParams, IdentityReport, Integrand,
                       PrecisionContext, quad_semi_infinite)
-from gompertz.reference import _Level
 from gompertz.verify import EXACT_PASS
 
 #: record -> (its fields in order, values for the fields without a default,
@@ -145,22 +143,3 @@ class TestHyperGeomParams:
         assert type(value._replace(a=2).a) is Fraction
         with pytest.raises(ValueError):
             HyperGeomParams("one", 0, 1, 1)
-
-
-class TestLevel:
-    """The quadrature's node table level: the one mutable record."""
-
-    def test_fields_and_defaults(self):
-        level = _Level(mpf("0.5"), mpf("0.25"))
-        assert _Level.__slots__ == ("h", "ratio", "nodes", "e")
-        assert (level.h, level.ratio, level.nodes, level.e) == \
-            (mpf("0.5"), mpf("0.25"), [], None)
-        assert _Level(1, 1).nodes is not level.nodes
-
-    def test_walk_state_assignable_but_no_new_attributes(self):
-        level = _Level(mpf(1), mpf(1))
-        level.e = mpf(2)
-        level.nodes.append(((mpf(1), mpf(1)), None))
-        assert level.e == 2 and len(level.nodes) == 1
-        with pytest.raises(AttributeError):
-            level.extra = 1

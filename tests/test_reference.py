@@ -228,14 +228,9 @@ class TestHalfLineEnds:
 
 
 class TestNodeTable:
-    @staticmethod
-    def table_size(prec):
-        return sum(len(level.nodes)
-                   for level in reference._NODE_TABLES.get(prec, ()))
-
     def test_warm_equals_cold(self, ctx30, ctx60):
-        # a node read back from the table is the node a cold walk computes,
-        # so a result does not depend on what ran before it at its precision
+        # a quadrature's value does not depend on what ran before it at its
+        # precision: cold after cache_clear() equals warm
         shapes = (Integrand(Fraction(0), denom_power=1),
                   Integrand(Fraction(-1), log_scale=Fraction(1)),
                   Integrand(Fraction(7), log_scale=Fraction(1, 100)),
@@ -243,27 +238,13 @@ class TestNodeTable:
         for ctx in (ctx30, ctx60):
             cold = []
             for integrand in shapes:
-                reference._NODE_TABLES.clear()
                 reference.quad_semi_infinite.cache_clear()
                 cold.append(quad_semi_infinite(integrand, ctx))
-                size = self.table_size(ctx.inner_bits)
                 reference.quad_semi_infinite.cache_clear()
                 assert quad_semi_infinite(integrand, ctx) == cold[-1]
-                assert self.table_size(ctx.inner_bits) == size
             # and warm from the walks of the other shapes
             reference.quad_semi_infinite.cache_clear()
             assert [quad_semi_infinite(i, ctx) for i in shapes] == cold
-
-    def test_one_table_per_precision(self, ctx30, ctx60):
-        reference._NODE_TABLES.clear()
-        reference.quad_semi_infinite.cache_clear()
-        quad_semi_infinite(Integrand(Fraction(0), denom_power=1), ctx30)
-        assert list(reference._NODE_TABLES) == [ctx30.inner_bits]
-        size30 = self.table_size(ctx30.inner_bits)
-        quad_semi_infinite(Integrand(Fraction(0), denom_power=1), ctx60)
-        assert sorted(reference._NODE_TABLES) == [ctx30.inner_bits,
-                                                  ctx60.inner_bits]
-        assert self.table_size(ctx30.inner_bits) == size30
 
 
 class TestGamma:
@@ -356,8 +337,8 @@ class TestDeltaReference:
     def test_methods_agree(self, c, digits):
         ctx = PrecisionContext(digits)
         c = Fraction(c)
-        q = reference.exp_e1(c, ctx, "quadrature")
-        s = reference.exp_e1(c, ctx, "e_times_E1")
+        q = reference._g_quadrature(c, ctx)
+        s = reference._g_series(c, ctx)
         # the quadrature's own bound: c G(c) < 1 to an absolute 10**-(D+g)
         with mp.workprec(ctx.working_bits):
             assert abs(q - s) * c < 1000 * ctx.internal_tolerance()
@@ -373,7 +354,7 @@ class TestDeltaReference:
         wrong = to_bigfloat(Fraction(1, 2), ctx10)
         monkeypatch.setattr(reference, "_g_series", lambda c, ctx: wrong)
         # an earlier test may already have cached the ctx10 value
-        reference._g_by_method.cache_clear()
+        reference.exp_e1.cache_clear()
         with pytest.raises(CrossCheckFailure):
             delta_reference(ctx10, "cross_validated")
 
@@ -393,7 +374,7 @@ class TestDeltaReference:
                                  * (1 + mpf(10) ** -(ctx.decimal_digits + 6)))
 
         monkeypatch.setattr(reference, evaluator, corrupted)
-        reference._g_by_method.cache_clear()
+        reference.exp_e1.cache_clear()
         if entry == "cli":
             assert cli.main(["theorem", "--u", "1/100", "--max-m", "60"]) == 1
             assert "verification failure" in capsys.readouterr().err
@@ -405,8 +386,9 @@ class TestDeltaReference:
                 series_partial_trend(Fraction(1, 100), 0, 60, ctx30)
 
     def test_method_spellings_share_one_cache_entry(self, ctx10, monkeypatch):
-        # default, positional and keyword method: one entry, so the
-        # checking side of the cross-check runs once
+        # default, positional and keyword method, and c as an int or a
+        # Fraction: one entry, so the checking side of the cross-check runs
+        # once
         calls = []
         check = reference._g_check
 
@@ -415,11 +397,12 @@ class TestDeltaReference:
             return check(c, ctx)
 
         monkeypatch.setattr(reference, "_g_check", counted)
-        reference._g_by_method.cache_clear()
+        reference.exp_e1.cache_clear()
         values = {delta_reference(ctx10),
                   delta_reference(ctx10, "cross_validated"),
                   delta_reference(ctx10, method="cross_validated"),
-                  reference.exp_e1(1, ctx10)}
+                  reference.exp_e1(1, ctx10),
+                  reference.exp_e1(Fraction(1), ctx10)}
         assert calls == [(1, ctx10)]
         assert len(values) == 1
 
@@ -439,7 +422,7 @@ class TestGCheck:
         # first 300 places; scripts/delta_digits.py re-derives them all
         text = reference._delta_text()
         assert text.startswith("0.") and text[2:].isdigit()
-        quadrature = reference.exp_e1(1, PrecisionContext(300), "quadrature")
+        quadrature = reference._g_quadrature(Fraction(1), PrecisionContext(300))
         assert text[:302] == bigfloat_str(quadrature, 310)[:302]
 
     def test_no_route_reads_past_the_committed_digits(self, monkeypatch):
@@ -497,7 +480,7 @@ class TestGCheck:
                                  + mpf(10) ** (4 - ctx.total_digits) / c)
 
         monkeypatch.setattr(reference, "_g_series", changed)
-        reference._g_by_method.cache_clear()
+        reference.exp_e1.cache_clear()
         route = reference._g_check_route(c, ctx)
         with pytest.raises(CrossCheckFailure, match=route):
             reference.exp_e1(c, ctx)
@@ -508,7 +491,7 @@ class TestGCheck:
         # about e**c/c: summed at c log2(e) extra bits instead of 2 c log2(e),
         # it raised a false CrossCheckFailure on G(100) here
         c = Fraction(c)
-        reference._g_by_method.cache_clear()
+        reference.exp_e1.cache_clear()
         assert reference._g_check_route(c, TOP_RUNG) == "anchored series"
         assert reference.exp_e1(c, TOP_RUNG) == reference._g_series(c,
                                                                    TOP_RUNG)
