@@ -23,12 +23,19 @@ runs; to compare two trees, run this script on each.
 - Digamma-series coefficients: every `digamma_series_coeff(k, m)` that
   `conjecture --max-m 20` uses, in both conventions (an integer Horner from
   an empty Stirling table).
-- Exact layer: the family-2 r = 1 pairs from `corollary2_pair` (weighted
-  span rows, emptied first) for m <= 100 and m <= 200 (the `--max-m` cap).
+- Exact layer: the family-2 r = 1 and family-1 r = 0 pairs for m <= 100
+  and m <= 200 (the `--max-m` cap), from `corollary{1,2}_pair` one m at a
+  time (weighted span rows) and from `table_pairs`'s one binomial
+  transform, the span rows emptied first.
 - Identity grids: `gauss_grid`, `gen_binomial_grid` and `int_binomial_grid`
   at m <= 25 (the `tables` workload's `identities --max-m 25`) and m <= 40,
-  each read row by row from integer tables built once per row, with, for
-  `gauss_grid`, the distinct instances and the 2F1 sums it made.
+  each walked to its end (the grids yield integer points, read row by row
+  from tables built once per row), with, for `gauss_grid`, the distinct
+  instances and the 2F1 sums it made.
+- Tables, fresh: the commands of TABLES_FRESH_COMMANDS (`identities` at
+  m <= 25 and at the cap m <= 100 in each format, and `approx --corollary 1
+  --r 0 --max-m 200`) in fresh processes, as for G_FRESH_COMMANDS below,
+  with their peak RSS.
 - Theorem: `series_partial_trend(2/3, 0, 200)` at 30 digits, the whole of
   `theorem --u 2/3 --max-m 200` but for printing.
 - Small u: `series_partial_trend(1/100, 0, 60)` at 30 digits, the whole of
@@ -80,6 +87,7 @@ import statistics
 import subprocess
 import sys
 import time
+from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
@@ -103,8 +111,9 @@ K0_DIGITS = (30, 300, 1000)
 K0_U = (Fraction(1), Fraction(1, 100), Fraction(1, 1000))
 #: `conjecture --max-m M` uses the coefficients (k, m + 1) for k <= m <= M
 CONJECTURE_MAX_M = 20
-FAMILY2_R = 1
-FAMILY2_MAX_M = (100, approximants.DEFAULT_M_MAX_CAP)
+#: (family, r) of the exact-layer pairs
+PAIR_CASES = ((2, 1), (1, 0))
+PAIR_MAX_M = (100, approximants.DEFAULT_M_MAX_CAP)
 GRID_MAX_M = (25, 40)
 #: `theorem --u 2/3 --max-m 200`: r = 0, c = 1/u = 3/2
 THEOREM_U = Fraction(2, 3)
@@ -141,6 +150,10 @@ G_FRESH_COMMANDS = (*G_PROFILE_COMMANDS[:4],
                     ("delta", "--digits", "150", "--method", "quadrature"),
                     ("delta", "--digits", "1000", "--method", "quadrature"))
 G_FRESH_RUNS = 3
+TABLES_FRESH_COMMANDS = (
+    *(("identities", "--max-m", m, "--format", fmt)
+      for m in ("25", "100") for fmt in ("text", "csv", "json")),
+    ("approx", "--corollary", "1", "--r", "0", "--max-m", "200"))
 #: the guard digits of every G(c) that is not a rung
 BASE_GUARD = 15
 #: besides every gompertz module; dataclasses, json and csv appear only
@@ -298,12 +311,18 @@ def bench_digamma_coeffs() -> list:
 def bench_exact_layer() -> list:
     # the span rows are emptied before each run, so every run is cold
     rows = []
-    for m_max in FAMILY2_MAX_M:
-        ms = range(FAMILY2_R, m_max + 1)
-        pairs = timed(integrals._span_tables.clear, lambda: [
-            approximants.corollary2_pair(m, FAMILY2_R) for m in ms])
-        rows.append({"case": f"family 2 r={FAMILY2_R} pairs m<={m_max}",
-                     "span_weighted": pairs})
+    for family, r in PAIR_CASES:
+        pair = (approximants.corollary1_pair if family == 1
+                else approximants.corollary2_pair)
+        for m_max in PAIR_MAX_M:
+            ms = range(max(r, 1), m_max + 1)
+            rows.append({
+                "case": f"family {family} r={r} pairs m<={m_max}",
+                "span_weighted": timed(integrals._span_tables.clear,
+                                       lambda: [pair(m, r) for m in ms]),
+                "one_pass": timed(integrals._span_tables.clear,
+                                  lambda: approximants.table_pairs(
+                                      family, r, m_max))})
     return rows
 
 
@@ -320,7 +339,7 @@ def count_hypergeom_sums(m_max: int) -> int:
 
     verify._hypergeom_pair = counted
     try:
-        verify.gauss_grid(m_max)
+        list(verify.gauss_grid(m_max))
     finally:
         verify._hypergeom_pair = hypergeom_pair
     return calls
@@ -331,13 +350,14 @@ def bench_identity_grids() -> list:
     for grid in (verify.gauss_grid, verify.gen_binomial_grid,
                  verify.int_binomial_grid):
         for m_max in GRID_MAX_M:
-            reports = grid(m_max)
+            points = list(grid(m_max))
             row = {"case": f"{grid.__name__}(m_max={m_max})",
-                   "points": len(reports),
-                   "row_kernels": timed(lambda: None, lambda: grid(m_max))}
+                   "points": len(points),
+                   "row_kernels": timed(lambda: None,
+                                        lambda: deque(grid(m_max), 0))}
             if grid is verify.gauss_grid:
                 row["distinct_instances"] = len(
-                    {tuple(rep.parameters.items()) for rep in reports})
+                    {tuple(point[1].items()) for point in points})
                 row["hypergeom_sums"] = count_hypergeom_sums(m_max)
             rows.append(row)
     return rows
@@ -550,6 +570,7 @@ def main() -> None:
         "digamma_series_coeff": bench_digamma_coeffs(),
         "exact_layer": bench_exact_layer(),
         "identity_grids": bench_identity_grids(),
+        "tables_fresh": [fresh_cli(argv) for argv in TABLES_FRESH_COMMANDS],
         "theorem": bench_theorem(),
         "small_u": bench_small_u(),
         "g_check": bench_g_check(),

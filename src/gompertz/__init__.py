@@ -23,7 +23,7 @@ from .verify import (DigammaSeriesPoint, HyperGeomParams, IdentityReport,
                      check_gen_binomial_sum, check_int_binomial_sum,
                      digamma_series_coeff, digamma_series_rhs,
                      digamma_series_scan, gauss_grid, gen_binomial_grid,
-                     hypergeom_terminating, int_binomial_grid,
-                     series_partial_trend)
+                     hypergeom_terminating, identity_report,
+                     int_binomial_grid, point_verdict, series_partial_trend)
 
 __version__ = "0.1.0"

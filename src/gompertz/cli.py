@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import argparse
 import errno
-import io
 import os
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import chain
 
 from mpmath import mp
 
@@ -25,10 +25,11 @@ from .exactmath import B1_MINUS_HALF, B1_PLUS_HALF
 from .precision import (MAX_DECIMAL_DIGITS, PrecisionContext, bigfloat_str,
                         to_bigfloat)
 from .reference import delta_reference
-from .verify import (FAIL, IDENTITY_M_MAX_CAP, SKIPPED, HyperGeomParams,
-                     calibrated_convention, check_gauss_terminating,
+from .verify import (EXACT_PASS, FAIL, IDENTITY_M_MAX_CAP, SKIPPED,
+                     HyperGeomParams, calibrated_convention,
                      digamma_series_scan, gauss_grid, gen_binomial_grid,
-                     int_binomial_grid, series_partial_trend)
+                     hypergeom_terminating, identity_report,
+                     int_binomial_grid, point_verdict, series_partial_trend)
 
 _METHODS = {"quadrature": "quadrature", "e1": "e_times_E1",
             "cross": "cross_validated"}
@@ -121,7 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_output(text: str, out_path: str) -> None:
+def _write_output(write, out_path: str) -> int:
+    """write(fh) into a temporary file beside out_path, moved onto it once
+    complete; returns write's exit code."""
     # a directory is refused before mkstemp: for "." the directory below
     # is the working directory's parent, outside the target
     if os.path.isdir(out_path):
@@ -131,12 +134,13 @@ def _write_output(text: str, out_path: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gompertz-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            code = write(fh)
         os.replace(tmp, out_path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return code
 
 
 def _table_lines(header, rows) -> list[str]:
@@ -144,32 +148,44 @@ def _table_lines(header, rows) -> list[str]:
 
 
 def _report(args: argparse.Namespace, payload: dict, header, rows, lines,
-            code: int = 0) -> tuple[str, int]:
-    """One command's output in args.format, with its exit code. JSON is the
-    payload, whose "rows" entry becomes one object per row, without the
+            code: int = 0):
+    """The function that writes one command's output in args.format to a
+    stream, row by row, so that rows may be a one-pass iterable, and
+    returns code. JSON is the bytes of json.dumps(payload, indent=2), whose
+    last entry "rows" stands for the rows, one object each, without the
     columns the payload already carries at top level (these come last in
-    header, so zip stops before them); CSV is the header and rows as they
-    are; text is the lines."""
-    if args.format == "json":
-        import json  # here, so that no other format pays for the import
-        if "rows" in payload:
+    header); CSV is the header and rows as they are; text is the lines."""
+    def write(out) -> int:
+        if args.format == "text":
+            out.writelines(line + "\n" for line in lines)
+        elif args.format == "csv":
+            import csv  # here, so that no other format pays for the import
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        elif "rows" not in payload:
+            import json
+            out.write(json.dumps(payload, indent=2) + "\n")
+        else:
+            import json
+            encode = json.JSONEncoder().encode  # json.dumps, less its checks
             names = [k for k in header if k not in payload]
-            payload = dict(payload,
-                           rows=[dict(zip(names, row)) for row in rows])
-        return json.dumps(payload, indent=2) + "\n", code
-    if args.format == "csv":
-        import csv
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return buffer.getvalue(), code
-    return "\n".join(lines) + "\n", code
+            obj = "    {\n%s\n    }" % ",\n".join(f"      {encode(k)}: %s"
+                                                   for k in names)
+            head = json.dumps(dict(payload, rows=[]), indent=2)
+            out.write(head[:-len("[]\n}")])
+            sep = "[\n"
+            for row in rows:
+                out.write(sep + obj % tuple(map(encode, row[:len(names)])))
+                sep = ",\n"
+            out.write("[]\n}\n" if sep == "[\n" else "\n  ]\n}\n")
+        return code
+    return write
 
 
 # --- command implementations ---------------------------------------------------
 
-def _run_delta(args: argparse.Namespace) -> tuple[str, int]:
+def _run_delta(args: argparse.Namespace):
     method = _METHODS[args.method]
     value = bigfloat_str(delta_reference(PrecisionContext(args.digits), method),
                          args.digits)
@@ -179,7 +195,7 @@ def _run_delta(args: argparse.Namespace) -> tuple[str, int]:
                    [[method, args.digits, value]], [f"delta = {value}"])
 
 
-def _run_approx(args: argparse.Namespace) -> tuple[str, int]:
+def _run_approx(args: argparse.Namespace):
     ctx = PrecisionContext(args.digits)
     table = approx_table(args.corollary, args.r, args.m_max, ctx)
     sign = table[0].target_sign
@@ -199,7 +215,7 @@ def _run_approx(args: argparse.Namespace) -> tuple[str, int]:
     return _report(args, payload, header, rows, lines)
 
 
-def _run_theorem(args: argparse.Namespace) -> tuple[str, int]:
+def _run_theorem(args: argparse.Namespace):
     ctx = PrecisionContext(args.digits)
     if args.m_max < args.r:
         raise DomainError(
@@ -221,50 +237,67 @@ def _run_theorem(args: argparse.Namespace) -> tuple[str, int]:
     return _report(args, payload, header, rows, lines)
 
 
-def _identity_rows(args: argparse.Namespace):
-    # without --max-m each grid keeps its own default cap
-    cap = {} if args.m_max is None else {"m_max": args.m_max}
+_TALLY = {EXACT_PASS: "pass", FAIL: "fail", SKIPPED: "skipped"}
+
+
+def _identity_rows(points, counts: dict, keep=tuple(_TALLY)):
+    """The row [identity, params, verdict, residual] of each point whose
+    verdict is in keep, as every point is counted into counts by identity.
+    A pass has residual 0: only a fail or a skip builds its report."""
+    name = None
+    for point in points:
+        verdict = point_verdict(point)
+        if point[0] != name:  # each grid's points come together
+            name = point[0]
+            bucket = counts.setdefault(name, {"points": 0, "pass": 0,
+                                              "fail": 0, "skipped": 0})
+        bucket["points"] += 1
+        bucket[_TALLY[verdict]] += 1
+        if verdict in keep:
+            yield [name, " ".join(map("=".join, point[1].items())), verdict,
+                   "0" if verdict == EXACT_PASS
+                   else str(identity_report(*point).residual)]
+
+
+def _run_identities(args: argparse.Namespace):
     if args.m_max is not None and args.m_max > IDENTITY_M_MAX_CAP:
         raise DomainError(f"--max-m capped at {IDENTITY_M_MAX_CAP}")
-    reports = [*gen_binomial_grid(**cap), *int_binomial_grid(**cap),
-               *gauss_grid(**cap)]
-    if args.inject_fault:
-        # negative control: a deliberately wrong closed form must Fail
-        p = HyperGeomParams(Fraction(1), Fraction(-1), Fraction(2), Fraction(1))
-        bad = check_gauss_terminating(p, Fraction(3, 2))  # true value is 1/2
-        reports.append(bad._replace(
-            parameters=dict(bad.parameters, fault="injected")))
-    return reports
+    # without --max-m each grid keeps its own default cap
+    cap = {} if args.m_max is None else {"m_max": args.m_max}
+    # negative control: a deliberately wrong closed form must Fail
+    faults = [("gauss_terminating",
+               {"a": "1", "b": "-1", "c": "2", "x": "1", "fault": "injected"},
+               hypergeom_terminating(HyperGeomParams(1, -1, 2, 1))
+               .as_integer_ratio(), (3, 2))] if args.inject_fault else []
+
+    def walk(counts, *keep):
+        return _identity_rows(chain(gen_binomial_grid(**cap),
+                                    int_binomial_grid(**cap),
+                                    gauss_grid(**cap), faults), counts, *keep)
+
+    def write(out) -> int:
+        counts: dict[str, dict[str, int]] = {}
+        payload = lines = None
+        if args.format == "csv":  # counted as the rows are written
+            rows = walk(counts)
+        else:  # the counts come first: a counting walk, keeping the fails
+            rows = fails = list(walk(counts, (FAIL,)))
+            lines = [f"{name}: {c['points']} points, {c['pass']} pass, "
+                     f"{c['fail']} fail, {c['skipped']} skipped"
+                     for name, c in sorted(counts.items())]
+            lines += [f"FAIL {r[0]} [{r[1]}] residual={r[3]}" for r in fails]
+            lines.append(f"{len(fails)} failure(s)" if fails else "all passed")
+            if args.format == "json":
+                rows = walk({})
+            payload = {"command": "identities", "summary": counts,
+                       "failures": len(fails), "rows": rows}
+        _report(args, payload, ["identity", "params", "verdict", "residual"],
+                rows, lines)(out)
+        return 1 if any(c["fail"] for c in counts.values()) else 0
+    return write
 
 
-def _run_identities(args: argparse.Namespace) -> tuple[str, int]:
-    reports = _identity_rows(args)
-    counts: dict[str, dict[str, int]] = {}
-    for rep in reports:
-        bucket = counts.setdefault(rep.identity_name,
-                                   {"points": 0, "pass": 0, "fail": 0,
-                                    "skipped": 0})
-        bucket["points"] += 1
-        bucket[{FAIL: "fail", SKIPPED: "skipped"}.get(rep.verdict, "pass")] += 1
-    failures = sum(c["fail"] for c in counts.values())
-    if args.format == "text":  # prints the counts and the failing rows only
-        reports = [rep for rep in reports if rep.verdict == FAIL]
-    rows = [[rep.identity_name,
-             " ".join(f"{k}={v}" for k, v in rep.parameters.items()),
-             rep.verdict, str(rep.residual)] for rep in reports]
-    lines = [f"{name}: {c['points']} points, {c['pass']} pass, "
-             f"{c['fail']} fail, {c['skipped']} skipped"
-             for name, c in sorted(counts.items())]
-    lines += [f"FAIL {r[0]} [{r[1]}] residual={r[3]}"
-              for r in rows if r[2] == FAIL]
-    lines.append("all passed" if failures == 0 else f"{failures} failure(s)")
-    payload = {"command": "identities", "summary": counts,
-               "failures": failures, "rows": rows}
-    return _report(args, payload, ["identity", "params", "verdict", "residual"],
-                   rows, lines, 1 if failures else 0)
-
-
-def _run_conjecture(args: argparse.Namespace) -> tuple[str, int]:
+def _run_conjecture(args: argparse.Namespace):
     if args.m_max > DEFAULT_M_MAX_CAP:
         raise DomainError(f"--max-m capped at {DEFAULT_M_MAX_CAP}")
     ctx = PrecisionContext(args.digits)
@@ -292,6 +325,7 @@ def _run_conjecture(args: argparse.Namespace) -> tuple[str, int]:
     return _report(args, payload, header, rows, lines)
 
 
+#: Each runner checks its arguments and returns its output's writer.
 _RUNNERS = {"delta": _run_delta, "approx": _run_approx,
             "theorem": _run_theorem, "identities": _run_identities,
             "conjecture": _run_conjecture}
@@ -300,7 +334,15 @@ _RUNNERS = {"delta": _run_delta, "approx": _run_approx,
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed command; returns the process exit code."""
     try:
-        text, code = _RUNNERS[args.command](args)
+        write = _RUNNERS[args.command](args)
+        if args.out_path is None:
+            return write(sys.stdout)
+        try:
+            return _write_output(write, args.out_path)
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write {args.out_path}: "
+                             f"{exc.strerror or exc}\n")
+            return 2
     except (DomainError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -310,16 +352,6 @@ def run(args: argparse.Namespace) -> int:
     except GompertzError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    if args.out_path is None:
-        sys.stdout.write(text)
-        return code
-    try:
-        _write_output(text, args.out_path)
-    except OSError as exc:
-        sys.stderr.write(f"error: cannot write {args.out_path}: "
-                         f"{exc.strerror or exc}\n")
-        return 2
-    return code
 
 
 def main(argv=None) -> int:

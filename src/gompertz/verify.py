@@ -2,11 +2,11 @@
 with their Gauss closed forms, the two alternating binomial-sum identities
 (exact over Q), partial sums of the double series converging to u, and the
 digamma-series harness with its convention calibration. The identity grids
-run row by row over integer tables built once per row: each point's left
-side is one integer dot product or suffix sum, compared with its closed
-form by cross-multiplication. The numeric half reads only log_moment_sum
-and digamma; the shift expansion of the normalized log-moments, a property
-test of the quadrature, is an oracle in tests/integral_oracles.py.
+yield each point's two sides as unreduced integer pairs, from tables built
+once per row, and point_verdict compares them by cross-multiplication alone.
+The numeric half reads only log_moment_sum and digamma; the shift expansion
+of the normalized log-moments, a property test of the quadrature, is an
+oracle in tests/integral_oracles.py.
 """
 
 from __future__ import annotations
@@ -60,17 +60,29 @@ IdentityReport = namedtuple("IdentityReport", "identity_name parameters lhs "
                             "rhs verdict residual tolerance", defaults=(None,))
 
 
-def _compare_pairs(name: str, params: dict, lhs: tuple[int, int],
-                   rhs: tuple[int, int]) -> IdentityReport:
-    """Exact comparison of the unreduced integer ratios lhs = (ln, ld) and
-    rhs = (rn, rd), nonzero denominators of either sign, by ln*rd == rn*ld.
-    A pass reduces the closed form rhs, the same value in fewer digits,
-    reported as both sides; a fail reduces both and reports lhs - rhs."""
-    (ln, ld), (rn, rd) = lhs, rhs
-    if ln * rd == rn * ld:
-        value = Fraction(rn, rd)
-        return IdentityReport(name, params, value, value, EXACT_PASS, _ZERO)
-    left, right = Fraction(ln, ld), Fraction(rn, rd)
+def point_verdict(point: tuple) -> str:
+    """The verdict of an identity point (identity_name, parameters, lhs,
+    rhs), whose sides are unreduced integer ratios (n, d), nonzero d of
+    either sign, by cross-multiplication alone; rhs is None where the
+    closed form is undefined, and the point is skipped."""
+    lhs, rhs = point[2:]
+    if rhs is None:
+        return SKIPPED
+    return EXACT_PASS if lhs[0] * rhs[1] == rhs[0] * lhs[1] else FAIL
+
+
+def identity_report(name: str, params: dict, lhs: tuple[int, int] | None,
+                    rhs: tuple[int, int] | None) -> IdentityReport:
+    """The report of an identity point (see point_verdict). A pass reduces
+    the closed form rhs, the same value in fewer digits, reported as both
+    sides; a fail reduces both and reports lhs - rhs."""
+    verdict = point_verdict((name, params, lhs, rhs))
+    if verdict == SKIPPED:
+        return IdentityReport(name, params, None, None, SKIPPED, _M_EQUALS_R)
+    right = Fraction(*rhs)
+    if verdict == EXACT_PASS:
+        return IdentityReport(name, params, right, right, EXACT_PASS, _ZERO)
+    left = Fraction(*lhs)
     return IdentityReport(name, params, left, right, FAIL, left - right)
 
 
@@ -112,8 +124,8 @@ def check_gauss_terminating(p: HyperGeomParams,
     """Exact comparison of the terminating sum against its Gauss closed form
     (supplied already reduced to a rational)."""
     params = {"a": str(p.a), "b": str(p.b), "c": str(p.c), "x": str(p.x)}
-    return _compare_pairs("gauss_terminating", params, _terminating_pair(p),
-                          Fraction(closed_form).as_integer_ratio())
+    return identity_report("gauss_terminating", params, _terminating_pair(p),
+                           Fraction(closed_form).as_integer_ratio())
 
 
 def _factorial_ratios(n: int) -> list[int]:
@@ -122,8 +134,9 @@ def _factorial_ratios(n: int) -> list[int]:
 
 
 def _gen_binomial_row(m: int, r: int, eps: Fraction):
-    """check_gen_binomial_sum at (m, r, eps) as a function of (i, params,
-    _factorial_ratios(m - i)), over tables A_j, E_j, D_m built once."""
+    """The row A_j of check_gen_binomial_sum at (m, r, eps), and its point
+    as a function of (i, params, sum_{j>=i} A_j (m-i)!/(j-i)!), over tables
+    A_j, E_j, D_m built once."""
     p, q = Fraction(eps).as_integer_ratio()
     if q == 1:  # else a factor p + s*q could vanish
         raise DomainError("eps must be a non-integer rational")
@@ -135,15 +148,24 @@ def _gen_binomial_row(m: int, r: int, eps: Fraction):
     d_m = dens[-1]
     terms = [head * (d_m // den) for head, den in zip(heads, dens)]
 
-    def point(i: int, params: dict, ratios: list[int]) -> IdentityReport:
+    def point(i: int, params: dict, dot: int) -> tuple:
         n = m - i
-        lhs = (q ** i * sum(map(mul, terms[i:], ratios)),
-               starts[i] * d_m * ratios[0])
+        lhs = (q ** i * dot, starts[i] * d_m * factorial(n))
         # the integer binomial's (m-i)! cancels the inverted one's m!
         rn = prod(range(1 - r, n + 1 - r)) * q ** m * perm(m, i)
-        return _compare_pairs("gen_binomial_sum", params, lhs,
-                              (-rn if i % 2 else rn, d_m))
-    return point
+        return "gen_binomial_sum", params, lhs, (-rn if i % 2 else rn, d_m)
+    return terms, point
+
+
+def _horner_dots(terms: list[int]) -> list[int]:
+    """sum_{j>=i} A_j (m-i)!/(j-i)! at [i] for every i <= m, terms = A_0..A_m,
+    by Horner in k = j - i for every i at once: after step k, acc[i] is
+    sum_{l<=k} A_{i+l} k!/l!, the dot of i = m - k as the last entry."""
+    acc, dots = terms, [terms[-1]]
+    for k in range(1, len(terms)):
+        acc = [a * k + t for a, t in zip(acc, terms[k:])]
+        dots.append(acc[-1])
+    return dots[::-1]
 
 
 def check_gen_binomial_sum(m: int, i: int, r: int,
@@ -162,9 +184,10 @@ def check_gen_binomial_sum(m: int, i: int, r: int,
     product per i with the row of A_j of (m, r, eps)."""
     if not (0 <= i <= m) or r < 0:
         raise DomainError(f"need 0 <= i <= m and r >= 0, got m={m} i={i} r={r}")
-    point = _gen_binomial_row(m, r, eps)  # refuses an integer eps first
-    return point(i, {"m": str(m), "i": str(i), "r": str(r),
-                     "eps": str(Fraction(eps))}, _factorial_ratios(m - i))
+    terms, point = _gen_binomial_row(m, r, eps)  # refuses an integer eps
+    params = {"m": str(m), "i": str(i), "r": str(r), "eps": str(Fraction(eps))}
+    return identity_report(*point(i, params, sum(map(
+        mul, terms[i:], _factorial_ratios(m - i)))))
 
 
 def _int_binomial_row(m: int, r: int) -> list[int]:
@@ -181,10 +204,10 @@ def check_int_binomial_sum(m: int, j: int, r: int) -> IdentityReport:
         raise DomainError(f"need 0 <= r <= j <= m, got m={m} j={j} r={r}")
     if m == r:
         raise DegenerateCase(_M_EQUALS_R)
-    return _compare_pairs("int_binomial_sum",
-                          {"m": str(m), "j": str(j), "r": str(r)},
-                          (_int_binomial_row(m, r)[j - r], 1),
-                          _int_binomial_closed_form(m, j, r))
+    return identity_report("int_binomial_sum",
+                           {"m": str(m), "j": str(j), "r": str(r)},
+                           (_int_binomial_row(m, r)[j - r], 1),
+                           _int_binomial_closed_form(m, j, r))
 
 
 def _int_binomial_closed_form(m: int, j: int, r: int) -> tuple[int, int]:
@@ -193,53 +216,49 @@ def _int_binomial_closed_form(m: int, j: int, r: int) -> tuple[int, int]:
     return -num if j % 2 else num, m - r
 
 
-def gauss_grid(m_max: int = 15) -> list[IdentityReport]:
-    """All terminating Gauss instances F(1, j-m, 1+j-r; 1) = (j-r)/(m-r)
-    over 1 <= r < j <= m <= m_max. A point depends on n = m-j and d = j-r
-    only, so each distinct instance is summed once, its report repeated."""
+def gauss_grid(m_max: int = 15):
+    """The points (see point_verdict) of all terminating Gauss instances
+    F(1, j-m, 1+j-r; 1) = (j-r)/(m-r) over 1 <= r < j <= m <= m_max. A point
+    depends on n = m-j and d = j-r only, so each distinct instance is
+    summed once, its point repeated."""
     # b = -n <= 0 and c = 1+d >= 2 on this grid, so the parameters need
     # none of check_gauss_terminating's validation: no c + k vanishes
-    rows = [[None] + [_compare_pairs(
-        "gauss_terminating",
-        {"a": "1", "b": str(-n), "c": str(1 + d), "x": "1"},
-        _hypergeom_pair(1, 1, n, 1 + d, 1, 1, 1), (d, d + n))
-        for d in range(1, m_max - n)] for n in range(m_max)]
-    return [rows[m - j][j - r] for m in range(1, m_max + 1)
-            for j in range(1, m + 1) for r in range(1, j)]
+    rows = [[None] + [("gauss_terminating",
+                       {"a": "1", "b": str(-n), "c": str(1 + d), "x": "1"},
+                       _hypergeom_pair(1, 1, n, 1 + d, 1, 1, 1), (d, d + n))
+                      for d in range(1, m_max - n)] for n in range(m_max)]
+    return (rows[m - j][j - r] for m in range(1, m_max + 1)
+            for j in range(1, m + 1) for r in range(1, j))
 
 
-def gen_binomial_grid(m_max: int = 12) -> list[IdentityReport]:
-    """check_gen_binomial_sum over i <= m <= m_max, r <= 3 and eps in
-    EPS_WINDOW_SAMPLES, nested in that order, from one _gen_binomial_row
-    per (m, r, eps) and one _factorial_ratios row per m - i."""
+def gen_binomial_grid(m_max: int = 12):
+    """Yield check_gen_binomial_sum's points over i <= m <= m_max, r <= 3
+    and eps in EPS_WINDOW_SAMPLES, nested in that order, from one
+    _gen_binomial_row and one _horner_dots per (m, r, eps)."""
     names = [str(k) for k in range(max(m_max, 3) + 1)]
-    ratios = [_factorial_ratios(n) for n in range(m_max + 1)]
-    out = []
     for m in range(m_max + 1):
-        rows = [(names[r], _gen_binomial_row(m, r, eps), str(eps))
-                for r in range(4) for eps in EPS_WINDOW_SAMPLES]
-        out += [point(i, {"m": names[m], "i": names[i], "r": r_name,
-                          "eps": eps_name}, ratios[m - i])
-                for i in range(m + 1) for r_name, point, eps_name in rows]
-    return out
+        rows = [(names[r], str(eps), point, _horner_dots(terms))
+                for r in range(4) for eps in EPS_WINDOW_SAMPLES
+                for terms, point in [_gen_binomial_row(m, r, eps)]]
+        yield from (point(i, {"m": names[m], "i": names[i], "r": r_name,
+                              "eps": eps_name}, dots[i])
+                    for i in range(m + 1) for r_name, eps_name, point, dots
+                    in rows)
 
 
-def int_binomial_grid(m_max: int = 20) -> list[IdentityReport]:
-    """check_int_binomial_sum over r <= j <= m <= m_max, nested in that
-    order, from one _int_binomial_row per (m, r); each m ends with its
-    degenerate point j = r = m, reported as skipped."""
-    names, out = [str(k) for k in range(m_max + 1)], []
+def int_binomial_grid(m_max: int = 20):
+    """Yield check_int_binomial_sum's points over r <= j <= m <= m_max,
+    nested in that order, from one _int_binomial_row per (m, r); each m
+    ends with its degenerate point j = r = m, whose rhs is None."""
+    names = [str(k) for k in range(m_max + 1)]
     for m in range(m_max + 1):
         rows = [_int_binomial_row(m, r) for r in range(m)]
-        out += [_compare_pairs("int_binomial_sum",
-                               {"m": names[m], "j": names[j], "r": names[r]},
-                               (rows[r][j - r], 1),
-                               _int_binomial_closed_form(m, j, r))
-                for j in range(m + 1) for r in range(min(j + 1, m))]
-        out.append(IdentityReport(
-            "int_binomial_sum", {"m": names[m], "j": names[m], "r": names[m]},
-            None, None, SKIPPED, _M_EQUALS_R))
-    return out
+        yield from (("int_binomial_sum",
+                     {"m": names[m], "j": names[j], "r": names[r]},
+                     (rows[r][j - r], 1), _int_binomial_closed_form(m, j, r))
+                    for j in range(m + 1) for r in range(min(j + 1, m)))
+        yield ("int_binomial_sum",
+               {"m": names[m], "j": names[m], "r": names[m]}, None, None)
 
 
 # --- partial sums of the double series whose limit is u -------------------------

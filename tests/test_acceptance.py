@@ -12,7 +12,7 @@ from gompertz import (B1_MINUS_HALF, B1_PLUS_HALF, PrecisionContext,
                       corollary1_pair, corollary2_pair, delta_reference,
                       digamma, digamma_series_scan, euler_gamma,
                       frac_integral_closed, g_span_eval, gauss_grid,
-                      gen_binomial_grid, int_binomial_grid,
+                      gen_binomial_grid, identity_report, int_binomial_grid,
                       log_integral_closed, series_partial_trend)
 from gompertz.cli import main as cli_main
 from gompertz.verify import EXACT_PASS, NUMERIC_PASS, SKIPPED
@@ -31,9 +31,9 @@ def report(name, ok, detail=""):
 
 def test_01_exact_identity_suite():
     start = time.monotonic()
-    gen = gen_binomial_grid(m_max=12)
-    intb = int_binomial_grid(m_max=20)
-    gauss = gauss_grid(m_max=15)
+    gen = [identity_report(*p) for p in gen_binomial_grid(m_max=12)]
+    intb = [identity_report(*p) for p in int_binomial_grid(m_max=20)]
+    gauss = [identity_report(*p) for p in gauss_grid(m_max=15)]
     elapsed = time.monotonic() - start
     gen_ok = all(r.verdict == EXACT_PASS for r in gen)
     intb_ok = all(r.verdict in (EXACT_PASS, SKIPPED) for r in intb)

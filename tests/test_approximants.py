@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import comb, factorial
 
@@ -9,6 +10,7 @@ from gompertz import (DomainError, PrecisionContext, approx_table,
                       corollary1_pair, corollary2_pair, delta_reference,
                       error_decay_report, frac_integral_closed,
                       log_integral_coeffs)
+from gompertz import approximants
 from gompertz.approximants import DEFAULT_M_MAX_CAP
 
 
@@ -283,6 +285,57 @@ class TestTable:
             approx_table(1, 3, 2, ctx30)
         with pytest.raises(DomainError):
             approx_table(1, 0, 10 ** 6, ctx30)
+
+
+def table_rows(corollary, r, m_max, ctx):
+    return [(row.m, row.a, row.b)
+            for row in approx_table(corollary, r, m_max, ctx)]
+
+
+def per_point_pairs(corollary, r, m_max):
+    pair = corollary1_pair if corollary == 1 else corollary2_pair
+    return [(m, *pair(m, r)) for m in range(max(r, 1), m_max + 1)]
+
+
+class TestOnePassTable:
+    """approx_table makes every m <= M from one binomial transform of S_k;
+    each row must be the per-point pair."""
+
+    @pytest.mark.parametrize("corollary, r", [(1, 0), (1, 1), (1, 2), (1, 3),
+                                              (2, 1), (2, 2), (2, 3)])
+    def test_rows_are_the_per_point_pairs(self, ctx30, corollary, r):
+        for m_max in sorted({max(r, 1), r + 1, 7, DEFAULT_M_MAX_CAP}):
+            assert (table_rows(corollary, r, m_max, ctx30)
+                    == per_point_pairs(corollary, r, m_max))
+
+    @pytest.mark.parametrize("corollary, r", [(1, 0), (2, 1)])
+    def test_perturbed_s_is_caught(self, ctx30, monkeypatch, corollary, r):
+        transform = approximants._binomial_transform
+
+        def perturbed(s, k=5, by=1):
+            return transform(s[:k] + [s[k] + by] + s[k + 1:])
+
+        monkeypatch.setattr(approximants, "_binomial_transform", perturbed)
+        with pytest.raises(ArithmeticError, match="not divisible"):
+            approx_table(corollary, r, DEFAULT_M_MAX_CAP, ctx30)
+        # a multiple of M! divides exactly: the rows are wrong instead
+        monkeypatch.setattr(
+            approximants, "_binomial_transform",
+            lambda s: perturbed(s, by=factorial(DEFAULT_M_MAX_CAP)))
+        rows = table_rows(corollary, r, DEFAULT_M_MAX_CAP, ctx30)
+        want = per_point_pairs(corollary, r, DEFAULT_M_MAX_CAP)
+        assert rows[:5 - max(r, 1)] == want[:5 - max(r, 1)]
+        assert all(row != pair for row, pair in zip(rows[5 - max(r, 1):],
+                                                    want[5 - max(r, 1):]))
+
+    def test_domain_messages(self, ctx30):
+        for corollary, r, m_max, message in (
+                (1, -1, 5, "r must be nonnegative"),
+                (2, 0, 5, "r must be positive for family 2"),
+                (2, -1, 5, "r must be positive for family 2"),
+                (1, 6, 5, "need m_max >= max(r,1), got m_max=5 r=6")):
+            with pytest.raises(DomainError, match=rf"^{re.escape(message)}$"):
+                approx_table(corollary, r, m_max, ctx30)
 
 
 class TestDecayReport:

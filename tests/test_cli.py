@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -182,9 +183,12 @@ class TestIdentities:
         assert len(fails) == 1
         assert "fault=injected" in fails[0]["params"]
 
-    # sha256 of the stdout of `identities --max-m 25 --format FORMAT`, as
-    # printed by the per-point grids the row kernels replaced
+    # sha256 of the stdout of `identities --max-m 25 --format FORMAT`: csv
+    # and json as printed by the per-point grids the row kernels replaced,
+    # text as printed before the output was written row by row
     @pytest.mark.parametrize("fmt, digest", [
+        ("text", "9fea6a4f055427648e675ab0906ee0a4"
+                 "5b512dbfc7a478f0aeb63ee0c52b8d30"),
         ("csv", "cebdd041692afa8a1f6b646e8d4b447e"
                 "19f932f4b5fd85e63252aeac5233ff60"),
         ("json", "306fa2ba7630040b7dc9e655c71a8e10"
@@ -201,15 +205,75 @@ class TestIdentities:
         assert (code, out) == (2, "")
         assert err == "error: --max-m capped at 100\n"
 
+    @pytest.mark.parametrize("fmt", ("csv", "json"))
+    def test_max_m_above_cap_writes_no_byte(self, capsys, fmt):
+        # as in text: the cap is checked before the first row is written
+        code, out, err = run_cli(capsys, "identities", "--max-m", "101",
+                                 "--format", fmt)
+        assert (code, out, err) == (2, "", "error: --max-m capped at 100\n")
+
     def test_max_m_at_cap_is_accepted(self, capsys, monkeypatch):
         # the grids are stubbed: only the cap is under test here
         seen = []
         for name in ("gen_binomial_grid", "int_binomial_grid", "gauss_grid"):
             monkeypatch.setattr(cli, name,
-                                lambda m_max: seen.append(m_max) or [])
+                                lambda m_max: seen.append(m_max) or iter(()))
         code, out, err = run_cli(capsys, "identities", "--max-m", "100")
         assert (code, out, err) == (0, "all passed\n", "")
         assert seen == [100, 100, 100]
+
+    def test_text_builds_a_report_only_for_a_fail(self, capsys,
+                                                   monkeypatch):
+        built = []
+
+        def spy(*fields):
+            built.append(report(*fields))
+            return built[-1]
+
+        report = verify.IdentityReport
+        monkeypatch.setattr(verify, "IdentityReport", spy)
+        code, out, _ = run_cli(capsys, "identities", "--max-m", "6",
+                               "--inject-fault")
+        assert code == 1
+        counts = [line.split(": ")[1].split(", ")
+                  for line in out.splitlines() if " points, " in line]
+        fails = sum(int(c[2].split()[0]) for c in counts)
+        skips = sum(int(c[3].split()[0]) for c in counts)
+        assert (fails, skips) == (1, 7)
+        # the one failing row needs its residual; a skip is only counted
+        assert [rep.verdict for rep in built] == ["Fail"]
+
+    @pytest.mark.parametrize("fmt", ("text", "csv", "json"))
+    def test_out_file_is_the_stdout_bytes(self, capsys, tmp_path, fmt):
+        argv = ("identities", "--max-m", "6", "--inject-fault", "--format",
+                fmt)
+        code, stdout, _ = run_cli(capsys, *argv)
+        target = tmp_path / "report"
+        code2, empty, err = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, code2, empty, err) == (1, 1, "", "")
+        assert target.read_bytes() == stdout.encode()
+        assert os.listdir(tmp_path) == ["report"]  # no .gompertz-* left
+
+    def test_no_format_holds_all_rows(self, tmp_path):
+        # the footprint of the m <= 30 rows held at once, as lists of str
+        out = tmp_path / "rows"
+        argv = ["identities", "--max-m", "30", "--out", str(out)]
+        assert main([*argv, "--format", "csv"]) == 0
+        tracemalloc.start()
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
+        assert len(rows) == 1 + 5952 + 5456 + 4495
+        del rows
+        for fmt in ("text", "csv", "json"):
+            main([*argv, "--format", fmt])  # first imports stay untraced
+            tracemalloc.start()
+            code = main([*argv, "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert code == 0
+            assert peak < held / 4, (fmt, peak, held)
 
     def test_csv_json_parity(self, capsys):
         code, json_out, _ = run_cli(capsys, "identities", "--max-m", "5",

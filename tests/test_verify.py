@@ -17,14 +17,14 @@ from gompertz import (B1_MINUS_HALF, B1_PLUS_HALF, DegenerateCase,
                       delta_reference, digamma,
                       digamma_series_coeff, digamma_series_rhs,
                       digamma_series_scan, gauss_grid, gen_binomial_grid,
-                      hypergeom_terminating, int_binomial_grid,
-                      series_partial_trend, to_bigfloat)
+                      hypergeom_terminating, identity_report,
+                      int_binomial_grid, series_partial_trend, to_bigfloat)
 from gompertz.exactmath import (BERNOULLI_CONVENTIONS, bernoulli,
                                 stirling1_unsigned, stirling2)
 from gompertz import verify
 from gompertz.verify import (EPS_WINDOW_SAMPLES, EXACT_PASS, FAIL,
                              NUMERIC_PASS, SKIPPED, IdentityReport,
-                             _bernoulli_stirling_sum, _compare_pairs)
+                             _bernoulli_stirling_sum)
 from integral_oracles import (check_shift_expansion, norm_log_moment,
                               norm_log_moment_deriv, per_term_log_moment_sum,
                               per_term_series_trend, theorem_row_terms)
@@ -72,13 +72,13 @@ class TestHypergeomTerminating:
 
 class TestComparePairs:
     def test_equal_ratios_with_opposite_sign_denominators(self):
-        report = _compare_pairs("x", {}, (3, -6), (-1, 2))
+        report = identity_report("x", {}, (3, -6), (-1, 2))
         assert report.verdict == EXACT_PASS
         assert report.lhs == report.rhs == Fraction(-1, 2)
         assert report.residual == 0
 
     def test_unequal_pairs_fail_with_exact_residual(self):
-        report = _compare_pairs("x", {}, (1, 3), (2, -8))
+        report = identity_report("x", {}, (1, 3), (2, -8))
         assert report.verdict == FAIL
         assert (report.lhs, report.rhs) == (Fraction(1, 3), Fraction(-1, 4))
         assert report.residual == Fraction(7, 12)
@@ -86,7 +86,7 @@ class TestComparePairs:
 
 class TestGaussClosedForm:
     def test_grid_all_exact(self):
-        reports = gauss_grid(m_max=15)
+        reports = [identity_report(*p) for p in gauss_grid(m_max=15)]
         assert reports
         assert all(r.verdict == EXACT_PASS for r in reports)
 
@@ -150,7 +150,7 @@ class TestGenBinomialSum:
                 out *= Fraction(x - t, t + 1)
             return out
 
-        grid = iter(gen_binomial_grid(12))
+        grid = (identity_report(*p) for p in gen_binomial_grid(12))
         for m in range(13):
             for i in range(m + 1):
                 for r in range(4):
@@ -199,7 +199,7 @@ class TestIntBinomialSum:
         assert check_int_binomial_sum(m, j, r).verdict == EXACT_PASS
 
     def test_grid_with_skips(self):
-        reports = int_binomial_grid(m_max=10)
+        reports = [identity_report(*p) for p in int_binomial_grid(m_max=10)]
         skipped = [r for r in reports if r.verdict == SKIPPED]
         passed = [r for r in reports if r.verdict == EXACT_PASS]
         assert len(skipped) + len(passed) == len(reports)
@@ -233,13 +233,17 @@ def int_point_report(m, j, r):
                               None, None, SKIPPED, str(exc))
 
 
+def grid_reports(points):
+    return [identity_report(*point) for point in points]
+
+
 class TestGridsByRow:
     """The grids build row tables once and read every point from them; each
     report must equal the single-point check's at the same point."""
 
     def test_gen_binomial_grid_is_the_point_check(self):
-        assert gen_binomial_grid(12) == [check_gen_binomial_sum(*point)
-                                         for point in gen_points(12)]
+        assert grid_reports(gen_binomial_grid(12)) == [
+            check_gen_binomial_sum(*point) for point in gen_points(12)]
 
     # one point builds one row of its m, never the (m+1)**2 table, and an
     # integer eps is refused before any row is built
@@ -254,18 +258,18 @@ class TestGridsByRow:
         assert report.verdict == EXACT_PASS
 
     def test_int_binomial_grid_is_the_point_check(self):
-        assert int_binomial_grid(20) == [int_point_report(*point)
-                                         for point in int_points(20)]
+        assert grid_reports(int_binomial_grid(20)) == [
+            int_point_report(*point) for point in int_points(20)]
 
     def test_gauss_grid_is_the_point_check(self):
-        assert gauss_grid(15) == [
+        assert grid_reports(gauss_grid(15)) == [
             check_gauss_terminating(H(1, j - m, 1 + j - r),
                                     Fraction(j - r, m - r))
             for m, j, r in gauss_points(15)]
 
     def test_corrupted_perm_fails_at_the_same_points(self, monkeypatch):
         monkeypatch.setattr(verify, "perm", lambda m, i: perm(m, i) + 1)
-        grid = gen_binomial_grid(8)
+        grid = grid_reports(gen_binomial_grid(8))
         assert grid == [check_gen_binomial_sum(*point)
                         for point in gen_points(8)]
         assert FAIL in [rep.verdict for rep in grid]
@@ -279,7 +283,7 @@ class TestGridsByRow:
             return 2 * num, den
 
         monkeypatch.setattr(verify, "_int_binomial_closed_form", doubled)
-        grid = int_binomial_grid(12)
+        grid = grid_reports(int_binomial_grid(12))
         assert grid == [int_point_report(*point) for point in int_points(12)]
         assert FAIL in [rep.verdict for rep in grid]
 
@@ -295,7 +299,7 @@ class TestGridsByRow:
             return hypergeom_pair(*args)
 
         monkeypatch.setattr(verify, "_hypergeom_pair", counted)
-        reports = gauss_grid(m_max)
+        reports = grid_reports(gauss_grid(m_max))
         assert (len(calls), len(set(calls)), len(reports)) == (sums, sums,
                                                                points)
         assert all(rep.verdict == EXACT_PASS for rep in reports)
