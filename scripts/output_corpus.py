@@ -12,11 +12,12 @@ in corpus order) leaves four files in OUTDIR:
 
 The corpus is every distinct `perfbench.workloads.invocations(w, s)` for
 the three workloads and seeds 1-5, in first-seen order, then EXTRA: cases
-the benchmark does not reach (the 1000-digit cap, the theorem and
-conjecture cases of earlier output checks, of which #27, `theorem
---path quadrature`, now pins that the theorem refuses the option of its
-former second route with exit 2, the exact span sums at m = 200 for
-u = 2/3 and at m = 60 for the digamma series, the theorem at u = 1/100
+the benchmark does not reach. Two pin a removed option's exit 2: #27,
+`theorem --path quadrature`, the theorem's former second route, and #46,
+`conjecture --convention plus`, the digamma harness's former
+one-convention scan. The others are the 1000-digit cap, the theorem and
+conjecture cases of earlier output checks, the exact span sums at m = 200
+for u = 2/3 and at m = 60 for the digamma series, the theorem at u = 1/100
 and at u = 1/1000, where the guard climbs to the 480-digit rung, the
 digamma series at u = 1000, two family-2 tables beyond the workloads' r
 and m, the csv rows of every identity point at m <= 25, the json reports
@@ -24,9 +25,8 @@ and summary counts of the identity grids at m <= 40, one exit-1 and one
 exit-2 case, three `--out` targets that cannot be written, the theorem at
 r = 1, u = 1/10000 and at r = 3, u = 1/1000000, and the theorem at u = 1
 and 1000 digits, whose k = 0 log-moment is the r = 0 rows' one term
-outside the span). The list is
-read from this checkout's perfbench/, whichever tree --src names, so two
-runs compare the same invocations.
+outside the span. The list is read from this checkout's perfbench/,
+whichever tree --src names, so two runs compare the same invocations.
 
 Usage: python3 scripts/output_corpus.py --src TREE/src OUTDIR
 Compare: diff -r OUTDIR_A OUTDIR_B
@@ -86,6 +86,8 @@ EXTRA = (
     ["theorem", "--u", "1/1000000", "--r", "3", "--max-m", "200"],
     # the k = 0 log-moment's series at the digit cap
     ["theorem", "--u", "1", "--max-m", "60", "--digits", "1000"],
+    # exit 2: the harness scans both conventions, with no option to pick one
+    ["conjecture", "--u", "2", "--max-m", "4", "--convention", "plus"],
 )
 
 

@@ -1,12 +1,10 @@
 """Rational approximant sequences for the Euler-Gompertz constant, exact
 identity verification, and arbitrary-precision reference evaluation."""
 
-from .approximants import (ApproximantRow, DecayReport, approx_table,
-                           corollary1_pair, corollary2_pair,
-                           error_decay_report)
-from .errors import (CrossCheckFailure, DegenerateCase, DegenerateDenominator,
-                     DomainError, GompertzError, NonIntegrable, PoleError,
-                     PrecisionUnreachable, ZeroDenominator)
+from .approximants import (ApproximantRow, approx_table, corollary1_pair,
+                           corollary2_pair)
+from .errors import (CrossCheckFailure, DomainError, GompertzError,
+                     NonIntegrable, PoleError, PrecisionUnreachable)
 from .exactmath import (B1_MINUS_HALF, B1_PLUS_HALF, alt_factorial_sum,
                         bernoulli, binom_gen, binom_int, factorial,
                         stirling1_unsigned, stirling2)
@@ -18,12 +16,10 @@ from .precision import (BigFloat, MAX_DECIMAL_DIGITS, PrecisionContext,
 from .reference import (Integrand, delta_reference, digamma, euler_gamma,
                         exp_e1, gamma_real, plan_quadrature,
                         quad_semi_infinite)
-from .verify import (DigammaSeriesPoint, HyperGeomParams, IdentityReport,
-                     calibrated_convention, check_gauss_terminating,
-                     check_gen_binomial_sum, check_int_binomial_sum,
-                     digamma_series_coeff, digamma_series_rhs,
-                     digamma_series_scan, gauss_grid, gen_binomial_grid,
-                     hypergeom_terminating, identity_report,
-                     int_binomial_grid, point_verdict, series_partial_trend)
+from .verify import (DigammaSeriesPoint, IdentityReport,
+                     calibrated_convention, digamma_series_coeff,
+                     digamma_series_rhs, digamma_series_scan, gauss_grid,
+                     gen_binomial_grid, identity_report, int_binomial_grid,
+                     point_verdict, series_partial_trend)
 
 __version__ = "0.1.0"

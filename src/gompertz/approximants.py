@@ -129,32 +129,3 @@ def approx_table(corollary: int, r: int, m_max: int,
                                        ratio=ratio, abs_error=err,
                                        target_sign=sign))
     return rows
-
-
-#: decade_gains holds (m, m', e_m/e_m') triples
-DecayReport = namedtuple("DecayReport", "m_list error_list decade_gains")
-
-
-def error_decay_report(rows: list[ApproximantRow],
-                       pairs: list[tuple[int, int]] | None = None) -> DecayReport:
-    """Per-row errors plus e_m/e_m' ratios for the requested (m, m') pairs;
-    defaults to the (first, last) pair, empty when only one row exists.
-    No monotonicity is claimed. Degenerate rows (ratio undefined) are
-    excluded from the report."""
-    rows = [row for row in rows if row.abs_error is not None]
-    if not rows:
-        raise DomainError("at least one non-degenerate row required")
-    by_m = {row.m: row for row in rows}
-    ms = tuple(sorted(by_m))
-    errors = tuple(by_m[m].abs_error for m in ms)
-    if pairs is None:
-        pairs = [(ms[0], ms[-1])] if len(ms) > 1 else []
-    gains = []
-    with mp.workprec(128):
-        for m_from, m_to in pairs:
-            if m_from not in by_m or m_to not in by_m:
-                raise DomainError(f"pair ({m_from}, {m_to}) not present in rows")
-            e_to = by_m[m_to].abs_error
-            gains.append((m_from, m_to,
-                          by_m[m_from].abs_error / e_to if e_to != 0 else mpf("inf")))
-    return DecayReport(m_list=ms, error_list=errors, decade_gains=tuple(gains))

@@ -21,19 +21,17 @@ from mpmath import mp
 
 from .approximants import DEFAULT_M_MAX_CAP, approx_table
 from .errors import CrossCheckFailure, DomainError, GompertzError
-from .exactmath import B1_MINUS_HALF, B1_PLUS_HALF
+from .exactmath import BERNOULLI_CONVENTIONS
 from .precision import (MAX_DECIMAL_DIGITS, PrecisionContext, bigfloat_str,
                         to_bigfloat)
 from .reference import delta_reference
 from .verify import (EXACT_PASS, FAIL, IDENTITY_M_MAX_CAP, SKIPPED,
-                     HyperGeomParams, calibrated_convention,
-                     digamma_series_scan, gauss_grid, gen_binomial_grid,
-                     hypergeom_terminating, identity_report,
-                     int_binomial_grid, point_verdict, series_partial_trend)
+                     calibrated_convention, digamma_series_scan, gauss_grid,
+                     gen_binomial_grid, identity_report, int_binomial_grid,
+                     point_verdict, series_partial_trend)
 
 _METHODS = {"quadrature": "quadrature", "e1": "e_times_E1",
             "cross": "cross_validated"}
-_CONVENTIONS = {"minus": B1_MINUS_HALF, "plus": B1_PLUS_HALF}
 
 #: Interpretation choices surfaced in every digamma-series report.
 CONJECTURE_NOTES = (
@@ -115,8 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conjecture", help="digamma-series harness")
     p.add_argument("--u", type=_rational, default=Fraction(1))
     p.add_argument("--max-m", dest="m_max", type=_positive_int, default=20)
-    p.add_argument("--convention", choices=("minus", "plus", "both"),
-                   default="both")
     common(p)
 
     return parser
@@ -147,14 +143,14 @@ def _table_lines(header, rows) -> list[str]:
     return [" ".join(header)] + [" ".join(map(str, row)) for row in rows]
 
 
-def _report(args: argparse.Namespace, payload: dict, header, rows, lines,
-            code: int = 0):
+def _report(args: argparse.Namespace, payload: dict, header, rows, lines):
     """The function that writes one command's output in args.format to a
     stream, row by row, so that rows may be a one-pass iterable, and
-    returns code. JSON is the bytes of json.dumps(payload, indent=2), whose
-    last entry "rows" stands for the rows, one object each, without the
-    columns the payload already carries at top level (these come last in
-    header); CSV is the header and rows as they are; text is the lines."""
+    returns exit code 0. JSON is the bytes of json.dumps(payload,
+    indent=2), whose last entry "rows" stands for the rows, one object
+    each, without the columns the payload already carries at top level
+    (these come last in header); CSV is the header and rows as they are;
+    text is the lines."""
     def write(out) -> int:
         if args.format == "text":
             out.writelines(line + "\n" for line in lines)
@@ -179,7 +175,7 @@ def _report(args: argparse.Namespace, payload: dict, header, rows, lines,
                 out.write(sep + obj % tuple(map(encode, row[:len(names)])))
                 sep = ",\n"
             out.write("[]\n}\n" if sep == "[\n" else "\n  ]\n}\n")
-        return code
+        return 0
     return write
 
 
@@ -264,11 +260,11 @@ def _run_identities(args: argparse.Namespace):
         raise DomainError(f"--max-m capped at {IDENTITY_M_MAX_CAP}")
     # without --max-m each grid keeps its own default cap
     cap = {} if args.m_max is None else {"m_max": args.m_max}
-    # negative control: a deliberately wrong closed form must Fail
-    faults = [("gauss_terminating",
-               {"a": "1", "b": "-1", "c": "2", "x": "1", "fault": "injected"},
-               hypergeom_terminating(HyperGeomParams(1, -1, 2, 1))
-               .as_integer_ratio(), (3, 2))] if args.inject_fault else []
+    # negative control: the Gauss grid's F(1, -1; 2; 1) = 1/2, its one
+    # b = -1 point at m <= 3, against a deliberately wrong closed form 3/2
+    faults = [(name, dict(params, fault="injected"), lhs, (3, 2))
+              for name, params, lhs, _ in gauss_grid(3)
+              if params["b"] == "-1"] if args.inject_fault else []
 
     def walk(counts, *keep):
         return _identity_rows(chain(gen_binomial_grid(**cap),
@@ -301,27 +297,22 @@ def _run_conjecture(args: argparse.Namespace):
     if args.m_max > DEFAULT_M_MAX_CAP:
         raise DomainError(f"--max-m capped at {DEFAULT_M_MAX_CAP}")
     ctx = PrecisionContext(args.digits)
-    conventions = ([_CONVENTIONS[args.convention]]
-                   if args.convention != "both"
-                   else [B1_MINUS_HALF, B1_PLUS_HALF])
-    points = digamma_series_scan(args.u, range(1, args.m_max + 1), conventions,
-                                 ctx)
+    points = digamma_series_scan(args.u, range(1, args.m_max + 1), ctx)
     header = ["convention", "m", "rhs", "digamma", "residual"]
     rows = [[pt.convention, pt.m, bigfloat_str(pt.rhs, args.digits),
              bigfloat_str(pt.psi, args.digits),
              bigfloat_str(pt.residual, args.digits)] for pt in points]
-    calibrated = (calibrated_convention(pt for pt in points
-                                        if pt.m == args.m_max)
-                  if len(conventions) == 2 else None)
+    calibrated = calibrated_convention(pt for pt in points
+                                       if pt.m == args.m_max)
     payload = {"command": "conjecture", "u": str(args.u),
                "digits": args.digits, "max_m": args.m_max,
-               "notes": list(CONJECTURE_NOTES), "conventions": conventions,
+               "notes": list(CONJECTURE_NOTES),
+               "conventions": list(BERNOULLI_CONVENTIONS),
                "calibrated_convention": calibrated, "rows": rows}
     lines = [f"# {note}" for note in CONJECTURE_NOTES]
     lines += [f"# u = {args.u}"] + _table_lines(header, rows)
-    if calibrated is not None:
-        lines.append(f"# calibrated convention (smaller residual at "
-                     f"m={args.m_max}): {calibrated}")
+    lines.append(f"# calibrated convention (smaller residual at "
+                 f"m={args.m_max}): {calibrated}")
     return _report(args, payload, header, rows, lines)
 
 
@@ -335,12 +326,17 @@ def run(args: argparse.Namespace) -> int:
     """Execute one parsed command; returns the process exit code."""
     try:
         write = _RUNNERS[args.command](args)
-        if args.out_path is None:
-            return write(sys.stdout)
         try:
-            return _write_output(write, args.out_path)
+            if args.out_path is not None:
+                return _write_output(write, args.out_path)
+            code = write(sys.stdout)
+            sys.stdout.flush()  # a closed pipe fails here, not at exit
+            return code
         except OSError as exc:
-            sys.stderr.write(f"error: cannot write {args.out_path}: "
+            if args.out_path is None:  # so that exit flushes nothing into it
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.stderr.write(f"error: cannot write "
+                             f"{args.out_path or sys.stdout.name}: "
                              f"{exc.strerror or exc}\n")
             return 2
     except (DomainError, ValueError) as exc:

@@ -25,17 +25,3 @@ class CrossCheckFailure(GompertzError):
 
 class PoleError(GompertzError):
     """Gamma evaluated at a nonpositive integer."""
-
-
-class ZeroDenominator(GompertzError):
-    """A rising factorial in a hypergeometric denominator vanished
-    before the series terminated."""
-
-
-class DegenerateDenominator(GompertzError):
-    """A generalized binomial that must be inverted is zero."""
-
-
-class DegenerateCase(GompertzError):
-    """Identity instance undefined for these parameters (reported as
-    skipped by grid runners, never as a pass)."""

@@ -15,12 +15,11 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, lcm, perm, prod
-from operator import mul
 
 import mpmath
 from mpmath import mp
 
-from .errors import DegenerateCase, DomainError, ZeroDenominator
+from .errors import DomainError
 from .exactmath import (B1_MINUS_HALF, B1_PLUS_HALF, BERNOULLI_CONVENTIONS,
                         factorial, span_weights, stirling2)
 from .integrals import log_moment_sum
@@ -28,7 +27,6 @@ from .precision import BigFloat, PrecisionContext, to_bigfloat
 from .reference import digamma
 
 EXACT_PASS = "ExactPass"
-NUMERIC_PASS = "NumericPass"
 FAIL = "Fail"
 SKIPPED = "Skipped"
 
@@ -42,17 +40,6 @@ IDENTITY_M_MAX_CAP = 100
 
 _ZERO = Fraction(0)  # the residual of every exact pass
 _M_EQUALS_R = "right-hand side divides by m - r = 0"
-
-
-class HyperGeomParams(namedtuple("HyperGeomParams", "a b c x")):
-    """2F1 parameters; all uses here are terminating (b a nonpositive int)."""
-
-    __slots__ = ()
-
-    def __new__(cls, a: Fraction, b: Fraction, c: Fraction, x: Fraction):
-        return super().__new__(cls, *map(Fraction, (a, b, c, x)))
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace coerces
 
 
 #: One identity point; tolerance is set only by a numeric comparison.
@@ -100,43 +87,14 @@ def _hypergeom_pair(an: int, ad: int, n: int, cn: int, cd: int, xn: int,
     return total, den
 
 
-def _terminating_pair(p: HyperGeomParams) -> tuple[int, int]:
-    """hypergeom_terminating's sum as an unreduced pair, after its checks."""
-    if p.b > 0 or p.b.denominator != 1:
-        raise DomainError(f"b must be a nonpositive integer, got {p.b}")
-    n = -int(p.b)
-    if p.c.denominator == 1 and -n < p.c <= 0:  # c + k = 0 for a k < n
-        raise ZeroDenominator(f"(c)_{1 - int(p.c)} vanished before "
-                              f"termination (c={p.c}, b={p.b})")
-    (an, ad), (cn, cd), (xn, xd) = (v.as_integer_ratio()
-                                    for v in (p.a, p.c, p.x))
-    return _hypergeom_pair(an, ad, n, cn, cd, xn, xd)
-
-
-def hypergeom_terminating(p: HyperGeomParams) -> Fraction:
-    """Exact finite 2F1 sum for nonpositive-integer b: exactly 1-b terms,
-    each from the last by t_{k+1}/t_k = (a+k)(b+k) x/((c+k)(k+1))."""
-    return Fraction(*_terminating_pair(p))
-
-
-def check_gauss_terminating(p: HyperGeomParams,
-                            closed_form: Fraction) -> IdentityReport:
-    """Exact comparison of the terminating sum against its Gauss closed form
-    (supplied already reduced to a rational)."""
-    params = {"a": str(p.a), "b": str(p.b), "c": str(p.c), "x": str(p.x)}
-    return identity_report("gauss_terminating", params, _terminating_pair(p),
-                           Fraction(closed_form).as_integer_ratio())
-
-
-def _factorial_ratios(n: int) -> list[int]:
-    """n!/k! at [k], for k <= n."""
-    return [factorial(n) // factorial(k) for k in range(n + 1)]
-
-
 def _gen_binomial_row(m: int, r: int, eps: Fraction):
-    """The row A_j of check_gen_binomial_sum at (m, r, eps), and its point
-    as a function of (i, params, sum_{j>=i} A_j (m-i)!/(j-i)!), over tables
-    A_j, E_j, D_m built once."""
+    """The row A_j of gen_binomial_grid at (m, r, eps), and its point as a
+    function of (i, params, sum_{j>=i} A_j (m-i)!/(j-i)!), over tables A_j,
+    E_j, D_m built once. With eps = p/q, E_k = prod_{s<k} (p+sq) and
+    D_k = prod_{s=1-r}^{k-r} (p+sq), C(eps+j-r, j) = D_j/(q**j j!) and
+    C(eps+j-1, j-i) = (E_j/E_i)/(q**(j-i) (j-i)!); with A_j = (-1)**j C(m,j)
+    j! E_j D_m/D_j the left side is the pair (q**i sum_{j>=i} A_j
+    (m-i)!/(j-i)!, E_i D_m (m-i)!)."""
     p, q = Fraction(eps).as_integer_ratio()
     if q == 1:  # else a factor p + s*q could vanish
         raise DomainError("eps must be a non-integer rational")
@@ -168,46 +126,11 @@ def _horner_dots(terms: list[int]) -> list[int]:
     return dots[::-1]
 
 
-def check_gen_binomial_sum(m: int, i: int, r: int,
-                           eps: Fraction) -> IdentityReport:
-    """Exact check over Q of the alternating sum with generalized-binomial
-    weights collapsing to a single generalized-binomial ratio:
-
-      sum_{j=i}^{m} C(m,j) C(eps+j-r, j)**-1 C(eps+j-1, j-i) (-1)**j
-        = C(m-i-r, m-i) C(m+eps-r, m)**-1 (-1)**i
-
-    The left side comes from the definitions, not from the right side. With
-    eps = p/q, E_k = prod_{s<k} (p+sq) and D_k = prod_{s=1-r}^{k-r} (p+sq),
-    C(eps+j-r, j) = D_j/(q**j j!) and C(eps+j-1, j-i) = (E_j/E_i)/(q**(j-i)
-    (j-i)!). With A_j = (-1)**j C(m,j) j! E_j D_m/D_j it is the pair
-    (q**i sum_{j>=i} A_j (m-i)!/(j-i)!, E_i D_m (m-i)!): one integer dot
-    product per i with the row of A_j of (m, r, eps)."""
-    if not (0 <= i <= m) or r < 0:
-        raise DomainError(f"need 0 <= i <= m and r >= 0, got m={m} i={i} r={r}")
-    terms, point = _gen_binomial_row(m, r, eps)  # refuses an integer eps
-    params = {"m": str(m), "i": str(i), "r": str(r), "eps": str(Fraction(eps))}
-    return identity_report(*point(i, params, sum(map(
-        mul, terms[i:], _factorial_ratios(m - i)))))
-
-
 def _int_binomial_row(m: int, r: int) -> list[int]:
     """S_j = sum_{k=j}^{m} (-1)**k C(m,k) C(k,r) at index j - r, for every
     r <= j <= m, in one pass from k = m down."""
     return list(accumulate((-1) ** k * comb(m, k) * comb(k, r)
                            for k in range(m, r - 1, -1)))[::-1]
-
-
-def check_int_binomial_sum(m: int, j: int, r: int) -> IdentityReport:
-    """Exact check of sum_{k=j}^{m} C(m,k) C(k,r) (-1)**k
-    = C(m,j) C(j,r) (j-r)/(m-r) (-1)**j; undefined at m = r."""
-    if not (0 <= r <= j <= m):
-        raise DomainError(f"need 0 <= r <= j <= m, got m={m} j={j} r={r}")
-    if m == r:
-        raise DegenerateCase(_M_EQUALS_R)
-    return identity_report("int_binomial_sum",
-                           {"m": str(m), "j": str(j), "r": str(r)},
-                           (_int_binomial_row(m, r)[j - r], 1),
-                           _int_binomial_closed_form(m, j, r))
 
 
 def _int_binomial_closed_form(m: int, j: int, r: int) -> tuple[int, int]:
@@ -221,8 +144,7 @@ def gauss_grid(m_max: int = 15):
     F(1, j-m, 1+j-r; 1) = (j-r)/(m-r) over 1 <= r < j <= m <= m_max. A point
     depends on n = m-j and d = j-r only, so each distinct instance is
     summed once, its point repeated."""
-    # b = -n <= 0 and c = 1+d >= 2 on this grid, so the parameters need
-    # none of check_gauss_terminating's validation: no c + k vanishes
+    # b = -n <= 0 and c = 1+d >= 2 on this grid, so no c + k vanishes
     rows = [[None] + [("gauss_terminating",
                        {"a": "1", "b": str(-n), "c": str(1 + d), "x": "1"},
                        _hypergeom_pair(1, 1, n, 1 + d, 1, 1, 1), (d, d + n))
@@ -232,9 +154,15 @@ def gauss_grid(m_max: int = 15):
 
 
 def gen_binomial_grid(m_max: int = 12):
-    """Yield check_gen_binomial_sum's points over i <= m <= m_max, r <= 3
-    and eps in EPS_WINDOW_SAMPLES, nested in that order, from one
-    _gen_binomial_row and one _horner_dots per (m, r, eps)."""
+    """Yield the points (see point_verdict) of the alternating sum with
+    generalized-binomial weights, exact over Q,
+
+      sum_{j=i}^{m} C(m,j) C(eps+j-r, j)**-1 C(eps+j-1, j-i) (-1)**j
+        = C(m-i-r, m-i) C(m+eps-r, m)**-1 (-1)**i,
+
+    over i <= m <= m_max, r <= 3 and eps in EPS_WINDOW_SAMPLES, nested in
+    that order, from one _gen_binomial_row and one _horner_dots per
+    (m, r, eps)."""
     names = [str(k) for k in range(max(m_max, 3) + 1)]
     for m in range(m_max + 1):
         rows = [(names[r], str(eps), point, _horner_dots(terms))
@@ -247,7 +175,8 @@ def gen_binomial_grid(m_max: int = 12):
 
 
 def int_binomial_grid(m_max: int = 20):
-    """Yield check_int_binomial_sum's points over r <= j <= m <= m_max,
+    """Yield the points (see point_verdict) of sum_{k=j}^{m} C(m,k) C(k,r)
+    (-1)**k = C(m,j) C(j,r) (j-r)/(m-r) (-1)**j over r <= j <= m <= m_max,
     nested in that order, from one _int_binomial_row per (m, r); each m
     ends with its degenerate point j = r = m, whose rhs is None."""
     names = [str(k) for k in range(m_max + 1)]
@@ -344,11 +273,12 @@ def digamma_series_rhs(u: Fraction, m: int, convention: str,
                               residual=ctx.round(residual))
 
 
-def digamma_series_scan(u: Fraction, m_values, conventions,
+def digamma_series_scan(u: Fraction, m_values,
                         ctx: PrecisionContext) -> list[DigammaSeriesPoint]:
-    """Scan points in canonical (convention, m) order."""
+    """Scan points under both conventions, in canonical (convention, m)
+    order."""
     return [digamma_series_rhs(u, m, conv, ctx)
-            for conv in conventions for m in m_values]
+            for conv in BERNOULLI_CONVENTIONS for m in m_values]
 
 
 def calibrated_convention(points) -> str:

@@ -11,13 +11,20 @@ from math import comb, inf, lcm
 import mpmath
 from mpmath import mp, mpf
 
-from gompertz import (BigFloat, CrossCheckFailure, DegenerateDenominator,
-                      DomainError, Integrand, PrecisionContext,
+from gompertz import (BigFloat, CrossCheckFailure, DomainError,
+                      GompertzError, Integrand, PrecisionContext,
                       PrecisionUnreachable, binom_gen, factorial,
                       frac_integral_closed, g_span_eval, gamma_real,
                       log_integral_closed, log_integral_coeffs,
                       quad_semi_infinite, to_bigfloat)
-from gompertz.verify import FAIL, NUMERIC_PASS, IdentityReport
+from gompertz.verify import FAIL, IdentityReport
+
+#: The verdict of a numeric comparison within its tolerance.
+NUMERIC_PASS = "NumericPass"
+
+
+class DegenerateDenominator(GompertzError):
+    """A generalized binomial that must be inverted is zero."""
 
 
 def frac_integral_recurrence(n: int) -> tuple[int, int]:

@@ -15,10 +15,11 @@ from gompertz import (B1_MINUS_HALF, B1_PLUS_HALF, PrecisionContext,
                       gen_binomial_grid, identity_report, int_binomial_grid,
                       log_integral_closed, series_partial_trend)
 from gompertz.cli import main as cli_main
-from gompertz.verify import EXACT_PASS, NUMERIC_PASS, SKIPPED
-from integral_oracles import (check_shift_expansion, frac_integral_recurrence,
-                              norm_log_moment, norm_log_moment_deriv,
-                              per_term_series_trend, quadrature_log_moment)
+from gompertz.verify import EXACT_PASS, SKIPPED
+from integral_oracles import (NUMERIC_PASS, check_shift_expansion,
+                              frac_integral_recurrence, norm_log_moment,
+                              norm_log_moment_deriv, per_term_series_trend,
+                              quadrature_log_moment)
 
 CTX30 = PrecisionContext(30)
 CTX60 = PrecisionContext(60)
@@ -147,12 +148,11 @@ def test_09_digamma_series_harness():
     completed = True
     differ = True
     for u in (Fraction(1, 2), Fraction(1), Fraction(2)):
-        points = digamma_series_scan(u, range(1, 21), conventions, CTX30)
+        points = digamma_series_scan(u, range(1, 21), CTX30)
         completed &= len(points) == 40
         at_20 = {p.convention: p.residual for p in points if p.m == 20}
         differ &= at_20[B1_MINUS_HALF] != at_20[B1_PLUS_HALF]
-    calibrated = calibrated_convention(
-        digamma_series_scan(1, [20], conventions, CTX30))
+    calibrated = calibrated_convention(digamma_series_scan(1, [20], CTX30))
     report("digamma-series harness",
            completed and differ and calibrated in conventions,
            f"calibrated convention: {calibrated}")

@@ -8,8 +8,7 @@ from mpmath import mp, mpf
 from conftest import absdiff
 from gompertz import (DomainError, PrecisionContext, approx_table,
                       corollary1_pair, corollary2_pair, delta_reference,
-                      error_decay_report, frac_integral_closed,
-                      log_integral_coeffs)
+                      frac_integral_closed, log_integral_coeffs)
 from gompertz import approximants
 from gompertz.approximants import DEFAULT_M_MAX_CAP
 
@@ -101,8 +100,6 @@ class TestPairs:
         rows = {row.m: row for row in approx_table(2, 2, 5, ctx30)}
         assert rows[2].ratio is None and rows[2].abs_error is None
         assert rows[3].ratio is not None
-        report = error_decay_report(list(rows.values()))
-        assert report.m_list[0] == 3  # degenerate row excluded
 
     def test_family1_positive_denominators(self):
         for r in range(3):
@@ -337,33 +334,3 @@ class TestOnePassTable:
             with pytest.raises(DomainError, match=rf"^{re.escape(message)}$"):
                 approx_table(corollary, r, m_max, ctx30)
 
-
-class TestDecayReport:
-    def test_frozen_error_sequence(self, ctx30):
-        rows = approx_table(1, 0, 3, ctx30)
-        report = error_decay_report(rows)
-        assert report.m_list == (1, 2, 3)
-        for got, want in zip(report.error_list, ("0.0963", "0.0249", "0.0081")):
-            assert absdiff(got, mpf(want)) < mpf(10) ** -4
-
-    def test_requested_pair(self, ctx30):
-        rows = approx_table(1, 0, 40, ctx30)
-        report = error_decay_report(rows, pairs=[(10, 40)])
-        (m_from, m_to, gain), = report.decade_gains
-        assert (m_from, m_to) == (10, 40)
-        assert gain > 10
-
-    def test_single_row_degenerates_gracefully(self, ctx30):
-        rows = approx_table(1, 0, 1, ctx30)
-        report = error_decay_report(rows)
-        assert report.decade_gains == ()
-        assert report.m_list == (1,)
-
-    def test_missing_pair_rejected(self, ctx30):
-        rows = approx_table(1, 0, 3, ctx30)
-        with pytest.raises(DomainError):
-            error_decay_report(rows, pairs=[(1, 7)])
-
-    def test_empty_rows_rejected(self):
-        with pytest.raises(DomainError):
-            error_decay_report([])

@@ -29,7 +29,7 @@ GOLDEN_CASES = {
                          "--max-m", "6", "--digits", "12"), 0),
     "identities-fault": (("identities", "--max-m", "5", "--inject-fault"), 1),
     "conjecture-u2-both": (("conjecture", "--u", "2", "--max-m", "4",
-                            "--digits", "12", "--convention", "both"), 0),
+                            "--digits", "12"), 0),
 }
 
 
@@ -314,18 +314,9 @@ class TestConjecture:
 
         monkeypatch.setattr(verify, "digamma_series_rhs", spy)
         code, _, _ = run_cli(capsys, "conjecture", "--u", "2", "--max-m", "3",
-                             "--digits", "12", "--convention", "both")
+                             "--digits", "12")
         assert code == 0
         assert len(calls) == 2 * 3 == len(set(calls))
-
-    def test_single_convention(self, capsys):
-        code, out, _ = run_cli(capsys, "conjecture", "--u", "2", "--max-m", "2",
-                               "--digits", "15", "--convention", "plus",
-                               "--format", "json")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["calibrated_convention"] is None
-        assert all(r["convention"] == "B1_plus_half" for r in payload["rows"])
 
     def test_csv_json_parity(self, capsys):
         args = ("conjecture", "--u", "1", "--max-m", "2", "--digits", "15")
@@ -377,6 +368,13 @@ class TestUsageErrors:
                                  "12", "--path", "quadrature")
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --path quadrature" in err
+
+    def test_convention_option_rejected(self, capsys):
+        # the scan covers both conventions; the option that chose one is gone
+        code, out, err = run_cli(capsys, "conjecture", "--u", "2", "--max-m",
+                                 "4", "--convention", "plus")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --convention plus" in err
 
     @pytest.mark.parametrize("command, evaluator", (
         ("theorem", "series_partial_trend"),
@@ -453,6 +451,20 @@ class TestOutputFile:
         assert err == "error: cannot write .: Is a directory\n"
         assert [d for d in made_in if d != os.path.realpath(inner)] == []
         assert os.listdir(tmp_path) == ["inner"]
+
+    def test_closed_stdout_is_a_write_error(self):
+        # stdout closed after one line, as by `| head -1`: exit 2 and one
+        # line on stderr, with no traceback from the write or from exit
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gompertz.cli", "identities", "--max-m",
+             "40", "--format", "csv"], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.stdout.readline() == b"identity,params,verdict,residual\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert (proc.wait(timeout=60), err) == (
+            2, "error: cannot write <stdout>: Broken pipe\n")
 
 
 class TestGoldenOutput:

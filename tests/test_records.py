@@ -1,4 +1,4 @@
-"""The package's seven records, all named tuples: field names, order and
+"""The package's five records, all named tuples: field names, order and
 defaults, the checks and coercions made on construction (and again by
 `_replace`), immutability, and equal values hashing equal (PrecisionContext
 and Integrand are `lru_cache` keys)."""
@@ -8,9 +8,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mpf
 
-from gompertz import (ApproximantRow, DecayReport, DigammaSeriesPoint,
-                      HyperGeomParams, IdentityReport, Integrand,
-                      PrecisionContext, quad_semi_infinite)
+from gompertz import (ApproximantRow, DigammaSeriesPoint, IdentityReport,
+                      Integrand, PrecisionContext, quad_semi_infinite)
 from gompertz.verify import EXACT_PASS
 
 #: record -> (its fields in order, values for the fields without a default,
@@ -25,12 +24,6 @@ RECORDS = {
     ApproximantRow: (("m", "r", "corollary", "a", "b", "ratio", "abs_error",
                       "target_sign"),
                      (2, 0, 1, -4, 7, mpf(4) / 7, mpf("0.025"), "+"), {}),
-    DecayReport: (("m_list", "error_list", "decade_gains"),
-                  ((1, 2), (mpf("0.1"), mpf("0.025")),
-                   ((1, 2, mpf(4)),)), {}),
-    HyperGeomParams: (("a", "b", "c", "x"),
-                      (Fraction(1), Fraction(-1), Fraction(2), Fraction(1)),
-                      {}),
     IdentityReport: (("identity_name", "parameters", "lhs", "rhs", "verdict",
                       "residual", "tolerance"),
                      ("gauss_terminating", {"a": "1"}, Fraction(1, 2),
@@ -133,13 +126,3 @@ class TestIntegrand:
         with pytest.raises(ValueError, match="log_scale"):
             Integrand(0)._replace(log_scale=-1)
 
-
-class TestHyperGeomParams:
-    def test_rationals_coerced(self):
-        value = HyperGeomParams(1, "-2", 0.5, Fraction(1, 3))
-        assert value == HyperGeomParams(Fraction(1), Fraction(-2),
-                                        Fraction(1, 2), Fraction(1, 3))
-        assert {type(v) for v in value} == {Fraction}
-        assert type(value._replace(a=2).a) is Fraction
-        with pytest.raises(ValueError):
-            HyperGeomParams("one", 0, 1, 1)

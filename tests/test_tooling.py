@@ -1,12 +1,13 @@
 """The benchmark tracer (perfbench/tracer.py), the scripts under scripts/ and
-README's library example bind package names, private ones included. A name
-they use that is deleted or renamed must fail here, not first in a traced
-benchmark run, a script run (neither is part of this suite) or a reader's
-session."""
+README's library example bind package names, private ones included, and
+README names the package's records. A name they use that is deleted or
+renamed must fail here, not first in a traced benchmark run, a script run
+(neither is part of this suite) or a reader's session."""
 
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 from types import ModuleType
 
@@ -95,3 +96,15 @@ def test_readme_library_example_runs(capsys):
     block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.startswith("0.596347362323")
+
+
+def test_readme_records_are_the_exported_records():
+    # README's records sentence names every exported named tuple, and no more
+    readme = (ROOT / "README.md").read_text()
+    sentence = readme.split("\nThe records (", 1)[1].split(")", 1)[0]
+    package = importlib.import_module("gompertz")
+    exported = {name for name, value in vars(package).items()
+                if isinstance(value, type) and issubclass(value, tuple)
+                and hasattr(value, "_fields")}
+    assert exported
+    assert set(re.findall(r"`(\w+)`", sentence)) == exported
