@@ -47,8 +47,9 @@ runs; to compare two trees, run this script on each.
   `g_span_eval` calls, in a separate untimed run).
 - G(c) checks: `exp_e1(c)` cross-checked and `reference._g_series(c)`,
   e1 alone, cold, at 30 and 1000 digits for c in G_CHECK_C, which covers
-  every check route (the committed digits of delta, the series anchored on
-  them, the J-fraction), each with the route taken; the cross-checked time
+  both check routes (the series anchored on the committed digits of
+  delta, whose empty case at c = 1 is those digits, and the J-fraction),
+  each with the route taken; the cross-checked time
   less e1's alone is the check's. Then every command of G_PROFILE_COMMANDS
   run once in process, cold, with a wrapper around `exp_e1`, bound in
   both `reference` and `integrals`, that records each G(c) it evaluates
@@ -97,7 +98,7 @@ import mpmath.libmp.gammazeta as mp_gammazeta
 import gompertz
 from gompertz import Integrand, PrecisionContext, bigfloat_str, exactmath
 from gompertz import approximants, cli, integrals, reference, verify
-from gompertz.exactmath import BERNOULLI_CONVENTIONS
+from gompertz.verify import BERNOULLI_CONVENTIONS
 
 RUNS = 5
 BERNOULLI_MAX = (794, 1600)
@@ -125,9 +126,9 @@ SMALL_U_CASES = ((Fraction(1, 100), 0, 60), (Fraction(1, 10000), 1, 100))
 STARTUP_RUNS = 21
 STARTUP_COMMANDS = (("-c", "import gompertz"),
                     ("-m", "gompertz.cli", "identities", "--max-m", "1"))
-#: each check route at 30 and at 1000 digits: delta's digits at c = 1, the
-#: anchored series at 1/1000 and 3/2 (and at 100 at 1000 digits), the
-#: J-fraction at 1000 (and at 100 at 30 digits)
+#: each check route at 30 and at 1000 digits: the anchored series at 1
+#: (where it sums no term), 1/1000 and 3/2 (and at 100 at 1000 digits),
+#: the J-fraction at 1000 (and at 100 at 30 digits)
 G_CHECK_C = (Fraction(1), Fraction(1, 1000), Fraction(3, 2), Fraction(100),
              Fraction(1000))
 G_CHECK_DIGITS = (30, 1000)

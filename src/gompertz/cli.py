@@ -4,7 +4,9 @@ CSV, and JSON output. Output is canonical and byte-identical across runs
 (no timestamps; emission order sorted by m / parameters).
 
 Exit codes: 0 success / all-pass, 1 verification failure or cross-check trip,
-2 usage error.
+2 usage error. Exit 1 also covers any other GompertzError, such as a value
+past the 1000-digit cap (`theorem --u 1e-400 --max-m 3`): stdout is then
+empty, and stderr holds "error: " and the reason.
 """
 
 from __future__ import annotations
@@ -21,14 +23,14 @@ from mpmath import mp
 
 from .approximants import DEFAULT_M_MAX_CAP, approx_table
 from .errors import CrossCheckFailure, DomainError, GompertzError
-from .exactmath import BERNOULLI_CONVENTIONS
 from .precision import (MAX_DECIMAL_DIGITS, PrecisionContext, bigfloat_str,
                         to_bigfloat)
 from .reference import delta_reference
-from .verify import (EXACT_PASS, FAIL, IDENTITY_M_MAX_CAP, SKIPPED,
-                     calibrated_convention, digamma_series_scan, gauss_grid,
-                     gen_binomial_grid, identity_report, int_binomial_grid,
-                     point_verdict, series_partial_trend)
+from .verify import (BERNOULLI_CONVENTIONS, EXACT_PASS, FAIL,
+                     IDENTITY_M_MAX_CAP, SKIPPED, calibrated_convention,
+                     digamma_series_scan, gauss_grid, gen_binomial_grid,
+                     int_binomial_grid, point_residual, point_verdict,
+                     series_partial_trend)
 
 _METHODS = {"quadrature": "quadrature", "e1": "e_times_E1",
             "cross": "cross_validated"}
@@ -239,7 +241,7 @@ _TALLY = {EXACT_PASS: "pass", FAIL: "fail", SKIPPED: "skipped"}
 def _identity_rows(points, counts: dict, keep=tuple(_TALLY)):
     """The row [identity, params, verdict, residual] of each point whose
     verdict is in keep, as every point is counted into counts by identity.
-    A pass has residual 0: only a fail or a skip builds its report."""
+    A pass has residual 0: only a fail or a skip reduces its sides."""
     name = None
     for point in points:
         verdict = point_verdict(point)
@@ -252,7 +254,7 @@ def _identity_rows(points, counts: dict, keep=tuple(_TALLY)):
         if verdict in keep:
             yield [name, " ".join(map("=".join, point[1].items())), verdict,
                    "0" if verdict == EXACT_PASS
-                   else str(identity_report(*point).residual)]
+                   else str(point_residual(point))]
 
 
 def _run_identities(args: argparse.Namespace):

@@ -13,11 +13,6 @@ import math
 from fractions import Fraction
 from math import factorial  # raises ValueError for n < 0
 
-#: Bernoulli-number sign conventions for the index-1 value.
-B1_MINUS_HALF = "B1_minus_half"
-B1_PLUS_HALF = "B1_plus_half"
-BERNOULLI_CONVENTIONS = (B1_MINUS_HALF, B1_PLUS_HALF)
-
 
 def binom_int(n: int, k: int) -> int:
     """C(n, k) for n >= 0; zero outside 0 <= k <= n (out-of-range terms
@@ -103,8 +98,6 @@ def _next_tangent_column(column: list[int]) -> list[int]:
 # Entry k is B_2k; _tangent_column is the table column of the last entry.
 _bernoulli_even: list[Fraction] = [Fraction(1), Fraction(1, 6)]
 _tangent_column: list[int] = [1]
-_ZERO = Fraction(0)
-_B1 = {B1_MINUS_HALF: Fraction(-1, 2), B1_PLUS_HALF: Fraction(1, 2)}
 
 
 def _grow_bernoulli(k: int) -> None:
@@ -120,14 +113,12 @@ def _grow_bernoulli(k: int) -> None:
         table.append(Fraction(num if i % 2 else -num, four * (four - 1)))
 
 
-def bernoulli(j: int, convention: str = B1_MINUS_HALF) -> Fraction:
-    """B_j; the index-1 value is convention-dependent, all others agree."""
+def bernoulli(j: int) -> Fraction:
+    """B_j, with B_1 = -1/2."""
     if j < 0:
         raise ValueError("j must be nonnegative")
-    if convention not in BERNOULLI_CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
     if j & 1:
-        return _B1[convention] if j == 1 else _ZERO
+        return Fraction(-1, 2) if j == 1 else Fraction(0)
     k = j >> 1
     if k >= len(_bernoulli_even):
         _grow_bernoulli(k)

@@ -89,16 +89,6 @@ def span_dot(weights, rows) -> tuple[int, int]:
     return p, q
 
 
-def log_integral_coeffs(n: int, c: Fraction | int) -> tuple[int, int, int]:
-    """The triple (p, q, b**n) with integral(0,inf) x**n ln(x/c + 1) e**-x dx
-    = (p + q G(c))/b**n: span_rows' L_n and its scale, as g_span_eval takes
-    them. At c = 1 it is log_integral_closed(n) over 1."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    c = Fraction(c)
-    return (*span_rows(n, c)[1][n], c.denominator ** n)
-
-
 def g_span_eval(p: int, q: int, den: int, c: Fraction | int,
                 ctx: PrecisionContext) -> BigFloat:
     """(p + q G(c))/den for ints p, q and den != 0 of either sign, and
@@ -162,8 +152,8 @@ def log_moment_sum(weights, r: int, den: int, u: Fraction | int,
     Lhat_{k-1} over den b**(m-1), one span_dot and one g_span_eval of that
     triple, never reduced, so the guard digits grow with the cancellation
     of the whole sum; G(c) is mpmath.e1's value, checked once per
-    (c, precision) against the committed digits of delta, the series
-    anchored on them, or Laguerre's J-fraction (reference.exp_e1). At
+    (c, precision) against the series anchored on the committed digits of
+    delta, or Laguerre's J-fraction (reference.exp_e1). At
     r = 0 the k = 0 term, integral(0,inf) x**-1 e**-x ln(x*u+1) dx, is
     reference.k0_log_moment's series value times w_0/den."""
     if r < 0:

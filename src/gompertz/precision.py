@@ -71,10 +71,10 @@ class PrecisionContext(namedtuple("PrecisionContext",
         with mp.workprec(self.working_bits):
             return mpf(10) ** (-self.total_digits)
 
-    def target_tolerance(self, slack_digits: int = 0) -> BigFloat:
-        """10**-(decimal_digits - slack_digits)."""
+    def target_tolerance(self) -> BigFloat:
+        """10**-decimal_digits, at working precision."""
         with mp.workprec(self.working_bits):
-            return mpf(10) ** (-(self.decimal_digits - slack_digits))
+            return mpf(10) ** (-self.decimal_digits)
 
     def agrees(self, a: BigFloat, b: BigFloat) -> bool:
         """|a - b| < 10**-decimal_digits * max(1, |a|): agreement to the

@@ -8,12 +8,13 @@ Gamma, Euler's constant and E1 come from mpmath (mpmath.gamma, mpmath.euler,
 mpmath.e1); digamma is summed here from the package's exact Bernoulli
 numbers.
 
-G(c) is mpmath.e1's value, checked by one of three evaluators independent
-of it, chosen from c and the precision before anything is evaluated: at
-c = 1 the committed digits of delta (delta_digits.txt, which
-scripts/delta_digits.py regenerates from the quadrature and mpmath.e1); at
-moderate c the series of E1(c) - E1(1) anchored on those digits; at large c
-Laguerre's J-fraction, in integers. None of them runs the quadrature.
+G(c) is mpmath.e1's value, checked by one of two evaluators independent of
+it, chosen from c and the precision before anything is evaluated: up to
+moderate c the series of E1(c) - E1(1) anchored on the committed digits of
+delta (delta_digits.txt, which scripts/delta_digits.py regenerates from the
+quadrature and mpmath.e1), which at c = 1 sums no term and returns those
+digits; at large c Laguerre's J-fraction, in integers. Neither runs the
+quadrature.
 
 The quadrature evaluates delta only for `delta --method quadrature`; no
 other value the package prints comes from it. The tests integrate other
@@ -78,20 +79,18 @@ class Integrand(namedtuple("Integrand",
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
 
-    def check_integrable(self) -> None:
-        # the log factor vanishes like x at 0, softening the power by one
-        if self.log_scale is not None and self.log_scale > 0:
-            if self.power <= -2:
-                raise NonIntegrable(f"x**{self.power} * log diverges at 0")
-        elif self.power <= -1:
-            raise NonIntegrable(f"x**{self.power} diverges at 0")
-
 
 def plan_quadrature(integrand: Integrand) -> None:
-    """Check the integrability of the integrand; the rule itself needs no
-    sizing (its level budget is _DE_MAX_LEVEL), and the precision cap holds
-    for every PrecisionContext by construction."""
-    integrand.check_integrable()
+    """Check the integrability of the integrand at 0; the rule itself needs
+    no sizing (its level budget is _DE_MAX_LEVEL), and the precision cap
+    holds for every PrecisionContext by construction."""
+    power = integrand.power
+    # the log factor vanishes like x at 0, softening the power by one
+    if integrand.log_scale is not None and integrand.log_scale > 0:
+        if power <= -2:
+            raise NonIntegrable(f"x**{power} * log diverges at 0")
+    elif power <= -1:
+        raise NonIntegrable(f"x**{power} diverges at 0")
 
 
 def _make_eval(integrand: Integrand):
@@ -326,23 +325,23 @@ def _delta_digits(places: int) -> BigFloat:
 
 def _g_check_route(c: Fraction, ctx: PrecisionContext) -> str:
     """The check of G(c) at (c, ctx), chosen before anything is evaluated:
-    "digits" at c = 1; "J-fraction" when its predicted term count,
-    ((D+g) ln 10)**2 / (16 c), is below e c, the least count of terms the
-    anchored series sums, that is when c > (D+g) ln 10 / (4 sqrt(e)), or
-    when the committed digits do not cover the D + g + ceil(c log10 e) + 10
-    places the anchored series needs; "anchored series" otherwise. c is
-    compared as a Fraction, so no c is too large for a float."""
+    "J-fraction" when its predicted term count, ((D+g) ln 10)**2 / (16 c),
+    is below e c, the least count of terms the anchored series sums, that
+    is when c > (D+g) ln 10 / (4 sqrt(e)), or when the committed digits do
+    not cover the D + g + ceil(c log10 e) + 10 places the anchored series
+    needs; "anchored series" otherwise. c is compared as a Fraction, so no
+    c is too large for a float. G(1) has no route past the committed
+    digits: there the J-fraction would sum about ((D+g) ln 10)**2 / 16
+    terms."""
     places = len(_delta_text()) - 2
+    if (c <= ctx.total_digits * math.log(10) / (4 * math.sqrt(math.e))
+            and _anchor_places(c, ctx) <= places):
+        return "anchored series"
     if c == 1:
-        if ctx.total_digits + 10 > places:
-            raise PrecisionUnreachable(
-                f"G(1) is checked against {places} committed places of "
-                f"delta; {ctx.total_digits} digits need 10 more")
-        return "digits"
-    if (c > ctx.total_digits * math.log(10) / (4 * math.sqrt(math.e))
-            or _anchor_places(c, ctx) > places):
-        return "J-fraction"
-    return "anchored series"
+        raise PrecisionUnreachable(
+            f"G(1) is checked against {places} committed places of delta; "
+            f"{ctx.total_digits} digits need {_anchor_places(c, ctx)} places")
+    return "J-fraction"
 
 
 def _anchor_places(c: Fraction, ctx: PrecisionContext) -> int:
@@ -350,20 +349,15 @@ def _anchor_places(c: Fraction, ctx: PrecisionContext) -> int:
     return ctx.total_digits + math.ceil(c * math.log10(math.e)) + 10
 
 
-def _g_check_digits(c: Fraction, ctx: PrecisionContext) -> BigFloat:
-    # G(1) = delta, to 10 places past D + g
-    with mp.workprec(ctx.inner_bits):
-        value = _delta_digits(ctx.total_digits + 10)
-    return ctx.round(value)
-
-
 def _g_check_anchored(c: Fraction, ctx: PrecisionContext) -> BigFloat:
     # E1(c) - E1(1) = -ln c - sum_{k>=1} (-1)**k (c**k - 1)/(k k!), from
     # E1's series, whose gamma cancels; with E1(1) = delta/e,
-    # G(c) = e**c (delta/e - ln c - sum). The bracket equals E1(c), about
-    # e**-c/c, while its terms reach about e**c/c, so it is summed at
-    # 2c log2(e) + 20 bits past inner_bits; delta's error is multiplied by
-    # e**c, so it takes ceil(c log10 e) places more than D + g + 10
+    # G(c) = e**(c-1) (delta - e (ln c + sum)). The bracket equals e E1(c),
+    # about e**(1-c)/c, while its terms reach about e**c/c, so it is summed
+    # at 2c log2(e) + 20 bits past inner_bits; delta's error is multiplied
+    # by e**c, so it takes ceil(c log10 e) places more than D + g + 10. At
+    # c = 1 every term is 0, the sum stops at k = 2, and G(1) is delta's
+    # committed digits
     bits = ctx.inner_bits + math.ceil(2 * c * math.log2(math.e)) + 20
     with mp.workprec(bits):
         x = mpf(c.numerator) / c.denominator
@@ -377,10 +371,11 @@ def _g_check_anchored(c: Fraction, ctx: PrecisionContext) -> BigFloat:
             inverse = inverse / k
             term = (power - inverse) / k
             total += -term if k % 2 else term
-            if k > x and power < eps and inverse < eps:
+            if k > x and abs(term) < eps:
                 break
-        bracket = _delta_digits(_anchor_places(c, ctx)) / mpmath.e
-        value = mpmath.exp(x) * (bracket - mpmath.log(x) - total)
+        delta = _delta_digits(_anchor_places(c, ctx))
+        value = mpmath.exp(x - 1) * (delta
+                                     - mpmath.e * (mpmath.log(x) + total))
     return ctx.round(value)
 
 
@@ -413,17 +408,13 @@ def _g_check_jfraction(c: Fraction, ctx: PrecisionContext) -> BigFloat:
     return ctx.round(value)
 
 
-#: Each check route of _g_check_route, by name
-_G_CHECKS = {"digits": _g_check_digits,
-             "anchored series": _g_check_anchored,
-             "J-fraction": _g_check_jfraction}
-
-
 def _g_check(c: Fraction, ctx: PrecisionContext) -> BigFloat:
     """G(c) by the route _g_check_route names, independent of mpmath.e1:
-    the committed digits of delta, the series anchored on delta, or
-    Laguerre's J-fraction, each rounded once to ctx."""
-    return _G_CHECKS[_g_check_route(c, ctx)](c, ctx)
+    the series anchored on delta, or Laguerre's J-fraction, each rounded
+    once to ctx."""
+    if _g_check_route(c, ctx) == "J-fraction":
+        return _g_check_jfraction(c, ctx)
+    return _g_check_anchored(c, ctx)
 
 
 @lru_cache(maxsize=None)

@@ -2,8 +2,9 @@
 with their Gauss closed forms, the two alternating binomial-sum identities
 (exact over Q), partial sums of the double series converging to u, and the
 digamma-series harness with its convention calibration. The identity grids
-yield each point's two sides as unreduced integer pairs, from tables built
-once per row, and point_verdict compares them by cross-multiplication alone.
+yield each point as a plain tuple whose two sides are unreduced integer
+pairs, from tables built once per row; point_verdict compares them by
+cross-multiplication alone, and point_residual reduces their difference.
 The numeric half reads only log_moment_sum and digamma; the shift expansion
 of the normalized log-moments, a property test of the quadrature, is an
 oracle in tests/integral_oracles.py.
@@ -20,11 +21,15 @@ import mpmath
 from mpmath import mp
 
 from .errors import DomainError
-from .exactmath import (B1_MINUS_HALF, B1_PLUS_HALF, BERNOULLI_CONVENTIONS,
-                        factorial, span_weights, stirling2)
+from .exactmath import factorial, span_weights, stirling2
 from .integrals import log_moment_sum
 from .precision import BigFloat, PrecisionContext, to_bigfloat
 from .reference import digamma
+
+#: The digamma-series harness's Bernoulli sign conventions for B_1.
+B1_MINUS_HALF = "B1_minus_half"
+B1_PLUS_HALF = "B1_plus_half"
+BERNOULLI_CONVENTIONS = (B1_MINUS_HALF, B1_PLUS_HALF)
 
 EXACT_PASS = "ExactPass"
 FAIL = "Fail"
@@ -38,14 +43,6 @@ EPS_WINDOW_SAMPLES = (Fraction(-3, 4), Fraction(-2, 3), Fraction(-5, 9))
 #: m = 100 takes a few seconds.
 IDENTITY_M_MAX_CAP = 100
 
-_ZERO = Fraction(0)  # the residual of every exact pass
-_M_EQUALS_R = "right-hand side divides by m - r = 0"
-
-
-#: One identity point; tolerance is set only by a numeric comparison.
-IdentityReport = namedtuple("IdentityReport", "identity_name parameters lhs "
-                            "rhs verdict residual tolerance", defaults=(None,))
-
 
 def point_verdict(point: tuple) -> str:
     """The verdict of an identity point (identity_name, parameters, lhs,
@@ -58,19 +55,13 @@ def point_verdict(point: tuple) -> str:
     return EXACT_PASS if lhs[0] * rhs[1] == rhs[0] * lhs[1] else FAIL
 
 
-def identity_report(name: str, params: dict, lhs: tuple[int, int] | None,
-                    rhs: tuple[int, int] | None) -> IdentityReport:
-    """The report of an identity point (see point_verdict). A pass reduces
-    the closed form rhs, the same value in fewer digits, reported as both
-    sides; a fail reduces both and reports lhs - rhs."""
-    verdict = point_verdict((name, params, lhs, rhs))
-    if verdict == SKIPPED:
-        return IdentityReport(name, params, None, None, SKIPPED, _M_EQUALS_R)
-    right = Fraction(*rhs)
-    if verdict == EXACT_PASS:
-        return IdentityReport(name, params, right, right, EXACT_PASS, _ZERO)
-    left = Fraction(*lhs)
-    return IdentityReport(name, params, left, right, FAIL, left - right)
+def point_residual(point: tuple) -> Fraction | str:
+    """lhs - rhs of an identity point (see point_verdict), reduced, so 0 at
+    a pass; for a skipped point, the reason its closed form is undefined."""
+    lhs, rhs = point[2:]
+    if rhs is None:  # int_binomial_grid's m = r points
+        return "right-hand side divides by m - r = 0"
+    return Fraction(*lhs) - Fraction(*rhs)
 
 
 def _hypergeom_pair(an: int, ad: int, n: int, cn: int, cd: int, xn: int,

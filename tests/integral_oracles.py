@@ -5,6 +5,7 @@ per-term route of a weighted log-moment sum and of the theorem's partial
 sums, and the shift expansion of the normalized log-moments, a property
 test of the quadrature."""
 
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, inf, lcm
 
@@ -15,12 +16,17 @@ from gompertz import (BigFloat, CrossCheckFailure, DomainError,
                       GompertzError, Integrand, PrecisionContext,
                       PrecisionUnreachable, binom_gen, factorial,
                       frac_integral_closed, g_span_eval, gamma_real,
-                      log_integral_closed, log_integral_coeffs,
-                      quad_semi_infinite, to_bigfloat)
-from gompertz.verify import FAIL, IdentityReport
+                      log_integral_closed, quad_semi_infinite, to_bigfloat)
+from gompertz.integrals import span_rows
+from gompertz.verify import FAIL
 
 #: The verdict of a numeric comparison within its tolerance.
 NUMERIC_PASS = "NumericPass"
+
+#: One shift-expansion comparison: its parameters, both sides, the verdict,
+#: |lhs - rhs| and the tolerance it was held to.
+ShiftReport = namedtuple("ShiftReport",
+                         "parameters lhs rhs verdict residual tolerance")
 
 
 class DegenerateDenominator(GompertzError):
@@ -76,10 +82,11 @@ def quadrature_log_moment(k: int, u: Fraction,
 def per_term_log_moment_sum(terms, u: Fraction, ctx: PrecisionContext,
                             path: str = "exact"):
     """sum of coeff * log_moment(k, u) over the (k, coeff) pairs of terms,
-    by one Fraction pair per term: coeff * log_integral_coeffs(k-1, 1/u)
-    summed part by part and evaluated once by g_span_eval over the two
-    parts' least common denominator, with k = 0 and path "quadrature"
-    integrated term by term, in order, before the span value is added.
+    by one Fraction pair per term: coeff * span_rows' L_(k-1) at
+    c = 1/u = a/b, over its scale b**(k-1), summed part by part and
+    evaluated once by g_span_eval over the two parts' least common
+    denominator, with k = 0 and path "quadrature" integrated term by term,
+    in order, before the span value is added.
 
     Each quadrature carries about ctx.guard_digits digits past the target,
     so on path "quadrature" the sum measures its own cancellation as
@@ -103,7 +110,9 @@ def per_term_log_moment_sum(terms, u: Fraction, ctx: PrecisionContext,
                 total += term
                 size = max(size, abs(term))
             else:
-                p, q, den = log_integral_coeffs(k - 1, 1 / u)
+                c = 1 / u
+                p, q = span_rows(k - 1, c)[1][k - 1]
+                den = c.denominator ** (k - 1)
                 a, b = Fraction(coeff * p, den), Fraction(coeff * q, den)
                 span = (a, b) if span is None else (span[0] + a, span[1] + b)
         if span is not None:
@@ -176,7 +185,7 @@ def norm_log_moment_deriv(q: Fraction, r: int, u: Fraction, order: int,
 
 
 def check_shift_expansion(j: int, eps: Fraction, r: int, u: Fraction,
-                          ctx: PrecisionContext) -> IdentityReport:
+                          ctx: PrecisionContext) -> ShiftReport:
     """j-step shift expansion in u-derivatives:
     f(eps+j) = C(eps+j-r, j)**-1 sum_{i=0}^{j} C(eps+j-1, j-i) u**i/i! f^(i)(eps),
     to within the absolute 10**-(decimal_digits - 5). At j = 1 it is the
@@ -209,9 +218,10 @@ def check_shift_expansion(j: int, eps: Fraction, r: int, u: Fraction,
                       * norm_log_moment_deriv(eps, r, u, i, ctx))
         rhs = to_bigfloat(1 / lead, ctx) * total
         residual = abs(lhs - rhs)
-    tol = ctx.target_tolerance(slack_digits=5)
+    with mp.workprec(ctx.working_bits):
+        tol = mpf(10) ** (5 - ctx.decimal_digits)
     params = {"j": str(j), "eps": str(eps), "r": str(r), "u": str(u),
               "digits": str(ctx.decimal_digits)}
     verdict = NUMERIC_PASS if residual < tol else FAIL
-    return IdentityReport("shift_expansion", params, lhs, ctx.round(rhs),
-                          verdict, ctx.round(residual), tolerance=tol)
+    return ShiftReport(params, lhs, ctx.round(rhs), verdict,
+                       ctx.round(residual), tol)

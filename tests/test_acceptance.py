@@ -12,8 +12,9 @@ from gompertz import (B1_MINUS_HALF, B1_PLUS_HALF, PrecisionContext,
                       corollary1_pair, corollary2_pair, delta_reference,
                       digamma, digamma_series_scan, euler_gamma,
                       frac_integral_closed, g_span_eval, gauss_grid,
-                      gen_binomial_grid, identity_report, int_binomial_grid,
-                      log_integral_closed, series_partial_trend)
+                      gen_binomial_grid, int_binomial_grid,
+                      log_integral_closed, point_verdict,
+                      series_partial_trend)
 from gompertz.cli import main as cli_main
 from gompertz.verify import EXACT_PASS, SKIPPED
 from integral_oracles import (NUMERIC_PASS, check_shift_expansion,
@@ -32,16 +33,15 @@ def report(name, ok, detail=""):
 
 def test_01_exact_identity_suite():
     start = time.monotonic()
-    gen = [identity_report(*p) for p in gen_binomial_grid(m_max=12)]
-    intb = [identity_report(*p) for p in int_binomial_grid(m_max=20)]
-    gauss = [identity_report(*p) for p in gauss_grid(m_max=15)]
+    gen = [(p[1], point_verdict(p)) for p in gen_binomial_grid(m_max=12)]
+    intb = [(p[1], point_verdict(p)) for p in int_binomial_grid(m_max=20)]
+    gauss = [(p[1], point_verdict(p)) for p in gauss_grid(m_max=15)]
     elapsed = time.monotonic() - start
-    gen_ok = all(r.verdict == EXACT_PASS for r in gen)
-    intb_ok = all(r.verdict in (EXACT_PASS, SKIPPED) for r in intb)
+    gen_ok = all(v == EXACT_PASS for _, v in gen)
+    intb_ok = all(v in (EXACT_PASS, SKIPPED) for _, v in intb)
     intb_skips_are_degenerate = all(
-        r.parameters["m"] == r.parameters["r"]
-        for r in intb if r.verdict == SKIPPED)
-    gauss_ok = all(r.verdict == EXACT_PASS for r in gauss)
+        params["m"] == params["r"] for params, v in intb if v == SKIPPED)
+    gauss_ok = all(v == EXACT_PASS for _, v in gauss)
     report("exact identity suite",
            gen_ok and intb_ok and intb_skips_are_degenerate and gauss_ok
            and elapsed < 60,

@@ -8,7 +8,7 @@ from mpmath import mp, mpf
 from conftest import absdiff
 from gompertz import (DomainError, PrecisionContext, approx_table,
                       corollary1_pair, corollary2_pair, delta_reference,
-                      frac_integral_closed, log_integral_coeffs)
+                      frac_integral_closed, log_integral_closed)
 from gompertz import approximants
 from gompertz.approximants import DEFAULT_M_MAX_CAP
 
@@ -129,7 +129,7 @@ class TestPairs:
                     coeff = Fraction((-1) ** (k + r) * comb(m, k) * comb(k, r),
                                      factorial(k))
                     if k >= 1:
-                        p, q, _ = log_integral_coeffs(k - 1, 1)
+                        p, q = log_integral_closed(k - 1)
                         bp, bq = bp + coeff * p, bq + coeff * q
                     weight = (-1) ** k * comb(m, k) * comb(k, r) \
                         * factorial(m) // factorial(k)

@@ -167,6 +167,14 @@ class TestTheorem:
         assert code == 0
         assert json.loads(out)["u"] == "1/3"
 
+    def test_unreachable_value_exits_one(self, capsys):
+        # at u = 10**-400 the rows cancel past the 1000-digit cap: exit 1,
+        # as for a verification failure, with nothing on stdout
+        code, out, err = run_cli(capsys, "theorem", "--u", "1e-400",
+                                 "--max-m", "3")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: A + B G(")
+
 
 class TestIdentities:
     def test_small_grid_all_pass(self, capsys):
@@ -226,12 +234,12 @@ class TestIdentities:
                                                    monkeypatch):
         built = []
 
-        def spy(*fields):
-            built.append(report(*fields))
-            return built[-1]
+        def spy(point):
+            built.append(verify.point_verdict(point))
+            return residual(point)
 
-        report = verify.IdentityReport
-        monkeypatch.setattr(verify, "IdentityReport", spy)
+        residual = cli.point_residual
+        monkeypatch.setattr(cli, "point_residual", spy)
         code, out, _ = run_cli(capsys, "identities", "--max-m", "6",
                                "--inject-fault")
         assert code == 1
@@ -241,7 +249,7 @@ class TestIdentities:
         skips = sum(int(c[3].split()[0]) for c in counts)
         assert (fails, skips) == (1, 7)
         # the one failing row needs its residual; a skip is only counted
-        assert [rep.verdict for rep in built] == ["Fail"]
+        assert built == ["Fail"]
 
     @pytest.mark.parametrize("fmt", ("text", "csv", "json"))
     def test_out_file_is_the_stdout_bytes(self, capsys, tmp_path, fmt):

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import absdiff
-from gompertz import (B1_MINUS_HALF, B1_PLUS_HALF, alt_factorial_sum,
-                      bernoulli, binom_gen, binom_int, delta_reference,
-                      factorial, g_span_eval, log_integral_coeffs,
+from gompertz import (alt_factorial_sum, bernoulli, binom_gen, binom_int,
+                      delta_reference, factorial, g_span_eval,
                       stirling1_unsigned, stirling2)
 from gompertz import exactmath
+from gompertz.integrals import span_rows
 
 
 def pascal_triangle(n_max):
@@ -175,15 +175,8 @@ class TestBernoulli:
     def test_small_values(self):
         assert bernoulli(0) == 1
         assert bernoulli(2) == Fraction(1, 6)
+        assert bernoulli(1) == Fraction(-1, 2)
         assert bernoulli(3) == 0
-
-    def test_conventions(self):
-        assert bernoulli(1, B1_MINUS_HALF) == Fraction(-1, 2)
-        assert bernoulli(1, B1_PLUS_HALF) == Fraction(1, 2)
-        for j in (0, 2, 4, 8, 12):
-            assert bernoulli(j, B1_MINUS_HALF) == bernoulli(j, B1_PLUS_HALF)
-        with pytest.raises(ValueError):
-            bernoulli(2, "B1_zero")
 
     def test_defining_recurrence(self):
         for m in range(1, 31):
@@ -194,9 +187,7 @@ class TestBernoulli:
     def test_matches_mpmath_bernfrac(self):
         for j in range(601):
             p, q = mpmath.bernfrac(j)  # B_1 = -1/2 convention
-            assert bernoulli(j, B1_MINUS_HALF) == Fraction(p, q)
-            plus = Fraction(-p, q) if j == 1 else Fraction(p, q)
-            assert bernoulli(j, B1_PLUS_HALF) == plus
+            assert bernoulli(j) == Fraction(p, q)
 
     def test_request_order_does_not_matter(self, monkeypatch):
         indices = [0, 1, 2, 3, 4, 10, 37, 64, 130, 255, 256, 400]
@@ -268,7 +259,8 @@ class TestGSpanEval:
         # log_moment_sum passes its triple unreduced, with den of either
         # sign: a common factor changes no bit, and -den negates exactly
         for n in (0, 5, 12):
-            p, q, den = log_integral_coeffs(n, c)
+            p, q = span_rows(n, c)[1][n]
+            den = c.denominator ** n
             value = g_span_eval(p, q, den, c, ctx30)
             for k in (2, 3, -1, -6):
                 assert g_span_eval(k * p, k * q, k * den, c, ctx30) == value

@@ -12,8 +12,7 @@ from conftest import absdiff
 from gompertz import (CrossCheckFailure, DomainError, Integrand,
                       bigfloat_str, corollary1_pair, corollary2_pair,
                       delta_reference, exp_e1, frac_integral_closed,
-                      log_integral_closed, log_integral_coeffs,
-                      PrecisionContext, log_moment, quad_semi_infinite,
+                      log_integral_closed, PrecisionContext, log_moment, quad_semi_infinite,
                       reference, shifted_log_moment)
 from gompertz import integrals
 from gompertz.approximants import DEFAULT_M_MAX_CAP
@@ -261,26 +260,25 @@ class TestExactSpan:
         assert digest.hexdigest() == PAIRS_DIGEST
 
     def test_coeffs_at_c1_are_the_closed_form(self):
+        log = span_rows(DEFAULT_M_MAX_CAP, 1)[1]
         for n in range(DEFAULT_M_MAX_CAP + 1):
-            assert log_integral_coeffs(n, 1) == (*log_integral_closed(n), 1)
+            assert log[n] == log_integral_closed(n)
 
     def test_coeffs_small_values(self):
         c = 3
         # L_0 = G, L_1 = L_0 + I_1 = G + 1 - c G, L_2 = 2 L_1 + I_2
-        assert log_integral_coeffs(0, c) == (0, 1, 1)
-        assert log_integral_coeffs(1, c) == (1, 1 - c, 1)
-        assert log_integral_coeffs(2, c) == (2 + 1 - c, 2 * (1 - c) + c * c, 1)
+        assert span_rows(2, c)[1][:3] == [(0, 1), (1, 1 - c),
+                                          (2 + 1 - c, 2 * (1 - c) + c * c)]
         # at c = 3/2, b**n L_n: 2 L_1 = 2 + (2 - 3) G
-        assert log_integral_coeffs(1, Fraction(3, 2)) == (2, -1, 2)
+        assert span_rows(1, Fraction(3, 2))[1][1] == (2, -1)
 
     def test_first_call_beyond_the_recursion_limit(self):
         # the rows of a new c grow in a loop, not by recursion
         n = sys.getrecursionlimit() + 10
         c = Fraction(5)
-        _, q, den = log_integral_coeffs(n, c)
-        assert den == 1
+        log = span_rows(n, c)[1]
         # the G parts: I_n has (-c)**n, so B_n = n B_{n-1} + (-c)**n
-        assert q == n * log_integral_coeffs(n - 1, c)[1] + (-c) ** n
+        assert log[n][1] == n * log[n - 1][1] + (-c) ** n
 
     def test_g_span_eval_takes_c_from_the_value(self, ctx30):
         for c in (Fraction(1, 3), Fraction(2), Fraction(50)):

@@ -1,4 +1,4 @@
-"""The package's five records, all named tuples: field names, order and
+"""The package's four records, all named tuples: field names, order and
 defaults, the checks and coercions made on construction (and again by
 `_replace`), immutability, and equal values hashing equal (PrecisionContext
 and Integrand are `lru_cache` keys)."""
@@ -8,9 +8,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mpf
 
-from gompertz import (ApproximantRow, DigammaSeriesPoint, IdentityReport,
-                      Integrand, PrecisionContext, quad_semi_infinite)
-from gompertz.verify import EXACT_PASS
+from gompertz import (ApproximantRow, DigammaSeriesPoint, Integrand,
+                      PrecisionContext, quad_semi_infinite)
 
 #: record -> (its fields in order, values for the fields without a default,
 #: the defaults of the others)
@@ -24,11 +23,6 @@ RECORDS = {
     ApproximantRow: (("m", "r", "corollary", "a", "b", "ratio", "abs_error",
                       "target_sign"),
                      (2, 0, 1, -4, 7, mpf(4) / 7, mpf("0.025"), "+"), {}),
-    IdentityReport: (("identity_name", "parameters", "lhs", "rhs", "verdict",
-                      "residual", "tolerance"),
-                     ("gauss_terminating", {"a": "1"}, Fraction(1, 2),
-                      Fraction(1, 2), EXACT_PASS, Fraction(0)),
-                     {"tolerance": None}),
     DigammaSeriesPoint: (("u", "m", "convention", "rhs", "psi", "residual"),
                          (Fraction(1), 3, "B1_plus_half", mpf("-0.5"),
                           mpf("-0.57"), mpf("0.07")), {}),
@@ -65,13 +59,8 @@ def test_equal_values_equal(record):
     assert sample(record) is not sample(record)
 
 
-HASHABLE = [record for record in RECORDS if record is not IdentityReport]
-
-
-@pytest.mark.parametrize("record", HASHABLE,
-                         ids=[record.__name__ for record in HASHABLE])
+@pytest.mark.parametrize("record", RECORDS, ids=IDS)
 def test_equal_values_hash_equal(record):
-    # an IdentityReport carries its parameters as a dict, unhashable
     assert hash(sample(record)) == hash(sample(record))
 
 

@@ -10,9 +10,10 @@ from gompertz import (CrossCheckFailure, DomainError, Integrand,
                       NonIntegrable, PoleError, PrecisionContext,
                       PrecisionUnreachable, bigfloat_str, delta_reference,
                       digamma, euler_gamma, frac_integral_closed, gamma_real,
-                      log_integral_coeffs, plan_quadrature,
-                      quad_semi_infinite, series_partial_trend, to_bigfloat)
+                      plan_quadrature, quad_semi_infinite,
+                      series_partial_trend, to_bigfloat)
 from gompertz import cli, reference
+from gompertz.integrals import span_rows
 from gompertz.reference import k0_log_moment
 from integral_oracles import quadrature_log_moment
 
@@ -162,7 +163,7 @@ class TestHalfLineEnds:
         # A + B G(2) from the span recurrence, with G(2) from mpmath's E1
         got = quad_semi_infinite(Integrand(Fraction(29),
                                            log_scale=Fraction(1, 2)), ctx30)
-        want = span_value(*log_integral_coeffs(29, 2), Fraction(2),
+        want = span_value(*span_rows(29, 2)[1][29], 1, Fraction(2),
                           oracle_bits(ctx30))
         assert relerr(got, want) < 100 * ctx30.internal_tolerance()
 
@@ -178,7 +179,9 @@ class TestHalfLineEnds:
         # integral x**n ln(x/c + 1) e**-x = A + B G(c), exactly
         ctx = PrecisionContext(digits)
         got = quad_semi_infinite(Integrand(Fraction(n), log_scale=1 / c), ctx)
-        want = span_value(*log_integral_coeffs(n, c), c, oracle_bits(ctx))
+        # span_rows holds b**n L_n at c = a/b
+        want = span_value(*span_rows(n, c)[1][n], c.denominator ** n, c,
+                          oracle_bits(ctx))
         assert relerr(got, want) < 100 * ctx.internal_tolerance()
 
     @pytest.mark.parametrize("digits", [30, 60])
@@ -413,9 +416,10 @@ TOP_RUNG = PrecisionContext(1000, 990)
 
 
 class TestGCheck:
-    """The evaluators that check mpmath.e1's G(c), none of which runs the
-    quadrature: the committed digits of delta at c = 1, the series anchored
-    on them at moderate c, and Laguerre's J-fraction at large c."""
+    """The two evaluators that check mpmath.e1's G(c), neither of which
+    runs the quadrature: the series anchored on the committed digits of
+    delta up to moderate c, c = 1 included, and Laguerre's J-fraction at
+    large c."""
 
     def test_committed_digits_match_the_quadrature(self):
         # the committed digits are data, so the quadrature re-derives the
@@ -424,6 +428,17 @@ class TestGCheck:
         assert text.startswith("0.") and text[2:].isdigit()
         quadrature = reference._g_quadrature(Fraction(1), PrecisionContext(300))
         assert text[:302] == bigfloat_str(quadrature, 310)[:302]
+
+    @pytest.mark.parametrize("ctx", (PrecisionContext(30),
+                                     PrecisionContext(1000), TOP_RUNG),
+                             ids=("30", "1000", "top-rung"))
+    def test_g1_is_the_committed_digits(self, ctx):
+        # at c = 1 every term of the anchored series is 0: the sum stops at
+        # k = 2, and G(1) is delta's committed digits rounded once to ctx
+        assert reference._g_check_route(Fraction(1), ctx) == "anchored series"
+        with mp.workprec(ctx.inner_bits + 64):
+            want = ctx.round(mpf(reference._delta_text()))
+        assert reference._g_check(Fraction(1), ctx) == want
 
     def test_no_route_reads_past_the_committed_digits(self, monkeypatch):
         places = len(reference._delta_text()) - 2
@@ -439,7 +454,7 @@ class TestGCheck:
         for c in (1, 64, 100, 1000, 10 ** 6):
             routes[c] = reference._g_check_route(Fraction(c), TOP_RUNG)
             reference._g_check(Fraction(c), TOP_RUNG)
-        assert routes == {1: "digits", 64: "anchored series",
+        assert routes == {1: "anchored series", 64: "anchored series",
                           100: "anchored series", 1000: "J-fraction",
                           10 ** 6: "J-fraction"}
         assert len(asked) == 3 and max(asked) <= places

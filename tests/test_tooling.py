@@ -1,12 +1,14 @@
 """The benchmark tracer (perfbench/tracer.py), the scripts under scripts/ and
 README's library example bind package names, private ones included, and
-README names the package's records. A name they use that is deleted or
+README names the package's records and, in "What is inside", its
+functions. A name they use that is deleted or
 renamed must fail here, not first in a traced benchmark run, a script run
 (neither is part of this suite) or a reader's session."""
 
 import ast
 import importlib
 import importlib.util
+import pkgutil
 import re
 from pathlib import Path
 from types import ModuleType
@@ -108,3 +110,20 @@ def test_readme_records_are_the_exported_records():
                 and hasattr(value, "_fields")}
     assert exported
     assert set(re.findall(r"`(\w+)`", sentence)) == exported
+
+
+def test_readme_inside_names_resolve():
+    # every snake_case name that README's "What is inside" puts in
+    # backticks, bare or as module.name, is defined on a package module
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## What is inside\n", 1)[1].split("\n## ", 1)[0]
+    package = importlib.import_module("gompertz")
+    modules = {info.name: importlib.import_module(f"gompertz.{info.name}")
+               for info in pkgutil.iter_modules(package.__path__)}
+    names = re.findall(r"`(?:(\w+)\.)?([a-z]\w*_\w*)[`(]", section)
+    assert names
+    missing = [f"{owner}.{name}".lstrip(".") for owner, name in names
+               if not any(hasattr(module, name)
+                          for key, module in modules.items()
+                          if owner in ("", key))]
+    assert missing == []

@@ -13,7 +13,7 @@ from gompertz import (B1_MINUS_HALF, B1_PLUS_HALF, DomainError,
                       calibrated_convention, delta_reference, digamma,
                       digamma_series_coeff, digamma_series_rhs,
                       digamma_series_scan, gauss_grid, gen_binomial_grid,
-                      identity_report, int_binomial_grid, point_verdict,
+                      int_binomial_grid, point_residual, point_verdict,
                       series_partial_trend, to_bigfloat)
 from gompertz.exactmath import bernoulli, stirling1_unsigned, stirling2
 from gompertz import verify
@@ -72,6 +72,11 @@ def sides(point):
                  for side in point[2:])
 
 
+def outcome(point):
+    """A point's verdict and its two sides, reduced."""
+    return (point_verdict(point), *sides(point))
+
+
 def grid_point(points, **params):
     """The grid point whose parameters are params, given as values."""
     want = {name: str(value) for name, value in params.items()}
@@ -117,61 +122,62 @@ class TestHypergeomTerminating:
 
 class TestComparePairs:
     def test_equal_ratios_with_opposite_sign_denominators(self):
-        report = identity_report("x", {}, (3, -6), (-1, 2))
-        assert report.verdict == EXACT_PASS
-        assert report.lhs == report.rhs == Fraction(-1, 2)
-        assert report.residual == 0
+        point = ("x", {}, (3, -6), (-1, 2))
+        assert point_verdict(point) == EXACT_PASS
+        assert sides(point) == (Fraction(-1, 2), Fraction(-1, 2))
+        assert point_residual(point) == 0
 
     def test_unequal_pairs_fail_with_exact_residual(self):
-        report = identity_report("x", {}, (1, 3), (2, -8))
-        assert report.verdict == FAIL
-        assert (report.lhs, report.rhs) == (Fraction(1, 3), Fraction(-1, 4))
-        assert report.residual == Fraction(7, 12)
+        point = ("x", {}, (1, 3), (2, -8))
+        assert point_verdict(point) == FAIL
+        assert sides(point) == (Fraction(1, 3), Fraction(-1, 4))
+        assert point_residual(point) == Fraction(7, 12)
+
+    def test_skipped_point_gives_its_reason(self):
+        point = ("x", {}, None, None)
+        assert point_verdict(point) == SKIPPED
+        assert point_residual(point) == "right-hand side divides by m - r = 0"
 
 
 class TestGaussClosedForm:
     def test_grid_all_exact(self):
-        reports = [identity_report(*p) for p in gauss_grid(m_max=15)]
-        assert reports
-        assert all(r.verdict == EXACT_PASS for r in reports)
+        verdicts = [point_verdict(p) for p in gauss_grid(m_max=15)]
+        assert verdicts
+        assert all(v == EXACT_PASS for v in verdicts)
 
     def test_j_equals_m_trivial(self):
         # j = m = 5, r = 2: b = 0, c = 4
         point = grid_point(gauss_grid(), a=1, b=0, c=1 + 5 - 2, x=1)
-        report = identity_report(*point)
-        assert report.verdict == EXACT_PASS
+        assert point_verdict(point) == EXACT_PASS
 
     def test_perturbed_closed_form_fails(self):
         name, params, lhs, _ = grid_point(gauss_grid(), a=1, b=-1, c=2, x=1)
         wrong = Fraction(1, 2) + Fraction(1, 100)
-        report = identity_report(name, params, lhs, wrong.as_integer_ratio())
-        assert report.verdict == FAIL
-        assert report.residual == Fraction(-1, 100)
+        point = (name, params, lhs, wrong.as_integer_ratio())
+        assert point_verdict(point) == FAIL
+        assert point_residual(point) == Fraction(-1, 100)
 
 
-def gen_report(m, i, r, eps):
-    return identity_report(*grid_point(gen_binomial_grid(m), m=m, i=i, r=r,
-                                       eps=eps))
+def gen_point(m, i, r, eps):
+    return grid_point(gen_binomial_grid(m), m=m, i=i, r=r, eps=eps)
 
 
 class TestGenBinomialSum:
     def test_hand_frozen_case(self):
         # three-term sum at m=2, i=0, r=0, eps=-3/4: 1 + 6 - 3/5 = 32/5
-        report = gen_report(2, 0, 0, Fraction(-3, 4))
-        assert report.verdict == EXACT_PASS
-        assert report.lhs == Fraction(32, 5)
-        assert report.rhs == Fraction(32, 5)
+        point = gen_point(2, 0, 0, Fraction(-3, 4))
+        assert outcome(point) == (EXACT_PASS, Fraction(32, 5),
+                                  Fraction(32, 5))
 
     def test_single_term_case(self):
         for (m, r, eps) in ((3, 1, Fraction(-2, 3)), (5, 0, Fraction(-5, 9))):
-            report = gen_report(m, m, r, eps)
-            assert report.verdict == EXACT_PASS
+            assert point_verdict(gen_point(m, m, r, eps)) == EXACT_PASS
 
     def test_small_grid(self):
-        reports = [identity_report(*p) for p in gen_binomial_grid(6)
-                   if p[1]["r"] in ("0", "1", "2") and p[1]["eps"] == "-3/4"]
-        assert len(reports) == 3 * sum(m + 1 for m in range(7))
-        assert all(report.verdict == EXACT_PASS for report in reports)
+        verdicts = [point_verdict(p) for p in gen_binomial_grid(6)
+                    if p[1]["r"] in ("0", "1", "2") and p[1]["eps"] == "-3/4"]
+        assert len(verdicts) == 3 * sum(m + 1 for m in range(7))
+        assert all(v == EXACT_PASS for v in verdicts)
 
     def test_integer_eps_rejected(self):
         with pytest.raises(DomainError):
@@ -180,12 +186,13 @@ class TestGenBinomialSum:
     def test_corrupted_closed_form_fails(self, monkeypatch):
         # m!/(m-i)! is a factor of the closed form only
         monkeypatch.setattr(verify, "perm", lambda m, i: perm(m, i) + 1)
-        report = gen_report(2, 1, 0, Fraction(-3, 4))
-        assert report.verdict == FAIL
-        assert report.residual == report.lhs - report.rhs != 0
+        point = gen_point(2, 1, 0, Fraction(-3, 4))
+        verdict, lhs, rhs = outcome(point)
+        assert verdict == FAIL
+        assert point_residual(point) == lhs - rhs != 0
 
     def test_lhs_matches_definition(self):
-        grid = (identity_report(*p) for p in gen_binomial_grid(12))
+        grid = (sides(p)[0] for p in gen_binomial_grid(12))
         for m in range(13):
             for i in range(m + 1):
                 for r in range(4):
@@ -193,30 +200,24 @@ class TestGenBinomialSum:
                         lhs = sum(comb(m, j) / gen(eps + j - r, j)
                                   * gen(eps + j - 1, j - i) * (-1) ** j
                                   for j in range(i, m + 1))
-                        assert next(grid).lhs == lhs
+                        assert next(grid) == lhs
         assert next(grid, None) is None
 
 
-def int_report(m, j, r):
-    return identity_report(*grid_point(int_binomial_grid(m), m=m, j=j, r=r))
+def int_outcome(m, j, r):
+    return outcome(grid_point(int_binomial_grid(m), m=m, j=j, r=r))
 
 
 class TestIntBinomialSum:
     def test_hand_frozen_case(self):
         # m=3, j=2, r=1: 6 - 3 = 3 on both sides
-        report = int_report(3, 2, 1)
-        assert report.verdict == EXACT_PASS
-        assert report.lhs == 3
+        assert int_outcome(3, 2, 1) == (EXACT_PASS, 3, 3)
 
     def test_j_equals_r_telescopes_to_zero(self):
-        report = int_report(6, 2, 2)
-        assert report.verdict == EXACT_PASS
-        assert report.lhs == 0 == report.rhs
+        assert int_outcome(6, 2, 2) == (EXACT_PASS, 0, 0)
 
     def test_degenerate_m_equals_r(self):
-        report = int_report(3, 3, 3)
-        assert (report.verdict, report.lhs, report.rhs) == (SKIPPED, None,
-                                                            None)
+        assert int_outcome(3, 3, 3) == (SKIPPED, None, None)
 
     def test_corrupted_closed_form_fails(self, monkeypatch):
         closed_form = verify._int_binomial_closed_form
@@ -226,10 +227,9 @@ class TestIntBinomialSum:
             return 2 * num, den
 
         monkeypatch.setattr(verify, "_int_binomial_closed_form", doubled)
-        report = int_report(3, 2, 1)
-        assert report.verdict == FAIL
-        assert (report.lhs, report.rhs) == (3, 6)
-        assert report.residual == report.lhs - report.rhs == -3
+        point = grid_point(int_binomial_grid(3), m=3, j=2, r=1)
+        assert outcome(point) == (FAIL, 3, 6)
+        assert point_residual(point) == -3
 
     @given(st.integers(0, 40), st.integers(0, 40), st.integers(0, 40))
     def test_random_parameters_exact(self, m, j, r):
@@ -242,12 +242,12 @@ class TestIntBinomialSum:
         assert point_verdict(point) == EXACT_PASS
 
     def test_grid_with_skips(self):
-        reports = [identity_report(*p) for p in int_binomial_grid(m_max=10)]
-        skipped = [r for r in reports if r.verdict == SKIPPED]
-        passed = [r for r in reports if r.verdict == EXACT_PASS]
-        assert len(skipped) + len(passed) == len(reports)
+        verdicts = [point_verdict(p) for p in int_binomial_grid(m_max=10)]
+        skipped = [v for v in verdicts if v == SKIPPED]
+        passed = [v for v in verdicts if v == EXACT_PASS]
+        assert len(skipped) + len(passed) == len(verdicts)
         assert skipped  # the m with j=r=m points are reported, not hidden
-        assert all(r.verdict != FAIL for r in reports)
+        assert FAIL not in verdicts
 
 
 def gen_points(m_max):
@@ -265,20 +265,16 @@ def gauss_points(m_max):
             for r in range(1, j)]
 
 
-def grid_reports(points):
-    return [identity_report(*point) for point in points]
-
-
 def outcomes(points):
-    """(verdict, lhs, rhs) of each point's report."""
-    return [(rep.verdict, rep.lhs, rep.rhs) for rep in grid_reports(points)]
+    """(verdict, lhs, rhs) of each point."""
+    return [outcome(point) for point in points]
 
 
 def expected_outcome(lhs, rhs):
-    """The report's (verdict, lhs, rhs) for exact sides lhs and rhs."""
+    """The (verdict, lhs, rhs) of a point with exact sides lhs and rhs."""
     if rhs is None:
         return SKIPPED, None, None
-    return (EXACT_PASS, rhs, rhs) if lhs == rhs else (FAIL, lhs, rhs)
+    return (EXACT_PASS if lhs == rhs else FAIL), lhs, rhs
 
 
 class TestGridsByRow:
@@ -353,10 +349,10 @@ class TestGridsByRow:
             return hypergeom_pair(*args)
 
         monkeypatch.setattr(verify, "_hypergeom_pair", counted)
-        reports = grid_reports(gauss_grid(m_max))
-        assert (len(calls), len(set(calls)), len(reports)) == (sums, sums,
-                                                               points)
-        assert all(rep.verdict == EXACT_PASS for rep in reports)
+        verdicts = [point_verdict(p) for p in gauss_grid(m_max)]
+        assert (len(calls), len(set(calls)), len(verdicts)) == (sums, sums,
+                                                                points)
+        assert all(v == EXACT_PASS for v in verdicts)
 
 
 class TestNormLogMoment:
@@ -580,6 +576,14 @@ def oracle_series_coeff(k, m, b1):
     return total
 
 
+def bernoulli_under(j, convention):
+    """B_j with the index-1 value of the convention; the package's B_1 is
+    -1/2."""
+    if j == 1 and convention == B1_PLUS_HALF:
+        return Fraction(1, 2)
+    return bernoulli(j)
+
+
 def triple_sum_series_coeff(k, m, convention):
     """The coefficient as first written: the inner j-sum recomputed for every
     (t, w), with the package's Stirling and Bernoulli tables."""
@@ -589,7 +593,7 @@ def triple_sum_series_coeff(k, m, convention):
         for w in range(1, t):
             inner = Fraction(0)
             for j in range(1, w + 1):
-                term = bernoulli(j, convention) * stirling1_unsigned(w, j)
+                term = bernoulli_under(j, convention) * stirling1_unsigned(w, j)
                 inner += -term if j % 2 else term
             total += s2 * Fraction(-k) ** (t - w) * inner
     return total
@@ -621,7 +625,7 @@ class TestDigammaSeries:
         # sum_{j=1}^{w} (-1)**j B_j S1u(w, j)
         for conv in (B1_MINUS_HALF, B1_PLUS_HALF):
             for w in range(1, 61):
-                direct = sum((-1) ** j * bernoulli(j, conv)
+                direct = sum((-1) ** j * bernoulli_under(j, conv)
                              * stirling1_unsigned(w, j)
                              for j in range(1, w + 1))
                 assert Fraction(*_bernoulli_stirling_sum(w, conv)) == direct
